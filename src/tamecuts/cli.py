@@ -179,7 +179,8 @@ def _run_lambda(args, cache):
     group = _group_from_args(args)
     bm = ball(group, args.ball, budget=args.budget)
     f = FinSuppFun.indicator(group, bm)
-    est = lambda_norm_lower(f, args.radius, tol=args.tol, seed=args.seed)
+    est = lambda_norm_lower(f, args.radius, tol=args.tol, seed=args.seed,
+                            budget=args.budget)
     return [{"name": "lambda_norm_lower",
              "params": {"group": group.to_dict(), "ball": args.ball,
                         "radius": args.radius},

@@ -124,9 +124,6 @@ class CutFamily:
                 return c
         raise InputError(f"no cut with index {n} in family")
 
-    def growth_fit(self) -> tuple[float, float]:
-        return fit_growth(self)
-
 
 @dataclass(frozen=True)
 class VerificationReport:

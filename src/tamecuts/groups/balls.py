@@ -5,14 +5,22 @@ symmetric generating set, deduplicating on canonical forms, so recorded
 lengths are exact word lengths.  Growth state is memoized per group so that
 repeated queries (and queries at increasing radii) reuse earlier levels; a
 ``Ball`` is a cheap immutable view onto a prefix of that shared state.
+
+The state is an index per element (its BFS discovery position) plus the
+right Cayley table and BFS parent pointers, all recorded as the ball grows;
+lengths are read off the level boundaries.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from ..errors import BudgetExceededError, ElementNotFoundError, InputError
 from .elements import Element, coset_key, generators, identity, multiply, subgroup_membership
@@ -22,20 +30,36 @@ DEFAULT_BUDGET = 5_000_000
 
 
 class _BallGrower:
-    """Append-only BFS state for one group; safe to snapshot while growing."""
+    """Append-only BFS state for one group; safe to snapshot while growing.
+
+    Element ``i`` (in discovery order) has word length r exactly when
+    ``level_end[r-1] <= i < level_end[r]``.  Every product computed while
+    growing is kept: ``right[k*i + j]`` is the index of ``elements[i] *
+    gens[j]`` for each expanded element (all of B_{radius-1}), and
+    ``parent[i]``, ``gen[i]`` name the expanded element and generator that
+    first reached element ``i``, so ``elements[i] == elements[parent[i]] *
+    gens[gen[i]]`` spells out a geodesic word.
+    """
 
     def __init__(self, group: GroupSpec):
         self.group = group
         self.gens = tuple(elem for _, elem in generators(group))
         e = identity(group)
         self.elements: list[Element] = [e]
-        self.length_of: dict[Element, int] = {e: 0}
+        self.index_of: dict[Element, int] = {e: 0}
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
+        self.right = array("i")
+        self.parent = array("i", [-1])
+        self.gen = array("b", [-1])
         self.lock = threading.Lock()
 
     @property
     def radius(self) -> int:
         return len(self.level_end) - 1
+
+    def length(self, i: int) -> int:
+        """Word length of the element with index ``i``."""
+        return bisect_right(self.level_end, i)
 
     def grow_to(self, n: int, budget: int = DEFAULT_BUDGET) -> None:
         with self.lock:
@@ -44,42 +68,72 @@ class _BallGrower:
 
     def _grow_level(self, budget: int) -> None:
         start = self.level_end[-2] if len(self.level_end) >= 2 else 0
-        frontier = self.elements[start:self.level_end[-1]]
-        fresh: list[Element] = []
-        base = len(self.elements)
+        stop = self.level_end[-1]
+        elements, index_of = self.elements, self.index_of
+        find, record = index_of.get, self.right.append
+        gens = tuple(enumerate(self.gens))
         try:
-            for x in frontier:
-                for g in self.gens:
+            for i in range(start, stop):
+                x = elements[i]
+                for j, g in gens:
                     y = multiply(x, g)
-                    if y not in self.length_of:
-                        if base + len(fresh) >= budget:  # fail before memory does
+                    idx = find(y)
+                    if idx is None:
+                        idx = len(elements)
+                        if idx >= budget:  # fail before memory does
                             raise BudgetExceededError(
                                 f"ball budget {budget} exceeded at radius "
                                 f"{self.radius + 1} of {self.group.label()}",
                                 radius_reached=self.radius)
-                        self.length_of[y] = self.radius + 1
-                        fresh.append(y)
+                        index_of[y] = idx
+                        elements.append(y)
+                        self.parent.append(i)
+                        self.gen.append(j)
+                    record(idx)
         except BudgetExceededError:
-            for y in fresh:
-                del self.length_of[y]
+            for y in elements[stop:]:
+                del index_of[y]
+            del elements[stop:], self.parent[stop:], self.gen[stop:]
+            del self.right[len(self.gens) * start:]
             raise
-        self.elements.extend(fresh)
-        self.level_end.append(len(self.elements))
+        self.level_end.append(len(elements))
 
     def seed_from_cache(self, lengths: list[int], elements: list[Element]) -> None:
-        """Replace level-0-only state with cached BFS output (discovery order)."""
-        if self.radius != 0 or len(elements) < 1:
+        """Replace level-0-only state with cached BFS output (discovery order).
+
+        The table is rebuilt by replaying the products over every level below
+        the top one, which also validates the entry: it is installed only if
+        the elements are distinct, start at the identity, every neighbour of
+        a non-top element is present, and replaying BFS discovers the
+        elements in the stored order with the stored lengths.
+        """
+        if self.radius != 0 or not elements or len(lengths) != len(elements):
             return
-        counts = [0] * (lengths[-1] + 1)
-        for ln in lengths:
-            counts[ln] += 1
-        level_end, total = [], 0
-        for c in counts:
-            total += c
-            level_end.append(total)
+        index_of = {x: i for i, x in enumerate(elements)}
+        if (len(index_of) != len(elements) or elements[0] != self.elements[0]
+                or lengths[0] != 0):
+            return
+        top = max(lengths)
+        right, parent, gen = array("i"), array("i", [-1]), array("b", [-1])
+        for i, x in enumerate(elements):
+            if lengths[i] == top:
+                break
+            for j, g in enumerate(self.gens):
+                idx = index_of.get(multiply(x, g))
+                if idx is None or idx > len(parent):
+                    return  # neighbour missing, or not in BFS order
+                if idx == len(parent):
+                    if lengths[idx] != lengths[i] + 1:
+                        return
+                    parent.append(i)
+                    gen.append(j)
+                right.append(idx)
+        if len(parent) != len(elements):
+            return  # some element is reached from no level below
         self.elements = list(elements)
-        self.length_of = {x: ln for x, ln in zip(elements, lengths)}
-        self.level_end = level_end
+        self.index_of = index_of
+        self.level_end = [bisect_right(lengths, r) for r in range(top + 1)]
+        self.right, self.parent, self.gen = right, parent, gen
 
 
 _growers: dict[GroupSpec, _BallGrower] = {}
@@ -107,19 +161,19 @@ class Ball:
         return self._grower.level_end[self.radius]
 
     def __contains__(self, x: Element) -> bool:
-        ln = self._grower.length_of.get(x)
-        return ln is not None and ln <= self.radius
+        i = self._grower.index_of.get(x)
+        return i is not None and i < len(self)
 
     def __iter__(self) -> Iterator[Element]:
         return islice(iter(self._grower.elements), len(self))
 
     def length(self, x: Element) -> int:
-        ln = self._grower.length_of.get(x)
-        if ln is None or ln > self.radius:
+        i = self._grower.index_of.get(x)
+        if i is None or i >= len(self):
             raise ElementNotFoundError(
                 f"element not in ball of radius {self.radius}",
                 radius_searched=self.radius)
-        return ln
+        return self._grower.length(i)
 
     def boundary(self) -> tuple[Element, ...]:
         """Elements of word length exactly ``radius``."""
@@ -131,8 +185,38 @@ class Ball:
         return tuple(self._grower.level_end[: self.radius + 1])
 
     def items(self) -> Iterator[tuple[Element, int]]:
-        for x in self:
-            yield x, self._grower.length_of[x]
+        for i, x in enumerate(self):
+            yield x, self._grower.length(i)
+
+    def translate_indices(self, support: Sequence[Element],
+                          budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Ball indices of y*x: row s, column i holds the index of
+        ``support[s] * x_i`` for the i-th element x_i of this ball.
+
+        No product is formed.  Writing x = parent(x) * gen(x) along its BFS
+        word, y*x = (y*parent(x)) * gen(x) is one lookup in the right
+        multiplication table, and the parent lies one level lower, so each
+        level is one gather over the level below.  The table must cover
+        B_{radius + max|y| - 1}, so the shared state grows to
+        ``radius + max|y|`` first.
+        """
+        g = self._grower
+        deg = max((word_length(y, self.group, budget=budget) for y in support),
+                  default=0)
+        g.grow_to(self.radius + deg, budget)
+        k, n = len(g.gens), len(self)
+        with g.lock:
+            covered = g.level_end[self.radius + deg - 1] if self.radius + deg else 0
+            right = np.frombuffer(g.right, dtype=np.intc, count=k * covered).copy()
+            parent = np.frombuffer(g.parent, dtype=np.intc, count=n).copy()
+            gen = np.frombuffer(g.gen, dtype=np.int8, count=n).copy()
+            first = [g.index_of[y] for y in support]
+        out = np.empty((len(support), n), dtype=np.int64)
+        out[:, 0] = first
+        for r in range(1, self.radius + 1):
+            lo, hi = g.level_end[r - 1], g.level_end[r]
+            out[:, lo:hi] = right[k * out[:, parent[lo:hi]] + gen[lo:hi]]
+        return out
 
 
 def ball(group: GroupSpec, n: int, cache=None, budget: int = DEFAULT_BUDGET) -> Ball:
@@ -160,10 +244,10 @@ def word_length(x: Element, group: GroupSpec | None = None, cache=None,
     if group != x.group:
         raise InputError("element does not belong to the given group")
     grower = _get_grower(group)
-    ln = grower.length_of.get(x)
-    if ln is not None:
-        return ln
     while True:
+        i = grower.index_of.get(x)
+        if i is not None:
+            return grower.length(i)
         try:
             grower.grow_to(grower.radius + 1, budget)
         except BudgetExceededError as exc:
@@ -171,9 +255,6 @@ def word_length(x: Element, group: GroupSpec | None = None, cache=None,
                 f"element not found within ball budget {budget} "
                 f"(radius searched {exc.radius_reached})",
                 radius_searched=exc.radius_reached) from exc
-        ln = grower.length_of.get(x)
-        if ln is not None:
-            return ln
 
 
 @dataclass(frozen=True)

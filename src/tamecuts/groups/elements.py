@@ -38,7 +38,7 @@ from .spec import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A group element in canonical form; equal iff representations coincide."""
 

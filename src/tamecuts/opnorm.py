@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
-from .groups import Element, GroupSpec, ball, identity, multiply, word_length
+from .errors import BudgetExceededError, InputError
+from .groups import DEFAULT_BUDGET, Element, GroupSpec, ball, identity, word_length
 from .groups.balls import Ball
 
 
@@ -111,27 +111,24 @@ class CompressedConvolution:
     """
 
     def __init__(self, group: GroupSpec, support: list[Element], radius: int,
-                 cache=None, budget: int = 5_000_000):
+                 cache=None, budget: int = DEFAULT_BUDGET):
         self.group = group
         self.support = support
         self.radius = radius
         deg = max((word_length(y, group, budget=budget) for y in support), default=0)
         self.degree = deg
         bin_ = ball(group, radius, cache=cache, budget=budget)
-        bout = ball(group, radius + deg, cache=cache, budget=budget)
         self.dim_in = len(bin_)
+        entries = len(support) * self.dim_in
+        if entries > budget:  # before the index arrays are allocated
+            raise BudgetExceededError(
+                f"compression entry budget {budget} exceeded: {len(support)} "
+                f"support elements x {self.dim_in} ball elements")
+        bout = ball(group, radius + deg, cache=cache, budget=budget)
         self.dim_out = len(bout)
-        out_index = {x: i for i, x in enumerate(bout)}
-        rows = np.empty(len(support) * self.dim_in, dtype=np.int64)
-        cols = np.empty_like(rows)
-        yidx = np.empty_like(rows)
-        pos = 0
-        for s, y in enumerate(support):
-            for i, x in enumerate(bin_):
-                rows[pos] = out_index[multiply(y, x)]
-                cols[pos] = i
-                yidx[pos] = s
-                pos += 1
+        rows = bin_.translate_indices(support, budget=budget).ravel()
+        cols = np.tile(np.arange(self.dim_in, dtype=np.int64), len(support))
+        yidx = np.repeat(np.arange(len(support), dtype=np.int64), self.dim_in)
         order = np.lexsort((cols, rows))  # csr layout: row-major, cols ascending
         self._rows = rows[order]
         self._cols = cols[order]
@@ -185,9 +182,17 @@ def _power_iteration(L: sp.csr_matrix, tol: float, max_iter: int,
 
 def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
                       max_iter: int = 2000, seed: int = 0, cache=None,
-                      conv: CompressedConvolution | None = None) -> SpectralEstimate:
+                      conv: CompressedConvolution | None = None,
+                      budget: int = DEFAULT_BUDGET) -> SpectralEstimate:
     """Certified lower bound for ||lambda(f)|| from the radius-``radius``
-    compression.  Deterministic for fixed (f, radius, seed)."""
+    compression.  Deterministic for fixed (f, radius, seed).
+
+    If building the compression exceeds ``budget`` (ball elements, or
+    |supp f| * |B_radius| matrix entries), the ``BudgetExceededError``
+    carries the bracket ||f||_2 <= ||lambda(f)|| <= ||f||_1 as a zero-
+    iteration ``SpectralEstimate`` in ``partial``, unconverged with relative
+    residual 1 (a finite stand-in for "nothing measured" that keeps the CLI
+    report strict JSON)."""
     if radius < 0:
         raise InputError("truncation radius must be nonnegative")
     l1 = f.l1
@@ -195,7 +200,13 @@ def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
     if not f.values:
         return SpectralEstimate(0.0, 0.0, 0.0, radius, 0, 0.0, True)
     if conv is None:
-        conv = CompressedConvolution(f.group, f.support(), radius, cache=cache)
+        try:
+            conv = CompressedConvolution(f.group, f.support(), radius,
+                                         cache=cache, budget=budget)
+        except BudgetExceededError as exc:
+            partial = SpectralEstimate(l2, l1, l2, radius, 0, 1.0, False)
+            raise BudgetExceededError(str(exc), radius_reached=exc.radius_reached,
+                                      partial=partial) from exc
     elif conv.group != f.group or not set(f.values).issubset(conv.support):
         raise InputError("prebuilt operator does not cover the support of f")
     coeffs = np.array([f.values.get(y, 0.0) for y in conv.support])

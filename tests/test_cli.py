@@ -107,6 +107,19 @@ def test_budget_exit_3(capsys):
     assert report["error"]["radius_reached"] is not None
 
 
+def test_lambda_entry_budget_exit_3(capsys):
+    """The balls fit the budget, but 25 x 3281 compression entries do not."""
+    code = main(["lambda", "--d", "2", "--ball", "3", "--radius", "40",
+                 "--budget", "50000"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["type"] == "budget"
+    partial = report["error"]["partial"]
+    assert (partial["lower"], partial["l2_lower"], partial["l1_upper"]) == (5.0, 5.0, 25.0)
+    assert partial["iterations"] == 0 and partial["converged"] is False
+    assert report["results"] == []
+
+
 def test_ball_report_and_cache(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     code, report = run_json(capsys, [

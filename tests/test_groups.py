@@ -3,8 +3,11 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamecuts.errors import BudgetExceededError, ElementNotFoundError, InputError
 from tamecuts.groups import (
@@ -249,6 +252,48 @@ def test_ball_oracle_independent_bfs():
         assert dict(bn.items()) == seen
 
 
+def _table(spec, n):
+    """The recorded Cayley table of the shared state, grown to radius n."""
+    bn = ball(spec, n)
+    return bn, balls_mod._get_grower(spec)
+
+
+def assert_table_matches_multiply(spec, n):
+    """Every recorded right product and every parent pointer of the shared
+    state, grown to radius n, agrees with ``multiply`` on the elements."""
+    bn, g = _table(spec, n)
+    elems, gens, k = list(bn), g.gens, len(g.gens)
+    expanded = bn.level_sizes()[-2]
+    assert len(g.right) >= k * expanded
+    for i in range(expanded):
+        for j in range(k):
+            assert elems[g.right[k * i + j]] == multiply(elems[i], gens[j])
+    for i in range(1, len(bn)):
+        assert elems[i] == multiply(elems[g.parent[i]], gens[g.gen[i]])
+        assert bn.length(elems[i]) == bn.length(elems[g.parent[i]]) + 1
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_cayley_table_matches_multiply(spec):
+    assert_table_matches_multiply(spec, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.integers(0, len(ALL_FAMILIES) - 1),
+       word=st.lists(st.integers(0, 63), max_size=4))
+def test_cayley_table_walk_matches_multiply(family, word):
+    """Walking a random word of length <= 4 through the table of B_4 lands on
+    the index of the word's product."""
+    spec = ALL_FAMILIES[family]
+    bn, g = _table(spec, 4)
+    k = len(g.gens)
+    i, x = 0, identity(spec)
+    for letter in word:
+        i = g.right[k * i + letter % k]
+        x = multiply(x, g.gens[letter % k])
+    assert list(bn)[i] == x
+
+
 def test_bs11_is_z2():
     assert ball(BS11, 6).level_sizes() == ball(Z2, 6).level_sizes()
 
@@ -407,12 +452,15 @@ def test_coset_key_consistency():
 
 def test_ball_budget_error():
     spec = GroupSpec.free_abelian(3)
+    _reset_growers()
     with pytest.raises(BudgetExceededError) as exc:
         ball(spec, 20, budget=100)
     assert exc.value.radius_reached is not None
     assert exc.value.radius_reached < 20
-    # the shared state still answers smaller queries afterwards
+    # the shared state still answers smaller queries afterwards, and the
+    # level abandoned mid-way leaves nothing in the table
     assert len(ball(spec, 1)) == 7
+    assert_table_matches_multiply(spec, 5)
 
 
 def test_word_length_not_found():
@@ -473,6 +521,42 @@ def test_cache_ignores_corrupt_and_mismatched(tmp_path):
     _reset_growers()
     assert len(ball(Z1, 2, cache=cache)) == 5  # recomputed, no crash
     assert cache.load(Z2, 2) is None
+
+
+def _z2_ball_size(n):
+    return sum(2 ** k * comb(2, k) * comb(n, k) for k in range(3))
+
+
+@pytest.mark.parametrize("corruption", ["length", "duplicate", "missing", "order"])
+def test_cache_rejects_inconsistent_entry(tmp_path, corruption):
+    """A cached Z^2 ball whose BFS data does not replay is ignored and the
+    ball is grown fresh: level sizes follow sum_k 2^k C(2,k) C(n,k) and each
+    length is the l1 norm."""
+    cache = BallCache(tmp_path)
+    _reset_growers()
+    ball(Z2, 4, cache=cache)
+    path = cache.path_for(Z2, 4)
+    blob = json.loads(path.read_text())
+    members = blob["members"]
+    if corruption == "length":
+        members[20][0] += 1  # a level-3 element recorded at length 4
+    elif corruption == "duplicate":
+        members[30] = members[29]
+    elif corruption == "missing":
+        del members[8]  # a level-2 element, neighbour of a level-1 one
+    else:
+        members[5], members[6] = members[6], members[5]  # same level, swapped
+    path.write_text(json.dumps(blob))
+    _reset_growers()
+    reloaded = ball(Z2, 4, cache=cache)
+    assert reloaded.level_sizes() == tuple(_z2_ball_size(n) for n in range(5))
+    assert sorted(x.data for x in reloaded) == sorted(
+        (a, b) for a in range(-4, 5) for b in range(-4, 5) if abs(a) + abs(b) <= 4)
+    for x, ln in reloaded.items():
+        assert ln == sum(abs(c) for c in x.data)
+    if corruption == "order":
+        assert [x.data for x in reloaded][5:7] == [tuple(members[6][1]),
+                                                  tuple(members[5][1])]
 
 
 def test_cache_entries_and_clear(tmp_path):

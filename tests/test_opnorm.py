@@ -5,14 +5,32 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
-from tamecuts.errors import InputError
+from tamecuts.cuts import (
+    cut_ball,
+    cut_bs,
+    cut_lamplighter,
+    cut_pq,
+    cut_semidirect_zd,
+)
+from tamecuts.errors import BudgetExceededError, InputError
 from tamecuts.fourier import TrigPoly, a_norm_torus, dirichlet_l1
-from tamecuts.groups import Element, GroupSpec, ball, identity
+from tamecuts.groups import (
+    Element,
+    GroupSpec,
+    ball,
+    generators,
+    identity,
+    multiply,
+    word_length,
+)
 from tamecuts.opnorm import (
     CompressedConvolution,
     FinSuppFun,
+    SpectralEstimate,
     default_probes,
     lambda_norm_lower,
     ma_ball_norm_lower,
@@ -29,8 +47,6 @@ Z2 = GroupSpec.free_abelian(2)
 def eigsh_oracle(group, values: dict, radius: int) -> float:
     """Independent compression norm: same operator, assembled by hand and fed
     to a Lanczos eigensolver instead of the library's power iteration."""
-    from tamecuts.groups import multiply, word_length
-
     deg = max(word_length(y) for y in values)
     bin_ = list(ball(group, radius))
     bout = {x: i for i, x in enumerate(ball(group, radius + deg))}
@@ -255,3 +271,99 @@ def test_finsuppfun_validation():
     assert len(f) == 0
     est = lambda_norm_lower(f, 4)
     assert est.lower == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the table-gathered compression against an entry-by-entry reference
+
+
+def reference_csr(group, support, radius):
+    """CSR arrays of the compression assembled entry by entry from
+    ``multiply(y, x)``, with no Cayley table: (indptr, indices, yidx), where
+    yidx[k] is the support position whose coefficient entry k holds."""
+    deg = max(word_length(y) for y in support)
+    bin_ = list(ball(group, radius))
+    out_index = {x: i for i, x in enumerate(ball(group, radius + deg))}
+    entries = sorted((out_index[multiply(y, x)], i, s)
+                     for s, y in enumerate(support) for i, x in enumerate(bin_))
+    indptr = np.zeros(len(out_index) + 1, dtype=np.int64)
+    for row, _, _ in entries:
+        indptr[row + 1] += 1
+    return (np.cumsum(indptr), np.array([e[1] for e in entries]),
+            np.array([e[2] for e in entries]))
+
+
+def assert_matches_reference(group, support, radius):
+    conv = CompressedConvolution(group, support, radius)
+    coeffs = np.arange(1.0, len(support) + 1.0)
+    L = conv.matrix(coeffs)
+    indptr, indices, yidx = reference_csr(group, support, radius)
+    assert np.array_equal(L.indptr, indptr)
+    assert np.array_equal(L.indices, indices)
+    assert np.array_equal(L.data, coeffs[yidx])
+
+
+PROBE_CUTS = {
+    "free_abelian": lambda: cut_ball(Z2, 2),
+    "semidirect_zd": lambda: cut_semidirect_zd([[2, 1], [1, 1]], 2),
+    "pq": lambda: cut_pq(2, 3, 2),
+    "lamplighter": lambda: cut_lamplighter(2, 2),
+    "baumslag_solitar": lambda: cut_bs(2, 3, 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PROBE_CUTS))
+def test_compression_matches_reference_on_verify_probes(family):
+    """The supports verify_cut hands to lambda_norm_lower (cut times each
+    default probe), at its probe radius 8."""
+    cut = PROBE_CUTS[family]()
+    supports = {}
+    for f in default_probes(cut.group, min(cut.index, 2), seed=0):
+        g = f.pointwise(cut.indicator())
+        if g.values:
+            supports[tuple(g.support())] = None
+    assert supports
+    for support in supports:
+        assert_matches_reference(cut.group, list(support), 8)
+
+
+@pytest.mark.parametrize("group", [Z2, GroupSpec.lamplighter(2)],
+                         ids=lambda g: g.family)
+def test_compression_matches_reference_on_rd_support(group):
+    """rd_test's support (all of B_n) at its default radius max(2n, 8)."""
+    assert_matches_reference(group, list(ball(group, 2)), 8)
+
+
+SPECS = [Z2, GroupSpec.semidirect_zd([[2, 1], [1, 1]]), GroupSpec.pq(2, 3),
+         GroupSpec.lamplighter(3), GroupSpec.baumslag_solitar(2, 3)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family=st.integers(0, len(SPECS) - 1), radius=st.integers(0, 3),
+       words=st.lists(st.lists(st.integers(0, 63), max_size=3),
+                      min_size=1, max_size=4))
+def test_compression_matches_reference_on_random_words(family, radius, words):
+    spec = SPECS[family]
+    gens = [g for _, g in generators(spec)]
+    support = {}
+    for word in words:
+        x = identity(spec)
+        for letter in word:
+            x = multiply(x, gens[letter % len(gens)])
+        support[x] = None
+    assert_matches_reference(spec, list(support), radius)
+
+
+def test_compression_entry_budget():
+    """25 support elements x |B_40| = 3281 entries exceed a budget that
+    every ball involved fits; the error carries the l2/l1 bracket."""
+    f = FinSuppFun.indicator(Z2, ball(Z2, 3))
+    with pytest.raises(BudgetExceededError) as exc:
+        lambda_norm_lower(f, 40, budget=50_000)
+    partial = exc.value.partial
+    assert isinstance(partial, SpectralEstimate)
+    assert (partial.lower, partial.l2_lower, partial.l1_upper) == (5.0, 5.0, 25.0)
+    assert partial.iterations == 0 and not partial.converged
+    with pytest.raises(BudgetExceededError):
+        CompressedConvolution(Z2, list(ball(Z2, 3)), 40, budget=82_024)
+    assert CompressedConvolution(Z2, [identity(Z2)], 40, budget=50_000).dim_in == 3281
