@@ -6,9 +6,12 @@ lengths are exact word lengths.  Growth state is memoized per group so that
 repeated queries (and queries at increasing radii) reuse earlier levels; a
 ``Ball`` is a cheap immutable view onto a prefix of that shared state.
 
-The state is an index per element (its BFS discovery position) plus the
-right Cayley table and BFS parent pointers, all recorded as the ball grows;
-lengths are read off the level boundaries.
+The state is the canonical ``data`` tuple of each element with its index
+(its BFS discovery position), plus the right Cayley table and BFS parent
+pointers, all recorded as the ball grows; lengths are read off the level
+boundaries.  Growth multiplies data tuples through the group's
+``FamilyOps`` record; ``Element``s are made only when a caller asks for
+members.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..errors import BudgetExceededError, ElementNotFoundError, InputError
-from .elements import Element, coset_key, generators, identity, multiply, subgroup_membership
+from .elements import Element, family_ops, generators
 from .spec import GroupSpec
 
 DEFAULT_BUDGET = 5_000_000
@@ -32,21 +36,23 @@ DEFAULT_BUDGET = 5_000_000
 class _BallGrower:
     """Append-only BFS state for one group; safe to snapshot while growing.
 
-    Element ``i`` (in discovery order) has word length r exactly when
-    ``level_end[r-1] <= i < level_end[r]``.  Every product computed while
-    growing is kept: ``right[k*i + j]`` is the index of ``elements[i] *
-    gens[j]`` for each expanded element (all of B_{radius-1}), and
-    ``parent[i]``, ``gen[i]`` name the expanded element and generator that
-    first reached element ``i``, so ``elements[i] == elements[parent[i]] *
-    gens[gen[i]]`` spells out a geodesic word.
+    ``elements`` and ``gens`` hold canonical data tuples, and ``index_of``
+    maps data to index.  Element ``i`` (in discovery order) has word length r
+    exactly when ``level_end[r-1] <= i < level_end[r]``.  Every product
+    computed while growing is kept: ``right[k*i + j]`` is the index of
+    ``elements[i] * gens[j]`` for each expanded element (all of
+    B_{radius-1}), and ``parent[i]``, ``gen[i]`` name the expanded element
+    and generator that first reached element ``i``, so ``elements[i] ==
+    elements[parent[i]] * gens[gen[i]]`` spells out a geodesic word.
     """
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self.gens = tuple(elem for _, elem in generators(group))
-        e = identity(group)
-        self.elements: list[Element] = [e]
-        self.index_of: dict[Element, int] = {e: 0}
+        ops = family_ops(group)
+        self.mul = ops.mul
+        self.gens = tuple(elem.data for _, elem in generators(group))
+        self.elements: list[tuple] = [ops.identity]
+        self.index_of: dict[tuple, int] = {ops.identity: 0}
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
         self.right = array("i")
         self.parent = array("i", [-1])
@@ -69,26 +75,29 @@ class _BallGrower:
     def _grow_level(self, budget: int) -> None:
         start = self.level_end[-2] if len(self.level_end) >= 2 else 0
         stop = self.level_end[-1]
-        elements, index_of = self.elements, self.index_of
-        find, record = index_of.get, self.right.append
+        elements, index_of, mul = self.elements, self.index_of, self.mul
+        claim, record = index_of.setdefault, self.right.append
+        add_element, add_parent, add_gen = (
+            elements.append, self.parent.append, self.gen.append)
         gens = tuple(enumerate(self.gens))
+        n = stop
         try:
             for i in range(start, stop):
                 x = elements[i]
                 for j, g in gens:
-                    y = multiply(x, g)
-                    idx = find(y)
-                    if idx is None:
-                        idx = len(elements)
-                        if idx >= budget:  # fail before memory does
+                    y = mul(x, g)
+                    idx = claim(y, n)
+                    if idx == n:  # y is new
+                        if n >= budget:  # fail before memory does
+                            del index_of[y]
                             raise BudgetExceededError(
                                 f"ball budget {budget} exceeded at radius "
                                 f"{self.radius + 1} of {self.group.label()}",
                                 radius_reached=self.radius)
-                        index_of[y] = idx
-                        elements.append(y)
-                        self.parent.append(i)
-                        self.gen.append(j)
+                        add_element(y)
+                        add_parent(i)
+                        add_gen(j)
+                        n += 1
                     record(idx)
         except BudgetExceededError:
             for y in elements[stop:]:
@@ -98,8 +107,9 @@ class _BallGrower:
             raise
         self.level_end.append(len(elements))
 
-    def seed_from_cache(self, lengths: list[int], elements: list[Element]) -> None:
-        """Replace level-0-only state with cached BFS output (discovery order).
+    def seed_from_cache(self, lengths: list[int], elements: list[tuple]) -> bool:
+        """Replace level-0-only state with cached BFS output: canonical data
+        tuples in discovery order.  Returns whether the entry was installed.
 
         The table is rebuilt by replaying the products over every level below
         the top one, which also validates the entry: it is installed only if
@@ -107,33 +117,37 @@ class _BallGrower:
         a non-top element is present, and replaying BFS discovers the
         elements in the stored order with the stored lengths.
         """
-        if self.radius != 0 or not elements or len(lengths) != len(elements):
-            return
+        if self.radius != 0:
+            raise RuntimeError("only an ungrown state can be seeded")
+        if not elements or len(lengths) != len(elements):
+            return False
         index_of = {x: i for i, x in enumerate(elements)}
         if (len(index_of) != len(elements) or elements[0] != self.elements[0]
                 or lengths[0] != 0):
-            return
+            return False
         top = max(lengths)
+        mul = self.mul
         right, parent, gen = array("i"), array("i", [-1]), array("b", [-1])
         for i, x in enumerate(elements):
             if lengths[i] == top:
                 break
             for j, g in enumerate(self.gens):
-                idx = index_of.get(multiply(x, g))
+                idx = index_of.get(mul(x, g))
                 if idx is None or idx > len(parent):
-                    return  # neighbour missing, or not in BFS order
+                    return False  # neighbour missing, or not in BFS order
                 if idx == len(parent):
                     if lengths[idx] != lengths[i] + 1:
-                        return
+                        return False
                     parent.append(i)
                     gen.append(j)
                 right.append(idx)
         if len(parent) != len(elements):
-            return  # some element is reached from no level below
+            return False  # some element is reached from no level below
         self.elements = list(elements)
         self.index_of = index_of
         self.level_end = [bisect_right(lengths, r) for r in range(top + 1)]
         self.right, self.parent, self.gen = right, parent, gen
+        return True
 
 
 _growers: dict[GroupSpec, _BallGrower] = {}
@@ -160,16 +174,26 @@ class Ball:
     def __len__(self) -> int:
         return self._grower.level_end[self.radius]
 
+    def _index(self, x: Element) -> int | None:
+        """Index of ``x`` if it is a member, else None."""
+        if x.group is not self.group and x.group != self.group:
+            return None
+        i = self._grower.index_of.get(x.data)
+        return i if i is not None and i < len(self) else None
+
     def __contains__(self, x: Element) -> bool:
-        i = self._grower.index_of.get(x)
-        return i is not None and i < len(self)
+        return self._index(x) is not None
 
     def __iter__(self) -> Iterator[Element]:
+        return map(partial(Element, self.group), self.data())
+
+    def data(self) -> Iterator[tuple]:
+        """Canonical data tuples of the members, in BFS discovery order."""
         return islice(iter(self._grower.elements), len(self))
 
     def length(self, x: Element) -> int:
-        i = self._grower.index_of.get(x)
-        if i is None or i >= len(self):
+        i = self._index(x)
+        if i is None:
             raise ElementNotFoundError(
                 f"element not in ball of radius {self.radius}",
                 radius_searched=self.radius)
@@ -178,15 +202,27 @@ class Ball:
     def boundary(self) -> tuple[Element, ...]:
         """Elements of word length exactly ``radius``."""
         start = self._grower.level_end[self.radius - 1] if self.radius else 0
-        return tuple(self._grower.elements[start:self._grower.level_end[self.radius]])
+        stop = self._grower.level_end[self.radius]
+        return tuple(map(partial(Element, self.group),
+                         self._grower.elements[start:stop]))
 
     def level_sizes(self) -> tuple[int, ...]:
         """Cumulative ball sizes |B_0|, |B_1|, ..., |B_radius|."""
         return tuple(self._grower.level_end[: self.radius + 1])
 
+    def data_items(self) -> Iterator[tuple[tuple, int]]:
+        """(canonical data, word length) pairs in BFS discovery order."""
+        elements, level_end = self._grower.elements, self._grower.level_end
+        start = 0
+        for r in range(self.radius + 1):
+            for x in elements[start:level_end[r]]:
+                yield x, r
+            start = level_end[r]
+
     def items(self) -> Iterator[tuple[Element, int]]:
-        for i, x in enumerate(self):
-            yield x, self._grower.length(i)
+        group = self.group
+        for x, r in self.data_items():
+            yield Element(group, x), r
 
     def translate_indices(self, support: Sequence[Element],
                           budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -210,7 +246,7 @@ class Ball:
             right = np.frombuffer(g.right, dtype=np.intc, count=k * covered).copy()
             parent = np.frombuffer(g.parent, dtype=np.intc, count=n).copy()
             gen = np.frombuffer(g.gen, dtype=np.int8, count=n).copy()
-            first = [g.index_of[y] for y in support]
+            first = [g.index_of[y.data] for y in support]
         out = np.empty((len(support), n), dtype=np.int64)
         out[:, 0] = first
         for r in range(1, self.radius + 1):
@@ -220,16 +256,21 @@ class Ball:
 
 
 def ball(group: GroupSpec, n: int, cache=None, budget: int = DEFAULT_BUDGET) -> Ball:
-    """Ball of radius ``n``; reads/writes the optional persistent cache."""
+    """Ball of radius ``n``; reads/writes the optional persistent cache.
+
+    A cache entry that does not replay is dropped, so the store below
+    writes a sound one in its place."""
     if n < 0:
         raise InputError("radius must be nonnegative")
     grower = _get_grower(group)
-    if cache is not None and grower.radius < n:
-        loaded = cache.load_best(group, n)
-        if loaded is not None:
-            lengths, elements = loaded
+    if cache is not None and grower.radius == 0 < n:
+        pick = cache.best_radius(group, n)
+        if pick is not None:
+            loaded = cache.load(group, pick)
             with grower.lock:
-                grower.seed_from_cache(lengths, elements)
+                if grower.radius == 0:  # no other thread has grown it since
+                    if loaded is None or not grower.seed_from_cache(*loaded):
+                        cache.discard(group, pick)
     grower.grow_to(n, budget)
     out = Ball(group, n, grower)
     if cache is not None:
@@ -241,11 +282,11 @@ def word_length(x: Element, group: GroupSpec | None = None, cache=None,
                 budget: int = DEFAULT_BUDGET) -> int:
     """Exact word length of ``x``, searching outward as needed."""
     group = group or x.group
-    if group != x.group:
+    if group is not x.group and group != x.group:
         raise InputError("element does not belong to the given group")
     grower = _get_grower(group)
     while True:
-        i = grower.index_of.get(x)
+        i = grower.index_of.get(x.data)
         if i is not None:
             return grower.length(i)
         try:
@@ -281,16 +322,18 @@ class CosetSection:
 def coset_section(group: GroupSpec, n: int, cache=None,
                   budget: int = DEFAULT_BUDGET) -> CosetSection:
     bn = ball(group, n, cache=cache, budget=budget)
+    key = family_ops(group).coset_key
     seen: set = set()
     reps: list[Element] = []
-    for x in bn:
-        key = coset_key(x)
-        if key not in seen:
-            seen.add(key)
-            reps.append(x)
+    for x in bn.data():
+        k = key(x)
+        if k not in seen:
+            seen.add(k)
+            reps.append(Element(group, x))
     return CosetSection(group, n, tuple(reps))
 
 
 def subgroup_ball(bn: Ball) -> list[Element]:
     """Members of the ball lying in the designated subgroup H."""
-    return [x for x in bn if subgroup_membership(x)]
+    in_subgroup = family_ops(bn.group).in_subgroup
+    return [Element(bn.group, x) for x in bn.data() if in_subgroup(x)]

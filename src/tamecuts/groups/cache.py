@@ -13,7 +13,7 @@ One JSON file per (group-spec hash, radius), named ``<hash>-r<radius>.json``:
 ``members`` is in BFS discovery order, so lengths are nondecreasing and a
 reloaded ball reproduces the exact enumeration order of a fresh search
 (coset-section tie-breaks included).  Payloads use the per-family canonical
-JSON forms from ``elements.to_payload``; JSON integers are unbounded and
+JSON forms of ``FamilyOps.to_payload``; JSON integers are unbounded and
 byte-order free, so files are portable across platforms.
 
 Writes go through a temporary file and an atomic rename, so concurrent
@@ -28,7 +28,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .elements import from_payload, to_payload
+from .elements import family_ops
 from .spec import GroupSpec
 
 FORMAT_VERSION = 1
@@ -53,7 +53,7 @@ class BallCache:
         return sorted(out)
 
     def load(self, group: GroupSpec, radius: int):
-        """(lengths, elements) for the exact radius, or None."""
+        """(lengths, canonical data tuples) for the exact radius, or None."""
         path = self.path_for(group, radius)
         if not path.exists():
             return None
@@ -65,29 +65,34 @@ class BallCache:
             return None
         if blob.get("group") != group.to_dict() or blob.get("radius") != radius:
             return None
+        from_payload = family_ops(group).from_payload
         lengths = [int(ln) for ln, _ in blob["members"]]
-        elements = [from_payload(group, payload) for _, payload in blob["members"]]
+        elements = [from_payload(payload) for _, payload in blob["members"]]
         return lengths, elements
 
-    def load_best(self, group: GroupSpec, radius: int):
-        """Cached data most useful for building B_radius.
+    def best_radius(self, group: GroupSpec, radius: int) -> int | None:
+        """The cached radius most useful for building B_radius, or None.
 
         Prefers the smallest cached radius >= the request (a superset whose
         prefix is the answer), otherwise the largest cached radius below it
-        (a resumable prefix).  Returns (lengths, elements) or None.
+        (a resumable prefix).
         """
         radii = self.radii_for(group)
         if not radii:
             return None
         above = [r for r in radii if r >= radius]
-        pick = min(above) if above else max(radii)
-        return self.load(group, pick)
+        return min(above) if above else max(radii)
+
+    def discard(self, group: GroupSpec, radius: int) -> None:
+        """Remove an entry, so that the next ``store`` writes it afresh."""
+        self.path_for(group, radius).unlink(missing_ok=True)
 
     def store(self, group: GroupSpec, radius: int, ball) -> Path:
         path = self.path_for(group, radius)
         if path.exists():
             return path
-        members = [[ln, to_payload(x)] for x, ln in ball.items()]
+        to_payload = family_ops(group).to_payload
+        members = [[ln, to_payload(x)] for x, ln in ball.data_items()]
         blob = {
             "format_version": FORMAT_VERSION,
             "group": group.to_dict(),

@@ -19,12 +19,18 @@ is normalized to its coset-representative range ({0..q-1} before t, {0..p-1}
 before t^-1) by pushing the quotient rightward.  The rightmost exponent is
 unconstrained.  This is the standard HNN normal form, so two words are equal
 in the group exactly when their canonical forms coincide.
+
+Each family's arithmetic on the bare ``data`` tuples lives in one
+``FamilyOps`` record per group (``family_ops``); the public functions below
+wrap and unwrap ``Element``s around it, and the ball search calls it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from operator import add, itemgetter, neg
+from typing import Any, Callable, Hashable, NamedTuple
 
 from ..errors import InputError
 from . import intmat
@@ -63,18 +69,7 @@ class Element:
 
 
 def identity(group: GroupSpec) -> Element:
-    fam = group.family
-    if fam == FREE_ABELIAN:
-        data: tuple = (0,) * group.d
-    elif fam == SEMIDIRECT_ZD:
-        data = ((0,) * group.d, 0)
-    elif fam == PQ:
-        data = (0, 0, 0)
-    elif fam == LAMPLIGHTER:
-        data = ((), 0)
-    else:
-        data = (0, ())
-    return Element(group, data)
+    return Element(group, family_ops(group).identity)
 
 
 def generator(group: GroupSpec, symbol: str) -> Element:
@@ -161,6 +156,8 @@ def _pq_add(a: tuple[int, int], b: tuple[int, int], pq: int) -> tuple[int, int]:
 
 def _lamps_mul(f: tuple, g: tuple, k: int, p: int) -> tuple:
     """f + (g shifted by k), values mod p, zero entries dropped."""
+    if not g:
+        return f
     acc = dict(f)
     for pos, val in g:
         key = pos + k
@@ -174,11 +171,16 @@ def _lamps_mul(f: tuple, g: tuple, k: int, p: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Baumslag-Solitar: Britton reduction by right multiplication
+#
+# A word under reduction is ``head`` plus a list of (eps, c) syllable tuples;
+# reduction only replaces, removes or appends syllables at the end of the
+# list, so the syllables before them are shared with the input unchanged.
 
 
 def _bs_push_a(head: int, tail: list, c: int) -> int:
     if tail:
-        tail[-1][1] += c
+        eps, last = tail[-1]
+        tail[-1] = (eps, last + c)
     else:
         head += c
     return head
@@ -186,57 +188,241 @@ def _bs_push_a(head: int, tail: list, c: int) -> int:
 
 def _bs_push_t(p: int, q: int, head: int, tail: list, eps: int) -> int:
     """Right-multiply the canonical word (head, tail) by t^eps, in place."""
-    c = tail[-1][1] if tail else head
-    last_eps = tail[-1][0] if tail else 0
+    last_eps, c = tail[-1] if tail else (0, head)
     if eps == 1:
         m, r = divmod(c, q)
         if r == 0 and last_eps == -1:  # pinch t^-1 a^{qm} t = a^{pm}
             tail.pop()
             return _bs_push_a(head, tail, p * m)
         if tail:
-            tail[-1][1] = r
+            tail[-1] = (last_eps, r)
         else:
             head = r
-        tail.append([1, p * m])  # a^{qm} t = t a^{pm}
+        tail.append((1, p * m))  # a^{qm} t = t a^{pm}
     else:
         m, r = divmod(c, p)
         if r == 0 and last_eps == 1:  # pinch t a^{pm} t^-1 = a^{qm}
             tail.pop()
             return _bs_push_a(head, tail, q * m)
         if tail:
-            tail[-1][1] = r
+            tail[-1] = (last_eps, r)
         else:
             head = r
-        tail.append([-1, q * m])  # a^{pm} t^-1 = t^-1 a^{qm}
+        tail.append((-1, q * m))  # a^{pm} t^-1 = t^-1 a^{qm}
     return head
 
 
-def _bs_feed(p: int, q: int, head: int, tail: list,
-             letters: Iterable[tuple[int, int]]) -> int:
-    """Feed (eps, c) syllables: multiply by t^eps then a^c for each pair."""
-    for eps, c in letters:
+def _bs_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
+    head, tail = x[0], list(x[1])
+    head = _bs_push_a(head, tail, y[0])
+    for eps, c in y[1]:
         head = _bs_push_t(p, q, head, tail, eps)
         head = _bs_push_a(head, tail, c)
-    return head
+    return head, tuple(tail)
 
 
-def _bs_mul(group: GroupSpec, x: tuple, y: tuple) -> tuple:
-    p, q = group.p, group.q
-    head, tail = x[0], [list(pair) for pair in x[1]]
-    head = _bs_push_a(head, tail, y[0])
-    head = _bs_feed(p, q, head, tail, y[1])
-    return head, tuple((e, c) for e, c in tail)
-
-
-def _bs_inv(group: GroupSpec, x: tuple) -> tuple:
-    p, q = group.p, group.q
+def _bs_inv(p: int, q: int, x: tuple) -> tuple:
     c0, pairs = x
     exps = [c0] + [c for _, c in pairs]
     head, tail = -exps[-1], []
     for i in range(len(pairs) - 1, -1, -1):
         head = _bs_push_t(p, q, head, tail, -pairs[i][0])
         head = _bs_push_a(head, tail, -exps[i])
-    return head, tuple((e, c) for e, c in tail)
+    return head, tuple(tail)
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic record per group
+
+
+class FamilyOps(NamedTuple):
+    """One group's arithmetic on canonical ``data`` tuples.
+
+    ``mul`` and ``inv`` take and return canonical forms; ``in_subgroup`` and
+    ``coset_key`` describe the designated subgroup H (see
+    ``subgroup_membership``); ``to_payload``/``from_payload`` convert to and
+    from the JSON form of the ball cache."""
+
+    identity: tuple
+    mul: Callable[[tuple, tuple], tuple]
+    inv: Callable[[tuple], tuple]
+    in_subgroup: Callable[[tuple], bool]
+    coset_key: Callable[[tuple], Hashable]
+    to_payload: Callable[[tuple], Any]
+    from_payload: Callable[[Any], tuple]
+
+
+def _always(x: tuple) -> bool:
+    return True
+
+
+def _zero_key(x: tuple) -> int:
+    return 0
+
+
+def _last_is_zero(x: tuple) -> bool:
+    return x[-1] == 0
+
+
+_last = itemgetter(-1)  # the Z-coordinate: k, shift, or the diagonal exponent
+
+
+def _fa_mul(x: tuple, y: tuple) -> tuple:
+    return tuple(map(add, x, y))
+
+
+def _fa_inv(x: tuple) -> tuple:
+    return tuple(map(neg, x))
+
+
+def _fa_from_payload(payload) -> tuple:
+    return tuple(int(v) for v in payload)
+
+
+def _free_abelian_ops(group: GroupSpec) -> FamilyOps:
+    return FamilyOps((0,) * group.d, _fa_mul, _fa_inv, _always, _zero_key,
+                     list, _fa_from_payload)
+
+
+class _MatPowers(dict):
+    """A^k for every integer k, each computed once (A is unimodular)."""
+
+    def __init__(self, matrix: intmat.IntMatrix):
+        super().__init__()
+        self.matrix = matrix
+
+    def __missing__(self, k: int) -> intmat.IntMatrix:
+        out = self[k] = intmat.mat_pow(self.matrix, k)
+        return out
+
+
+def _sd_mul(powers: _MatPowers, x: tuple, y: tuple) -> tuple:
+    (v, k), (w, l) = x, y
+    return tuple(map(add, v, intmat.mat_vec(powers[k], w))), k + l
+
+
+def _sd_inv(powers: _MatPowers, x: tuple) -> tuple:
+    v, k = x
+    return tuple(map(neg, intmat.mat_vec(powers[-k], v))), -k
+
+
+def _sd_to_payload(x: tuple) -> list:
+    v, k = x
+    return [list(v), k]
+
+
+def _sd_from_payload(payload) -> tuple:
+    v, k = payload
+    return tuple(int(x) for x in v), int(k)
+
+
+def _semidirect_ops(group: GroupSpec) -> FamilyOps:
+    powers = _MatPowers(group.matrix)
+    return FamilyOps(((0,) * group.d, 0), partial(_sd_mul, powers),
+                     partial(_sd_inv, powers), _last_is_zero, _last,
+                     _sd_to_payload, _sd_from_payload)
+
+
+def _pq_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
+    (m1, e1, k1), (m2, e2, k2) = x, y
+    if not m2:  # a diagonal factor leaves the translation part as it is
+        return m1, e1, k1 + k2
+    m, e = _pq_add((m1, e1), _pq_scale(m2, e2, k1, p, q), p * q)
+    return m, e, k1 + k2
+
+
+def _pq_inv(p: int, q: int, x: tuple) -> tuple:
+    m, e, k = x
+    return _pq_scale(-m, e, -k, p, q) + (-k,)
+
+
+def _pq_from_payload(payload) -> tuple:
+    m, e, k = payload
+    return int(m), int(e), int(k)
+
+
+def _pq_ops(group: GroupSpec) -> FamilyOps:
+    p, q = group.p, group.q
+    return FamilyOps((0, 0, 0), partial(_pq_mul, p, q), partial(_pq_inv, p, q),
+                     _last_is_zero, _last, list, _pq_from_payload)
+
+
+def _lamp_mul(p: int, x: tuple, y: tuple) -> tuple:
+    (f, k), (g, l) = x, y
+    return _lamps_mul(f, g, k, p), k + l
+
+
+def _lamp_inv(p: int, x: tuple) -> tuple:
+    f, k = x
+    return tuple(sorted((pos - k, (-val) % p) for pos, val in f)), -k
+
+
+def _lamp_to_payload(x: tuple) -> list:
+    lamps, shift = x
+    return [[list(pair) for pair in lamps], shift]
+
+
+def _lamp_from_payload(payload) -> tuple:
+    lamps, shift = payload
+    return tuple((int(p), int(v)) for p, v in lamps), int(shift)
+
+
+def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
+    return FamilyOps(((), 0), partial(_lamp_mul, group.p),
+                     partial(_lamp_inv, group.p), _last_is_zero, _last,
+                     _lamp_to_payload, _lamp_from_payload)
+
+
+def _bs_in_subgroup(x: tuple) -> bool:
+    return not x[1]
+
+
+def _bs_coset_key(x: tuple):
+    c0, tail = x
+    if not tail:
+        return ("H",)
+    # right-multiplying by a^j changes only the final exponent
+    return (c0, tail[:-1], tail[-1][0])
+
+
+def _bs_to_payload(x: tuple) -> list:
+    c0, tail = x
+    return [c0, [list(pair) for pair in tail]]
+
+
+def _bs_from_payload(payload) -> tuple:
+    c0, tail = payload
+    return int(c0), tuple((int(e), int(c)) for e, c in tail)
+
+
+def _baumslag_solitar_ops(group: GroupSpec) -> FamilyOps:
+    p, q = group.p, group.q
+    return FamilyOps((0, ()), partial(_bs_mul, p, q), partial(_bs_inv, p, q),
+                     _bs_in_subgroup, _bs_coset_key, _bs_to_payload,
+                     _bs_from_payload)
+
+
+_OPS_BUILDERS = {
+    FREE_ABELIAN: _free_abelian_ops,
+    SEMIDIRECT_ZD: _semidirect_ops,
+    PQ: _pq_ops,
+    LAMPLIGHTER: _lamplighter_ops,
+    BAUMSLAG_SOLITAR: _baumslag_solitar_ops,
+}
+
+
+def family_ops(group: GroupSpec) -> FamilyOps:
+    """The arithmetic record of ``group``.
+
+    Built on first use and then kept on the spec itself, so later lookups
+    hash and compare nothing.  The record holds only module-level functions
+    and their parameters, so the spec still pickles."""
+    try:
+        return group._ops
+    except AttributeError:
+        ops = _OPS_BUILDERS[group.family](group)
+        object.__setattr__(group, "_ops", ops)
+        return ops
 
 
 # ---------------------------------------------------------------------------
@@ -245,51 +431,16 @@ def _bs_inv(group: GroupSpec, x: tuple) -> tuple:
 
 def multiply(a: Element, b: Element) -> Element:
     """Canonical form of the product a*b."""
-    if a.group != b.group:
-        raise InputError(
-            f"cannot multiply elements of {a.group.label()} and {b.group.label()}")
     group = a.group
-    fam = group.family
-    if fam == FREE_ABELIAN:
-        data: tuple = tuple(x + y for x, y in zip(a.data, b.data))
-    elif fam == SEMIDIRECT_ZD:
-        (v, k), (w, l) = a.data, b.data
-        akw = intmat.mat_vec(intmat.mat_pow(group.matrix, k), w)
-        data = (tuple(x + y for x, y in zip(v, akw)), k + l)
-    elif fam == PQ:
-        (m1, e1, k1), (m2, e2, k2) = a.data, b.data
-        shifted = _pq_scale(m2, e2, k1, group.p, group.q)
-        m, e = _pq_add((m1, e1), shifted, group.p * group.q)
-        data = (m, e, k1 + k2)
-    elif fam == LAMPLIGHTER:
-        (f, k), (g, l) = a.data, b.data
-        data = (_lamps_mul(f, g, k, group.p), k + l)
-    else:
-        data = _bs_mul(group, a.data, b.data)
-    return Element(group, data)
+    if group is not b.group and group != b.group:
+        raise InputError(
+            f"cannot multiply elements of {group.label()} and {b.group.label()}")
+    return Element(group, family_ops(group).mul(a.data, b.data))
 
 
 def invert(a: Element) -> Element:
     """Canonical form of the inverse; an involution."""
-    group = a.group
-    fam = group.family
-    if fam == FREE_ABELIAN:
-        data: tuple = tuple(-x for x in a.data)
-    elif fam == SEMIDIRECT_ZD:
-        v, k = a.data
-        w = intmat.mat_vec(intmat.mat_pow(group.matrix, -k), v)
-        data = (tuple(-x for x in w), -k)
-    elif fam == PQ:
-        m, e, k = a.data
-        m2, e2 = _pq_scale(-m, e, -k, group.p, group.q)
-        data = (m2, e2, -k)
-    elif fam == LAMPLIGHTER:
-        f, k = a.data
-        p = group.p
-        data = (tuple(sorted((pos - k, (-val) % p) for pos, val in f)), -k)
-    else:
-        data = _bs_inv(group, a.data)
-    return Element(group, data)
+    return Element(a.group, family_ops(a.group).inv(a.data))
 
 
 def canonicalize(word, group: GroupSpec) -> Element:
@@ -326,33 +477,13 @@ def subgroup_membership(x: Element, group: GroupSpec | None = None) -> bool:
     """
     if group is not None and group != x.group:
         raise InputError("element does not belong to the given group")
-    fam = x.group.family
-    if fam == FREE_ABELIAN:
-        return True
-    if fam == SEMIDIRECT_ZD:
-        return x.data[1] == 0
-    if fam == PQ:
-        return x.data[2] == 0
-    if fam == LAMPLIGHTER:
-        return x.data[1] == 0
-    return len(x.data[1]) == 0
+    return family_ops(x.group).in_subgroup(x.data)
 
 
 def coset_key(x: Element):
     """A hashable key constant exactly on each left coset xH of the
     designated subgroup H."""
-    fam = x.group.family
-    if fam == FREE_ABELIAN:
-        return 0
-    if fam in (SEMIDIRECT_ZD, LAMPLIGHTER):
-        return x.data[1]
-    if fam == PQ:
-        return x.data[2]
-    c0, tail = x.data
-    if not tail:
-        return ("H",)
-    # right-multiplying by a^j changes only the final exponent
-    return (c0, tail[:-1], tail[-1][0])
+    return family_ops(x.group).coset_key(x.data)
 
 
 def embed_j2(x: Element) -> Element:
@@ -385,33 +516,8 @@ def embed_j2(x: Element) -> Element:
 
 
 def to_payload(x: Element):
-    fam = x.group.family
-    if fam == FREE_ABELIAN:
-        return list(x.data)
-    if fam == SEMIDIRECT_ZD:
-        v, k = x.data
-        return [list(v), k]
-    if fam == PQ:
-        return list(x.data)
-    if fam == LAMPLIGHTER:
-        lamps, shift = x.data
-        return [[list(pair) for pair in lamps], shift]
-    c0, tail = x.data
-    return [c0, [list(pair) for pair in tail]]
+    return family_ops(x.group).to_payload(x.data)
 
 
 def from_payload(group: GroupSpec, payload) -> Element:
-    fam = group.family
-    if fam == FREE_ABELIAN:
-        return Element(group, tuple(int(v) for v in payload))
-    if fam == SEMIDIRECT_ZD:
-        v, k = payload
-        return Element(group, (tuple(int(x) for x in v), int(k)))
-    if fam == PQ:
-        m, e, k = payload
-        return Element(group, (int(m), int(e), int(k)))
-    if fam == LAMPLIGHTER:
-        lamps, shift = payload
-        return Element(group, (tuple((int(p), int(v)) for p, v in lamps), int(shift)))
-    c0, tail = payload
-    return Element(group, (int(c0), tuple((int(e), int(c)) for e, c in tail)))
+    return Element(group, family_ops(group).from_payload(payload))

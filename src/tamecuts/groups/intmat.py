@@ -8,6 +8,7 @@ the certified operator norm, which is deliberately rounded *up*.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -37,8 +38,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    d = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(d)) for i in range(d))
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 def identity_matrix(d: int) -> IntMatrix:

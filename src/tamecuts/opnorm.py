@@ -180,6 +180,20 @@ def _power_iteration(L: sp.csr_matrix, tol: float, max_iter: int,
     return rho_prev, it, residual, False
 
 
+def _compression(f: FinSuppFun, radius: int, cache=None,
+                 budget: int = DEFAULT_BUDGET) -> CompressedConvolution:
+    """The compression for the support of f; past ``budget`` the
+    ``BudgetExceededError`` carries the bracket described in
+    ``lambda_norm_lower``."""
+    try:
+        return CompressedConvolution(f.group, f.support(), radius,
+                                     cache=cache, budget=budget)
+    except BudgetExceededError as exc:
+        partial = SpectralEstimate(f.l2, f.l1, f.l2, radius, 0, 1.0, False)
+        raise BudgetExceededError(str(exc), radius_reached=exc.radius_reached,
+                                  partial=partial) from exc
+
+
 def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
                       max_iter: int = 2000, seed: int = 0, cache=None,
                       conv: CompressedConvolution | None = None,
@@ -200,13 +214,7 @@ def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
     if not f.values:
         return SpectralEstimate(0.0, 0.0, 0.0, radius, 0, 0.0, True)
     if conv is None:
-        try:
-            conv = CompressedConvolution(f.group, f.support(), radius,
-                                         cache=cache, budget=budget)
-        except BudgetExceededError as exc:
-            partial = SpectralEstimate(l2, l1, l2, radius, 0, 1.0, False)
-            raise BudgetExceededError(str(exc), radius_reached=exc.radius_reached,
-                                      partial=partial) from exc
+        conv = _compression(f, radius, cache=cache, budget=budget)
     elif conv.group != f.group or not set(f.values).issubset(conv.support):
         raise InputError("prebuilt operator does not cover the support of f")
     coeffs = np.array([f.values.get(y, 0.0) for y in conv.support])
@@ -284,17 +292,24 @@ def multiplier_lower(phi, probes: Iterable[FinSuppFun], radius: int,
 
     For each probe f the ratio ||lambda(phi f)||_lower / ||f||_1 never
     exceeds ||lambda(phi f)|| / ||lambda(f)||, hence never exceeds the true
-    multiplier norm; the maximum over probes is returned.
+    multiplier norm; the maximum over probes is returned.  Probes whose
+    products phi * f have the same support, in the same order, share one
+    compression.
     """
     fn = _as_pointwise(phi)
     best = 0.0
+    convs: dict[tuple, CompressedConvolution] = {}
     for f in probes:
         if not f.values:
             raise InputError("probes must be nonzero")
         g = f.pointwise(fn)
         if not g.values:
             continue
-        est = lambda_norm_lower(g, radius, tol=tol, seed=seed, cache=cache)
+        support = tuple(g.values)
+        conv = convs.get(support)
+        if conv is None:
+            conv = convs[support] = _compression(g, radius, cache=cache)
+        est = lambda_norm_lower(g, radius, tol=tol, seed=seed, conv=conv)
         best = max(best, est.lower / f.l1)
     return best
 

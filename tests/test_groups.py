@@ -29,6 +29,7 @@ from tamecuts.groups import (
     word_length,
 )
 from tamecuts.groups import balls as balls_mod
+from tamecuts.groups.elements import family_ops, from_payload, to_payload
 
 Z1 = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -121,6 +122,134 @@ def test_pq_matrix_oracle():
         w1, w2 = random_word(PQ23, rng, 8), random_word(PQ23, rng, 8)
         a, b = canonicalize(w1, PQ23), canonicalize(w2, PQ23)
         assert as_matrix(multiply(a, b)) == mat_mul(as_matrix(a), as_matrix(b))
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: matrices and norms built here from the generators
+
+
+WORDS = st.lists(st.integers(0, 63), max_size=12)
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                           database=None)
+
+
+def word_of(spec, letters):
+    syms = spec.symbols()
+    return [syms[i % len(syms)] for i in letters]
+
+
+def mat_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def word_matrix(gens, word, size):
+    out = [[int(i == j) for j in range(size)] for i in range(size)]
+    for sym in word:
+        out = mat_product(out, gens[sym])
+    return out
+
+
+@ORACLE_SETTINGS
+@given(pq=st.sampled_from([(2, 3), (1, 2), (5, 3)]), w1=WORDS, w2=WORDS)
+def test_pq_words_match_fraction_matrices(pq, w1, w2):
+    """Canonical forms of words in s, t, their products and inverses equal
+    the exact 2x2 matrices [[(p/q)^k, P], [0, 1]] multiplied out here."""
+    p, q = pq
+    spec = GroupSpec.pq(p, q)
+    one, zero = Fraction(1), Fraction(0)
+    gens = {"s": [[Fraction(p, q), zero], [zero, one]],
+            "s^-1": [[Fraction(q, p), zero], [zero, one]],
+            "t": [[one, one], [zero, one]],
+            "t^-1": [[one, -one], [zero, one]]}
+
+    def decoded(x):
+        m, e, k = x.data
+        assert e >= 0 and (e == 0 or m % (p * q) != 0)  # minimal exponent
+        return [[Fraction(p, q) ** k, Fraction(m, (p * q) ** e)], [zero, one]]
+
+    a, b = word_of(spec, w1), word_of(spec, w2)
+    ma, mb = word_matrix(gens, a, 2), word_matrix(gens, b, 2)
+    x, y = canonicalize(a, spec), canonicalize(b, spec)
+    assert decoded(x) == ma
+    assert decoded(multiply(x, y)) == mat_product(ma, mb)
+    inv = [[1 / ma[0][0], -ma[0][1] / ma[0][0]], [zero, one]]
+    assert decoded(invert(x)) == inv
+
+
+SD_ORACLE_MATRICES = [  # (A, A^-1), both checked below
+    ([[1, 1], [0, 1]], [[1, -1], [0, 1]]),
+    ([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+    ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1, -1, 1], [0, 1, -1], [0, 0, 1]]),
+]
+
+
+@ORACLE_SETTINGS
+@given(pair=st.sampled_from(SD_ORACLE_MATRICES), w1=WORDS, w2=WORDS)
+def test_semidirect_words_match_affine_matrices(pair, w1, w2):
+    """Canonical forms (v, k) of words in e1..ed, t, their products and
+    inverses equal the integer affine matrices [[A^k, v], [0, 1]] multiplied
+    out here."""
+    a_mat, a_inv = pair
+    d = len(a_mat)
+    assert mat_product(a_mat, a_inv) == [[int(i == j) for j in range(d)]
+                                         for i in range(d)]
+    spec = GroupSpec.semidirect_zd(a_mat)
+
+    def affine(block, v):
+        return [list(block[i]) + [v[i]] for i in range(d)] + [[0] * d + [1]]
+
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    gens = {"t": affine(a_mat, [0] * d), "t^-1": affine(a_inv, [0] * d)}
+    for i in range(d):
+        unit = [int(j == i) for j in range(d)]
+        gens[f"e{i + 1}"] = affine(ident, unit)
+        gens[f"e{i + 1}^-1"] = affine(ident, [-c for c in unit])
+
+    def decoded(x):
+        v, k = x.data
+        block = ident
+        for _ in range(abs(k)):
+            block = mat_product(block, a_mat if k > 0 else a_inv)
+        return affine(block, v)
+
+    a, b = word_of(spec, w1), word_of(spec, w2)
+    ma, mb = word_matrix(gens, a, d + 1), word_matrix(gens, b, d + 1)
+    x, y = canonicalize(a, spec), canonicalize(b, spec)
+    assert decoded(x) == ma
+    assert decoded(multiply(x, y)) == mat_product(ma, mb)
+    assert mat_product(decoded(invert(x)), ma) == word_matrix(gens, [], d + 1)
+
+
+@ORACLE_SETTINGS
+@given(d=st.integers(1, 3), letters=WORDS)
+def test_free_abelian_word_length_is_l1_norm(d, letters):
+    """In Z^d a word's canonical form is its net letter count, and its word
+    length is the l1 norm of that count."""
+    spec = GroupSpec.free_abelian(d)
+    word = word_of(spec, letters)
+    count = [word.count(f"e{i + 1}") - word.count(f"e{i + 1}^-1")
+             for i in range(d)]
+    x = canonicalize(word, spec)
+    assert list(x.data) == count
+    assert word_length(x) == sum(abs(c) for c in count)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(family=st.integers(0, len(ALL_FAMILIES) - 1), letters=WORDS)
+def test_ops_inverse_is_an_involution(family, letters):
+    """Through each family's arithmetic record, inversion is an involution
+    and x * x^-1 = x^-1 * x is the identity; the cache payload of x
+    survives a JSON round trip."""
+    spec = ALL_FAMILIES[family]
+    ops = family_ops(spec)
+    x = canonicalize(word_of(spec, letters), spec).data
+    xi = ops.inv(x)
+    assert ops.inv(xi) == x
+    assert ops.mul(x, xi) == ops.identity == ops.mul(xi, x)
+    assert invert(Element(spec, x)) == Element(spec, xi)
+    payload = json.loads(json.dumps(to_payload(Element(spec, x))))
+    assert from_payload(spec, payload) == Element(spec, x)
 
 
 def test_pq_denominator_minimal():
@@ -262,7 +391,8 @@ def assert_table_matches_multiply(spec, n):
     """Every recorded right product and every parent pointer of the shared
     state, grown to radius n, agrees with ``multiply`` on the elements."""
     bn, g = _table(spec, n)
-    elems, gens, k = list(bn), g.gens, len(g.gens)
+    elems, k = list(bn), len(g.gens)
+    gens = [Element(spec, x) for x in g.gens]
     expanded = bn.level_sizes()[-2]
     assert len(g.right) >= k * expanded
     for i in range(expanded):
@@ -290,7 +420,7 @@ def test_cayley_table_walk_matches_multiply(family, word):
     i, x = 0, identity(spec)
     for letter in word:
         i = g.right[k * i + letter % k]
-        x = multiply(x, g.gens[letter % k])
+        x = multiply(x, Element(spec, g.gens[letter % k]))
     assert list(bn)[i] == x
 
 
@@ -528,10 +658,11 @@ def _z2_ball_size(n):
 
 
 @pytest.mark.parametrize("corruption", ["length", "duplicate", "missing", "order"])
-def test_cache_rejects_inconsistent_entry(tmp_path, corruption):
+def test_cache_rejects_inconsistent_entry(tmp_path, corruption, monkeypatch):
     """A cached Z^2 ball whose BFS data does not replay is ignored and the
     ball is grown fresh: level sizes follow sum_k 2^k C(2,k) C(n,k) and each
-    length is the l1 norm."""
+    length is the l1 norm.  The entry is rewritten, so the next query loads
+    it without growing."""
     cache = BallCache(tmp_path)
     _reset_growers()
     ball(Z2, 4, cache=cache)
@@ -557,6 +688,16 @@ def test_cache_rejects_inconsistent_entry(tmp_path, corruption):
     if corruption == "order":
         assert [x.data for x in reloaded][5:7] == [tuple(members[6][1]),
                                                   tuple(members[5][1])]
+    fresh_order = [x.data for x in reloaded]
+
+    def no_growth(self, budget):
+        raise AssertionError("ball grown although its cache entry is sound")
+
+    _reset_growers()
+    monkeypatch.setattr(balls_mod._BallGrower, "_grow_level", no_growth)
+    again = ball(Z2, 4, cache=cache)
+    assert [x.data for x in again] == fresh_order
+    assert again.level_sizes() == reloaded.level_sizes()
 
 
 def test_cache_entries_and_clear(tmp_path):

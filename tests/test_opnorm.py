@@ -15,6 +15,7 @@ from tamecuts.cuts import (
     cut_lamplighter,
     cut_pq,
     cut_semidirect_zd,
+    verify_cut,
 )
 from tamecuts.errors import BudgetExceededError, InputError
 from tamecuts.fourier import TrigPoly, a_norm_torus, dirichlet_l1
@@ -27,6 +28,7 @@ from tamecuts.groups import (
     multiply,
     word_length,
 )
+from tamecuts import opnorm
 from tamecuts.opnorm import (
     CompressedConvolution,
     FinSuppFun,
@@ -325,6 +327,29 @@ def test_compression_matches_reference_on_verify_probes(family):
     assert supports
     for support in supports:
         assert_matches_reference(cut.group, list(support), 8)
+
+
+@pytest.mark.parametrize("family", sorted(PROBE_CUTS))
+def test_verify_cut_builds_one_compression_per_support(family, monkeypatch):
+    """Of verify_cut's four default probes, the flat and the two random ones
+    share a support once the cut is applied: two compressions are built, and
+    norm_lower equals the maximum of per-probe bounds each computed on its
+    own freshly built compression."""
+    cut = PROBE_CUTS[family]()
+    phi = cut.indicator()
+    expected = max(lambda_norm_lower(f.pointwise(phi), 8, tol=1e-6).lower / f.l1
+                   for f in default_probes(cut.group, min(cut.index, 2), seed=0))
+    builds = []
+
+    class CountingConvolution(CompressedConvolution):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(opnorm, "CompressedConvolution", CountingConvolution)
+    report = verify_cut(cut)
+    assert len(builds) == 2
+    assert report.norm_lower == expected
 
 
 @pytest.mark.parametrize("group", [Z2, GroupSpec.lamplighter(2)],
