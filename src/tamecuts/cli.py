@@ -169,9 +169,11 @@ def _run_ball(args, cache):
         store = cache if cache is not None else BallCache(_cache_dir(args))
     bn = ball(group, args.n, cache=store, budget=args.budget)
     section = coset_section(group, args.n, budget=args.budget)
+    sizes = bn.level_sizes()
     return [{"name": "ball", "params": {"group": group.to_dict(), "n": args.n},
-             "size": len(bn), "boundary_size": len(bn.boundary()),
-             "level_sizes": list(bn.level_sizes()),
+             "size": len(bn),
+             "boundary_size": sizes[-1] - (sizes[-2] if args.n else 0),
+             "level_sizes": list(sizes),
              "coset_section_size": len(section)}]
 
 

@@ -279,16 +279,13 @@ def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int,
     inv_reps = [invert(y) for y in reps]
     subsupport = sub.support
 
-    if isinstance(subsupport, ExplicitSupport) and len(reps) * subsupport.size <= 2_000_000:
-        members = {multiply(y, h) for y in reps for h in subsupport}
-        support: ExplicitSupport | PredicateSupport = ExplicitSupport(members)
-    else:
-        def contains(x: Element) -> bool:
-            return any(multiply(yi, x) in subsupport for yi in inv_reps)
-        size = None if subsupport.size is None else len(reps) * subsupport.size
-        support = PredicateSupport(
-            contains, size=size,
-            description=f"{len(reps)} coset translates of a subgroup cut")
+    def contains(x: Element) -> bool:
+        return any(multiply(yi, x) in subsupport for yi in inv_reps)
+
+    size = None if subsupport.size is None else len(reps) * subsupport.size
+    support = PredicateSupport(
+        contains, size=size,
+        description=f"{len(reps)} coset translates of a subgroup cut")
 
     cert = NormCertificate(1.0, len(reps) * sub.certificate.upper,
                            "translation-invariance",

@@ -199,13 +199,6 @@ class Ball:
                 radius_searched=self.radius)
         return self._grower.length(i)
 
-    def boundary(self) -> tuple[Element, ...]:
-        """Elements of word length exactly ``radius``."""
-        start = self._grower.level_end[self.radius - 1] if self.radius else 0
-        stop = self._grower.level_end[self.radius]
-        return tuple(map(partial(Element, self.group),
-                         self._grower.elements[start:stop]))
-
     def level_sizes(self) -> tuple[int, ...]:
         """Cumulative ball sizes |B_0|, |B_1|, ..., |B_radius|."""
         return tuple(self._grower.level_end[: self.radius + 1])
@@ -278,7 +271,7 @@ def ball(group: GroupSpec, n: int, cache=None, budget: int = DEFAULT_BUDGET) -> 
     return out
 
 
-def word_length(x: Element, group: GroupSpec | None = None, cache=None,
+def word_length(x: Element, group: GroupSpec | None = None,
                 budget: int = DEFAULT_BUDGET) -> int:
     """Exact word length of ``x``, searching outward as needed."""
     group = group or x.group

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import add, itemgetter, neg
-from typing import Any, Callable, Hashable, NamedTuple
+from typing import Any, Callable, Hashable, Mapping, NamedTuple
 
 from ..errors import InputError
 from . import intmat
@@ -86,33 +86,11 @@ def _parse_symbol(symbol: str) -> tuple[str, bool]:
 
 
 def _base_generator(group: GroupSpec, base: str) -> Element:
-    fam = group.family
-    if fam in (FREE_ABELIAN, SEMIDIRECT_ZD) and base.startswith("e"):
-        try:
-            i = int(base[1:]) - 1
-        except ValueError:
-            i = -1
-        if 0 <= i < group.d:
-            v = tuple(1 if j == i else 0 for j in range(group.d))
-            return Element(group, v if fam == FREE_ABELIAN else (v, 0))
-    if fam == SEMIDIRECT_ZD and base == "t":
-        return Element(group, ((0,) * group.d, 1))
-    if fam == PQ:
-        if base == "s":
-            return Element(group, (0, 0, 1))
-        if base == "t":
-            return Element(group, (1, 0, 0))
-    if fam == LAMPLIGHTER:
-        if base == "a":
-            return Element(group, (((0, 1),), 0))
-        if base == "t":
-            return Element(group, ((), 1))
-    if fam == BAUMSLAG_SOLITAR:
-        if base == "a":
-            return Element(group, (1, ()))
-        if base == "t":
-            return Element(group, (0, ((1, 0),)))
-    raise InputError(f"unknown generator symbol {base!r} for {group.label()}")
+    try:
+        return Element(group, family_ops(group).base_generators[base])
+    except KeyError:
+        raise InputError(
+            f"unknown generator symbol {base!r} for {group.label()}") from None
 
 
 def generators(group: GroupSpec) -> tuple[tuple[str, Element], ...]:
@@ -238,12 +216,15 @@ def _bs_inv(p: int, q: int, x: tuple) -> tuple:
 class FamilyOps(NamedTuple):
     """One group's arithmetic on canonical ``data`` tuples.
 
-    ``mul`` and ``inv`` take and return canonical forms; ``in_subgroup`` and
-    ``coset_key`` describe the designated subgroup H (see
+    ``base_generators`` maps each base generator symbol to its data, in the
+    fixed order that ``GroupSpec.base_symbols`` reports and that BFS order
+    follows.  ``mul`` and ``inv`` take and return canonical forms;
+    ``in_subgroup`` and ``coset_key`` describe the designated subgroup H (see
     ``subgroup_membership``); ``to_payload``/``from_payload`` convert to and
     from the JSON form of the ball cache."""
 
     identity: tuple
+    base_generators: Mapping[str, tuple]
     mul: Callable[[tuple, tuple], tuple]
     inv: Callable[[tuple], tuple]
     in_subgroup: Callable[[tuple], bool]
@@ -279,8 +260,14 @@ def _fa_from_payload(payload) -> tuple:
     return tuple(int(v) for v in payload)
 
 
+def _unit(d: int, i: int) -> tuple:
+    return tuple(1 if j == i else 0 for j in range(d))
+
+
 def _free_abelian_ops(group: GroupSpec) -> FamilyOps:
-    return FamilyOps((0,) * group.d, _fa_mul, _fa_inv, _always, _zero_key,
+    d = group.d
+    gens = {f"e{i + 1}": _unit(d, i) for i in range(d)}
+    return FamilyOps((0,) * d, gens, _fa_mul, _fa_inv, _always, _zero_key,
                      list, _fa_from_payload)
 
 
@@ -317,8 +304,11 @@ def _sd_from_payload(payload) -> tuple:
 
 
 def _semidirect_ops(group: GroupSpec) -> FamilyOps:
+    d = group.d
+    gens = {f"e{i + 1}": (_unit(d, i), 0) for i in range(d)}
+    gens["t"] = ((0,) * d, 1)
     powers = _MatPowers(group.matrix)
-    return FamilyOps(((0,) * group.d, 0), partial(_sd_mul, powers),
+    return FamilyOps(((0,) * d, 0), gens, partial(_sd_mul, powers),
                      partial(_sd_inv, powers), _last_is_zero, _last,
                      _sd_to_payload, _sd_from_payload)
 
@@ -343,7 +333,8 @@ def _pq_from_payload(payload) -> tuple:
 
 def _pq_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
-    return FamilyOps((0, 0, 0), partial(_pq_mul, p, q), partial(_pq_inv, p, q),
+    return FamilyOps((0, 0, 0), {"s": (0, 0, 1), "t": (1, 0, 0)},
+                     partial(_pq_mul, p, q), partial(_pq_inv, p, q),
                      _last_is_zero, _last, list, _pq_from_payload)
 
 
@@ -368,7 +359,8 @@ def _lamp_from_payload(payload) -> tuple:
 
 
 def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
-    return FamilyOps(((), 0), partial(_lamp_mul, group.p),
+    return FamilyOps(((), 0), {"a": (((0, 1),), 0), "t": ((), 1)},
+                     partial(_lamp_mul, group.p),
                      partial(_lamp_inv, group.p), _last_is_zero, _last,
                      _lamp_to_payload, _lamp_from_payload)
 
@@ -397,7 +389,8 @@ def _bs_from_payload(payload) -> tuple:
 
 def _baumslag_solitar_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
-    return FamilyOps((0, ()), partial(_bs_mul, p, q), partial(_bs_inv, p, q),
+    return FamilyOps((0, ()), {"a": (1, ()), "t": (0, ((1, 0),))},
+                     partial(_bs_mul, p, q), partial(_bs_inv, p, q),
                      _bs_in_subgroup, _bs_coset_key, _bs_to_payload,
                      _bs_from_payload)
 

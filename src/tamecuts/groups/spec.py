@@ -34,6 +34,15 @@ BAUMSLAG_SOLITAR = "baumslag_solitar"
 
 FAMILIES = (FREE_ABELIAN, SEMIDIRECT_ZD, PQ, LAMPLIGHTER, BAUMSLAG_SOLITAR)
 
+# the parameters that name a group of each family, in serialization order
+_FIELDS = {
+    FREE_ABELIAN: ("d",),
+    SEMIDIRECT_ZD: ("matrix",),
+    PQ: ("p", "q"),
+    LAMPLIGHTER: ("p",),
+    BAUMSLAG_SOLITAR: ("p", "q"),
+}
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -99,13 +108,8 @@ class GroupSpec:
 
     def base_symbols(self) -> tuple[str, ...]:
         """Generator symbols without their formal inverses, in fixed order."""
-        if self.family == FREE_ABELIAN:
-            return tuple(f"e{i + 1}" for i in range(self.d))
-        if self.family == SEMIDIRECT_ZD:
-            return tuple(f"e{i + 1}" for i in range(self.d)) + ("t",)
-        if self.family == PQ:
-            return ("s", "t")
-        return ("a", "t")  # lamplighter and baumslag_solitar
+        from .elements import family_ops  # elements imports this module
+        return tuple(family_ops(self).base_generators)
 
     def symbols(self) -> tuple[str, ...]:
         """All generator symbols, each immediately followed by its inverse."""
@@ -119,31 +123,18 @@ class GroupSpec:
 
     def to_dict(self) -> dict:
         out: dict = {"family": self.family}
-        if self.family == FREE_ABELIAN:
-            out["d"] = self.d
-        elif self.family == SEMIDIRECT_ZD:
-            out["matrix"] = [list(row) for row in self.matrix]
-        elif self.family == LAMPLIGHTER:
-            out["p"] = self.p
-        else:
-            out["p"] = self.p
-            out["q"] = self.q
+        for name in _FIELDS[self.family]:
+            value = getattr(self, name)
+            out[name] = ([list(row) for row in value] if name == "matrix"
+                         else value)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
         family = data.get("family")
-        if family == FREE_ABELIAN:
-            return cls.free_abelian(data["d"])
-        if family == SEMIDIRECT_ZD:
-            return cls.semidirect_zd(data["matrix"])
-        if family == PQ:
-            return cls.pq(data["p"], data["q"])
-        if family == LAMPLIGHTER:
-            return cls.lamplighter(data["p"])
-        if family == BAUMSLAG_SOLITAR:
-            return cls.baumslag_solitar(data["p"], data["q"])
-        raise InputError(f"unknown group family {family!r}")
+        if family not in FAMILIES:
+            raise InputError(f"unknown group family {family!r}")
+        return cls(family, **{name: data[name] for name in _FIELDS[family]})
 
     def spec_hash(self) -> str:
         """Stable short hash used to key ball-cache files."""

@@ -126,24 +126,22 @@ class CompressedConvolution:
                 f"support elements x {self.dim_in} ball elements")
         bout = ball(group, radius + deg, cache=cache, budget=budget)
         self.dim_out = len(bout)
-        rows = bin_.translate_indices(support, budget=budget).ravel()
-        cols = np.tile(np.arange(self.dim_in, dtype=np.int64), len(support))
-        yidx = np.repeat(np.arange(len(support), dtype=np.int64), self.dim_in)
-        order = np.lexsort((cols, rows))  # csr layout: row-major, cols ascending
-        self._rows = rows[order]
-        self._cols = cols[order]
-        self._yidx = yidx[order]
-        indptr = np.zeros(self.dim_out + 1, dtype=np.int64)
-        np.add.at(indptr, self._rows + 1, 1)
-        self._indptr = np.cumsum(indptr)
+        # csc layout: column i holds the rows of y*x_i, ascending, so that
+        # L @ v and the transpose view's L^H @ w add every output entry's
+        # terms in ascending index order
+        rows = bin_.translate_indices(support, budget=budget)
+        order = np.argsort(rows, axis=0)
+        self._indices = np.take_along_axis(rows, order, axis=0).T.ravel()
+        self._yidx = order.T.ravel()
+        self._indptr = len(support) * np.arange(self.dim_in + 1, dtype=np.int64)
 
-    def matrix(self, coeffs: np.ndarray) -> sp.csr_matrix:
+    def matrix(self, coeffs: np.ndarray) -> sp.csc_matrix:
         data = np.asarray(coeffs)[self._yidx]
-        return sp.csr_matrix((data, self._cols, self._indptr),
+        return sp.csc_matrix((data, self._indices, self._indptr),
                              shape=(self.dim_out, self.dim_in))
 
 
-def _power_iteration(L: sp.csr_matrix, tol: float, max_iter: int,
+def _power_iteration(L: sp.spmatrix, tol: float, max_iter: int,
                      seed: int) -> tuple[float, int, float, bool]:
     """Top eigenvalue of L*L by power iteration; returns (rho, iters, residual,
     converged).  Rayleigh quotients of the PSD operator increase, so the last
@@ -157,7 +155,7 @@ def _power_iteration(L: sp.csr_matrix, tol: float, max_iter: int,
     if nv == 0 or L.shape[1] == 0:
         return 0.0, 0, 0.0, True
     v = v / nv
-    Lh = L.conjugate().T.tocsr()
+    Lh = L.conjugate().T
     rho_prev = -1.0
     residual = math.inf
     confirmations = 0

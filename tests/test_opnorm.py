@@ -298,7 +298,7 @@ def reference_csr(group, support, radius):
 def assert_matches_reference(group, support, radius):
     conv = CompressedConvolution(group, support, radius)
     coeffs = np.arange(1.0, len(support) + 1.0)
-    L = conv.matrix(coeffs)
+    L = conv.matrix(coeffs).tocsr()
     indptr, indices, yidx = reference_csr(group, support, radius)
     assert np.array_equal(L.indptr, indptr)
     assert np.array_equal(L.indices, indices)
@@ -314,10 +314,9 @@ PROBE_CUTS = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(PROBE_CUTS))
-def test_compression_matches_reference_on_verify_probes(family):
-    """The supports verify_cut hands to lambda_norm_lower (cut times each
-    default probe), at its probe radius 8."""
+def verify_probe_supports(family):
+    """The group of the family's probe cut and the distinct supports
+    verify_cut hands to lambda_norm_lower (cut times each default probe)."""
     cut = PROBE_CUTS[family]()
     supports = {}
     for f in default_probes(cut.group, min(cut.index, 2), seed=0):
@@ -325,8 +324,38 @@ def test_compression_matches_reference_on_verify_probes(family):
         if g.values:
             supports[tuple(g.support())] = None
     assert supports
+    return cut.group, [list(support) for support in supports]
+
+
+@pytest.mark.parametrize("family", sorted(PROBE_CUTS))
+def test_compression_matches_reference_on_verify_probes(family):
+    """verify_cut's probe supports at its probe radius 8."""
+    group, supports = verify_probe_supports(family)
     for support in supports:
-        assert_matches_reference(cut.group, list(support), 8)
+        assert_matches_reference(group, support, 8)
+
+
+@pytest.mark.parametrize("family", sorted(PROBE_CUTS) + ["rd_test"])
+def test_power_iteration_bit_identical_to_reference_csr(family):
+    """The power iteration on the compression returns exactly what it
+    returns on the row-sorted CSR matrix assembled from the reference
+    arrays, for real and complex coefficients: every matvec adds each output
+    entry's terms in the same order.  Cases: verify_cut's probe supports at
+    its radius and tolerance, and rd_test's Z^2 support B_2 at radius 8."""
+    if family == "rd_test":
+        group, supports = Z2, [list(ball(Z2, 2))]
+    else:
+        group, supports = verify_probe_supports(family)
+    rng = np.random.default_rng(17)
+    for support in supports:
+        conv = CompressedConvolution(group, support, 8)
+        indptr, indices, yidx = reference_csr(group, support, 8)
+        real = rng.uniform(0.0, 1.0, len(support))
+        for c in (real, real + 1j * rng.uniform(-1.0, 1.0, len(support))):
+            ref = sp.csr_matrix((c[yidx], indices, indptr),
+                                shape=(len(indptr) - 1, conv.dim_in))
+            assert (opnorm._power_iteration(conv.matrix(c), 1e-6, 2000, 0)
+                    == opnorm._power_iteration(ref, 1e-6, 2000, 0))
 
 
 @pytest.mark.parametrize("family", sorted(PROBE_CUTS))
