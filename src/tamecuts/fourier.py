@@ -45,6 +45,16 @@ METHODS = frozenset({
 
 _EXACT_DIRICHLET_MAX = 1 << 25      # largest index for the exact tan-sum
 _MAX_GRID_POINTS = 1 << 24          # quadrature budget, all dimensions combined
+# Grid points per quadrature slab.  While m <= 2^18 a slab holds at most this
+# many (4 MiB complex, 4 MiB more for its transform, 2 MiB for |p|); past that
+# it is one column of m points.  Slabs this small run faster than larger ones,
+# as they stay in cache.
+_SLAB_POINTS = 1 << 18
+# Absolute slack for lower > upper in a certificate.  It absorbs the last-place
+# rounding of bounds computed by different routes that meet at the true value:
+# a power-iteration lower bound reaching the l1 upper bound, or the d-th powers
+# of a bracket in a product rule.
+_BRACKET_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,7 @@ class NormCertificate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown certificate method {self.method!r}")
-        if not (0.0 <= self.lower <= self.upper + 1e-12):
+        if not (0.0 <= self.lower <= self.upper + _BRACKET_SLACK):
             raise InputError(
                 f"certificate bounds out of order: [{self.lower}, {self.upper}]")
 
@@ -145,18 +155,34 @@ class TrigPoly:
         return TrigPoly({tuple(a + b for a, b in zip(k, s)): v
                          for k, v in self.coeffs.items()}, dim=self.dim)
 
-    def transform_on_grid(self, m: int) -> np.ndarray:
-        """Values of sum_k c_k exp(2 pi i k.t) on the uniform m^dim grid."""
-        if m < 2 * self.degree + 1:
-            raise InputError(f"grid {m} aliases frequencies of degree {self.degree}")
-        buf = np.zeros((m,) * self.dim, dtype=complex)
-        for k, v in self.coeffs.items():
-            idx = tuple(x % m for x in k)
-            buf[idx] += v
-        return np.fft.ifftn(buf) * (m ** self.dim)
-
     def __len__(self) -> int:
         return len(self.coeffs)
+
+
+def _mean_abs_on_grid(f: TrigPoly, m: int) -> float:
+    """Mean of |sum_k c_k exp(2 pi i k.t)| over the uniform m^dim grid.
+
+    The coefficients are grouped by their first coordinate mod m, and only
+    those rows are transformed along the other axes.  The first axis is then
+    transformed slab by slab, so the whole grid is never held at once.
+    Frequencies that agree mod m add up, as on the grid itself.
+    """
+    keys = np.array(list(f.coeffs), dtype=np.int64) % m
+    first, row = np.unique(keys[:, 0], return_inverse=True)
+    rows = np.zeros((len(first),) + (m,) * (f.dim - 1), dtype=complex)
+    np.add.at(rows, (row, *keys[:, 1:].T), list(f.coeffs.values()))
+    if f.dim > 1:
+        rows = np.fft.ifftn(rows, axes=tuple(range(1, f.dim)), norm="forward")
+    rows = rows.reshape(len(first), -1)
+    cols = rows.shape[1]
+    width = max(1, _SLAB_POINTS // m)
+    total = 0.0
+    for start in range(0, cols, width):
+        # one slab, columns as rows, so the transform runs along contiguous memory
+        slab = np.zeros((min(width, cols - start), m), dtype=complex)
+        slab[:, first] = rows[:, start:start + width].T
+        total += float(np.abs(np.fft.ifft(slab, norm="forward")).sum())
+    return total / m ** f.dim
 
 
 def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
@@ -188,8 +214,7 @@ def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
     prev = None
     delta_prev = None
     while m ** f.dim <= max_points:
-        grid = np.abs(f.transform_on_grid(m))
-        s = float(grid.mean())
+        s = _mean_abs_on_grid(f, m)
         if prev is not None:
             delta = abs(s - prev)
             if delta_prev is not None:

@@ -1,12 +1,15 @@
 """Fourier-algebra norms: closed forms, certificates, and invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tamecuts import fourier
 from tamecuts.errors import BudgetExceededError, InputError
 from tamecuts.fourier import (
+    _BRACKET_SLACK,
     NormCertificate,
     TrigPoly,
     a_norm_torus,
@@ -29,9 +32,67 @@ def brute_l1_norm(coeffs, grid=1 << 16):
     return float(np.abs(vals).mean())
 
 
+def dense_mean_abs(f, m):
+    """Reference for the slab quadrature: the whole m^dim grid at once."""
+    buf = np.zeros((m,) * f.dim, dtype=complex)
+    for k, v in f.coeffs.items():
+        buf[tuple(x % m for x in k)] += v
+    return float(np.abs(np.fft.ifftn(buf) * (m ** f.dim)).mean())
+
+
+def tan_sum_lebesgue(r):
+    """||D_r||_1 = 1/(2r+1) + (2/pi) sum_{k=1}^{r} tan(pi k/(2r+1)) / k."""
+    big_n = 2 * r + 1
+    return 1 / big_n + (2 / math.pi) * math.fsum(
+        math.tan(math.pi * k / big_n) / k for k in range(1, r + 1))
+
+
+# (dim, grid, slab points): on the 20-point 1-D grid frequencies in -25..25
+# share residues; slabs of 5 of the 48 columns (2-D) and 7 of the 400 (3-D)
+# leave a partial last slab
+SLAB_CASES = [(1, 20, None), (1, 256, None), (2, 48, 5 * 48), (2, 64, None),
+              (3, 20, 7 * 20), (3, 16, None)]
+
+
+@pytest.mark.parametrize("dim,m,slab", SLAB_CASES)
+def test_slab_mean_matches_dense_reference(dim, m, slab, monkeypatch):
+    if slab is not None:
+        monkeypatch.setattr(fourier, "_SLAB_POINTS", slab)
+    rng = np.random.default_rng(100 + dim * m)
+    for _ in range(4):
+        keys = {tuple(int(x) for x in rng.integers(-25, 26, size=dim))
+                for _ in range(15)}
+        # first coordinates k and k - m land on the same row
+        base = next(iter(keys))
+        keys.add((base[0] - m,) + base[1:])
+        f = TrigPoly({k: complex(rng.normal(), rng.normal()) for k in keys},
+                     dim=dim)
+        got = fourier._mean_abs_on_grid(f, m)
+        want = dense_mean_abs(f, m)
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+def test_quadrature_memory_at_budget():
+    """The 4096^2 grid of the r = 2 square is summed without being held."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as exc:
+            a_norm_torus(TrigPoly.box(2, dim=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    part = exc.value.partial
+    assert part.grid == 4096
+    assert part.lower <= tan_sum_lebesgue(2) ** 2 <= part.upper
+    assert peak < 96e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_certificate_validation():
     with pytest.raises(InputError):
         NormCertificate(2.0, 1.0, "quadrature")
+    with pytest.raises(InputError):
+        NormCertificate(1.0 + 2 * _BRACKET_SLACK, 1.0, "quadrature")
+    NormCertificate(1.0 + 0.5 * _BRACKET_SLACK, 1.0, "quadrature")
     with pytest.raises(InputError):
         NormCertificate(0.0, 1.0, "made-up")
     c = NormCertificate(1.0, 2.0, "l1-bound", 0.1)
