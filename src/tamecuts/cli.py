@@ -189,21 +189,32 @@ def _run_lambda(args, cache):
              "estimate": est.to_dict(), "value": est.lower}]
 
 
+def _rd_per_n(rows) -> dict:
+    """The largest ratio and the count of unconverged samples per radius."""
+    best, unconverged = {}, {}
+    for row in rows:
+        best[row.n] = max(best.get(row.n, 0.0), row.ratio)
+        unconverged[row.n] = unconverged.get(row.n, 0) + (not row.converged)
+    return {"max_ratio_per_n": {str(k): v for k, v in sorted(best.items())},
+            "unconverged_per_n": {str(k): v
+                                  for k, v in sorted(unconverged.items())}}
+
+
 def _run_rd_fit(args, cache):
     group = _group_from_args(args)
     rows = []
     for n in range(1, args.nmax + 1):
-        rows.extend(rd_test(group, n, args.samples, seed=args.seed,
-                            tol=args.tol))
+        try:
+            rows.extend(rd_test(group, n, args.samples, seed=args.seed,
+                                tol=args.tol, budget=args.budget))
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(str(exc), radius_reached=n - 1,
+                                      partial=_rd_per_n(rows)) from exc
     c, a = rd_fit(rows)
-    per_n = {}
-    for row in rows:
-        per_n[row.n] = max(per_n.get(row.n, 0.0), row.ratio)
     return [{"name": "rd_fit",
              "params": {"group": group.to_dict(), "nmax": args.nmax,
                         "samples": args.samples},
-             "max_ratio_per_n": {str(k): v for k, v in sorted(per_n.items())},
-             "C": c, "a": a, "value": a}]
+             **_rd_per_n(rows), "C": c, "a": a, "value": a}]
 
 
 def _run_cut(args, cache):
@@ -423,8 +434,11 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         report["error"] = {"type": "budget", "message": str(exc),
                            "radius_reached": exc.radius_reached}
-        if exc.partial is not None and hasattr(exc.partial, "to_dict"):
-            report["error"]["partial"] = exc.partial.to_dict()
+        partial = exc.partial
+        if hasattr(partial, "to_dict"):
+            partial = partial.to_dict()
+        if isinstance(partial, dict):
+            report["error"]["partial"] = partial
         report["results"] = []
         _emit(report, args)
         return 3

@@ -131,51 +131,143 @@ class CompressedConvolution:
         # terms in ascending index order
         rows = bin_.translate_indices(support, budget=budget)
         order = np.argsort(rows, axis=0)
-        self._indices = np.take_along_axis(rows, order, axis=0).T.ravel()
+        self.nnz = entries
         self._yidx = order.T.ravel()
-        self._indptr = len(support) * np.arange(self.dim_in + 1, dtype=np.int64)
+        self._indices = np.take_along_axis(rows, order, axis=0).T.ravel()
+        self._blocks = 0
+        self._tile(1)
+
+    def _tile(self, k: int) -> None:
+        """Grow the index tile to at least k blocks: block b holds the first
+        block's row indices shifted by b*dim_out and its column pointers
+        shifted by b*nnz.  int32 whenever it fits, so that scipy takes the
+        arrays without a copy; a k-block matrix uses a prefix of the tile."""
+        if k <= self._blocks:
+            return
+        top = max(k * self.nnz, k * self.dim_out)
+        dtype = np.int32 if top < 2**31 else np.int64
+        shift = self.dim_out * np.arange(k, dtype=dtype)[:, None]
+        self._indices = (self._indices[:self.nnz].astype(dtype)
+                         + shift).ravel()
+        self._indptr = len(self.support) * np.arange(k * self.dim_in + 1,
+                                                     dtype=dtype)
+        self._blocks = k
 
     def matrix(self, coeffs: np.ndarray) -> sp.csc_matrix:
-        data = np.asarray(coeffs)[self._yidx]
-        return sp.csc_matrix((data, self._indices, self._indptr),
-                             shape=(self.dim_out, self.dim_in))
+        """The compression for one coefficient vector, or for a (k, |supp|)
+        array the block-diagonal operator with one block per row."""
+        coeffs = np.asarray(coeffs)
+        k = 1 if coeffs.ndim == 1 else len(coeffs)
+        self._tile(k)
+        data = np.take(coeffs, self._yidx, axis=-1).ravel()  # C order
+        return sp.csc_matrix(
+            (data, self._indices[:k * self.nnz],
+             self._indptr[:k * self.dim_in + 1]),
+            shape=(k * self.dim_out, k * self.dim_in))
 
 
 def _power_iteration(L: sp.spmatrix, tol: float, max_iter: int,
-                     seed: int) -> tuple[float, int, float, bool]:
-    """Top eigenvalue of L*L by power iteration; returns (rho, iters, residual,
-    converged).  Rayleigh quotients of the PSD operator increase, so the last
-    value is the best certified one."""
-    rng = np.random.default_rng(seed)
+                     seeds) -> list[tuple[float, int, float, bool]]:
+    """Top eigenvalue of B*B for each diagonal block B of L, by power
+    iteration; returns one (rho, iters, residual, converged) per block.
+
+    L is block diagonal with k = len(seeds) blocks of equal shape and
+    sparsity pattern, in CSC or CSR layout, and block b starts from a
+    vector drawn from ``default_rng(seeds[b])``.  One sparse product serves
+    every block.  A block stops once its relative residual has stayed under
+    ``tol`` for more than 20 iterations, at its first rho == 0 (B v = 0), or
+    at ``max_iter``.  The stopping rule is evaluated only at the iterations
+    where some block can first meet it (21 minus the largest current run of
+    small residuals), from the rho values recorded since the last check, so
+    a block never runs past its stop.  A stopped block's data are
+    overwritten by the last active block's, and L and its adjoint shrink
+    to a prefix of their arrays.  This works on L itself, which ends up
+    resized and with its blocks in no useful order: pass a matrix built
+    for the call.  Every reduction is one dot per block, so each result is
+    bit-identical to the k = 1 call on that block alone.  Rayleigh
+    quotients of the PSD operator increase, so the last value is the best
+    certified one."""
+    k = len(seeds)
+    dout, din = L.shape[0] // k, L.shape[1] // k
+    if din == 0:
+        return [(0.0, 0, 0.0, True)] * k
+    major = din if L.format == "csc" else dout
+    nnz = int(L.indptr[major])
     complex_data = np.iscomplexobj(L.data)
-    v = rng.standard_normal(L.shape[1])
-    if complex_data:
-        v = v + 1j * rng.standard_normal(L.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0 or L.shape[1] == 0:
-        return 0.0, 0, 0.0, True
-    v = v / nv
-    Lh = L.conjugate().T
-    rho_prev = -1.0
-    residual = math.inf
-    confirmations = 0
+    adj = sp.csr_matrix if L.format == "csc" else sp.csc_matrix
+    L_h = adj((L.data.conj() if complex_data else L.data, L.indices,
+               L.indptr), shape=(L.shape[1], L.shape[0]))
+    fwd_data, adj_data = L.data.reshape(k, nnz), L_h.data.reshape(k, nnz)
+
+    v = np.empty((k, din), dtype=complex if complex_data else float)
+    for b, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        x = rng.standard_normal(din)
+        if complex_data:
+            x = x + 1j * rng.standard_normal(din)
+        v[b] = x / np.linalg.norm(x)
+    results = [None] * k
+    active = k
+    ids = np.arange(k)
+    rho_prev = np.full(k, -1.0)
+    residual = np.full(k, math.inf)
+    confirmations = np.zeros(k, dtype=np.int64)
+    # rho_prev, then rho at each iteration since (complex for complex data,
+    # with zero imaginary parts, so that vecdot writes into it)
+    record = np.empty((22, k), dtype=v.dtype)
     it = 0
-    for it in range(1, max_iter + 1):
-        w = L @ v
-        rho = float(np.vdot(w, w).real)
-        if rho == 0.0:
-            return 0.0, it, 0.0, True
-        u = Lh @ w
-        v = u / np.linalg.norm(u)
-        residual = abs(rho - rho_prev) / rho
-        rho_prev = rho
-        if residual < tol:
-            confirmations += 1
-            if confirmations > 20:
-                return rho, it, residual, True
-        else:
-            confirmations = 0
-    return rho_prev, it, residual, False
+    # a block with B v = 0 turns to nan after that iteration; the next
+    # check stops it at its first zero rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while it < max_iter and active:
+            first = it + 1
+            check = min(max_iter, it + 21 - int(confirmations.max()))
+            record[0, :active] = rho_prev
+            for j, it in enumerate(range(first, check + 1), 1):
+                w = (L @ v.ravel()).reshape(active, dout)
+                np.vecdot(w, w, out=record[j, :active])
+                v = (L_h @ w.ravel()).reshape(active, din)
+                v /= np.sqrt(np.vecdot(v, v).real)[:, None]
+            rho = record[:j + 1, :active].real
+            resid = np.abs(rho[1:] - rho[:-1]) / rho[1:]
+            rho_prev, residual = rho[-1].copy(), resid[-1]
+            small = resid < tol
+            stopped = ~(rho_prev > 0.0)
+            if small[-1].any():
+                # the run of small residuals ending at this check, extending
+                # the previous run when every residual since is small
+                confirmations = np.where(small.all(axis=0),
+                                         confirmations + len(small),
+                                         np.argmax(~small[::-1], axis=0))
+                done = stopped | (confirmations > 20)
+            else:
+                confirmations[:] = 0
+                done = stopped
+            if not done.any():
+                continue
+            for p in np.flatnonzero(done)[::-1]:
+                if stopped[p]:
+                    at = first + int(np.argmax(rho[1:, p] == 0.0))
+                    results[ids[p]] = (0.0, at, 0.0, True)
+                else:
+                    results[ids[p]] = (float(rho_prev[p]), it,
+                                       float(residual[p]), True)
+                active -= 1  # the last active block takes its place
+                for arr in (ids, rho_prev, residual, confirmations, v,
+                            fwd_data, adj_data):
+                    arr[p] = arr[active]
+            ids, rho_prev, residual, confirmations, v = (
+                ids[:active], rho_prev[:active], residual[:active],
+                confirmations[:active], v[:active])
+            if active:
+                # prefix views of the same arrays: resize slices them in
+                # place, where a new matrix on a view under half its base
+                # array would copy it
+                L.resize(active * dout, active * din)
+                L_h.resize(active * din, active * dout)
+    for p in range(active):
+        results[ids[p]] = (float(rho_prev[p]), it, float(residual[p]), False)
+    return results
 
 
 def _compression(f: FinSuppFun, radius: int, cache=None,
@@ -219,7 +311,8 @@ def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
     if f.is_real():
         coeffs = coeffs.real
     L = conv.matrix(coeffs)
-    rho, iters, residual, converged = _power_iteration(L, tol, max_iter, seed)
+    rho, iters, residual, converged = _power_iteration(L, tol, max_iter,
+                                                       [seed])[0]
     lower = math.sqrt(max(rho, 0.0))
     lower = min(max(lower, l2), l1)
     return SpectralEstimate(lower, l1, l2, radius, iters, residual, converged)
@@ -230,32 +323,55 @@ class RdSample(NamedTuple):
     l2: float
     lam_lower: float
     ratio: float
+    iterations: int = 0
+    converged: bool = True
+
+
+# rd_test solves its samples in blocks of about this many matrix entries:
+# one block-diagonal matrix of max(1, _BLOCK_ENTRIES // nnz) samples, so
+# that one sparse product serves them all.  It bounds the block's data (8
+# bytes an entry) and index tile (4) and, with them, its iterates.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def rd_test(group: GroupSpec, n: int, samples: int, seed: int = 0,
             radius: int | None = None, tol: float = 1e-8,
-            max_iter: int = 600, cache=None) -> list[RdSample]:
+            max_iter: int = 600, cache=None,
+            budget: int = DEFAULT_BUDGET) -> list[RdSample]:
     """Ratios ||lambda(f)||_lower / ||f||_2 for random nonnegative f on B_n.
 
-    Deterministic under a fixed seed.  Rapid decay with exponent a bounds
-    these ratios by C (1+n)^a; Cauchy-Schwarz always bounds them by |B_n|^0.5.
+    Deterministic under a fixed seed: the coefficients of sample s are the
+    s-th draw of |B_n| uniforms from ``default_rng(seed)``, and its power
+    iteration starts from seed ``seed + 1 + s``, whatever the block width.
+    Rapid decay with exponent a bounds these ratios by C (1+n)^a;
+    Cauchy-Schwarz always bounds them by |B_n|^0.5.  More than ``budget``
+    coefficients (samples x |B_n|) raise ``BudgetExceededError`` before
+    any is drawn.
     """
     if n < 0 or samples < 1:
         raise InputError("need n >= 0 and at least one sample")
     radius = radius if radius is not None else max(2 * n, 8)
-    bn = ball(group, n, cache=cache)
+    bn = ball(group, n, cache=cache, budget=budget)
+    if samples * len(bn) > budget:
+        raise BudgetExceededError(
+            f"rd sample budget {budget} exceeded: {samples} samples x "
+            f"{len(bn)} ball elements")
     support = list(bn)
-    conv = CompressedConvolution(group, support, radius, cache=cache)
+    conv = CompressedConvolution(group, support, radius, cache=cache,
+                                 budget=budget)
+    width = max(1, _BLOCK_ENTRIES // conv.nnz)
     rng = np.random.default_rng(seed)
     out: list[RdSample] = []
-    for s in range(samples):
-        coeffs = rng.uniform(0.0, 1.0, size=len(support))
-        l2 = float(np.linalg.norm(coeffs))
-        L = conv.matrix(coeffs)
-        rho, _, _, _ = _power_iteration(L, tol, max_iter, seed=seed + 1 + s)
-        lam = min(math.sqrt(max(rho, 0.0)), float(coeffs.sum()))
-        lam = max(lam, l2)
-        out.append(RdSample(n, l2, lam, lam / l2))
+    for first in range(0, samples, width):
+        block = rng.uniform(0.0, 1.0,
+                            size=(min(width, samples - first), len(support)))
+        seeds = range(seed + 1 + first, seed + 1 + first + len(block))
+        solves = _power_iteration(conv.matrix(block), tol, max_iter, seeds)
+        for coeffs, (rho, iters, _, converged) in zip(block, solves):
+            l2 = float(np.linalg.norm(coeffs))
+            lam = min(math.sqrt(max(rho, 0.0)), float(coeffs.sum()))
+            lam = max(lam, l2)
+            out.append(RdSample(n, l2, lam, lam / l2, iters, converged))
     return out
 
 

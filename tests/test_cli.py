@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -105,6 +106,45 @@ def test_budget_exit_3(capsys):
     report = json.loads(out)
     assert report["error"]["type"] == "budget"
     assert report["error"]["radius_reached"] is not None
+
+
+def test_rd_fit_sample_budget_exit_3(capsys):
+    """100000 samples x |B_1| = 5 coefficients exceed the budget, which is
+    checked before any coefficient is drawn: exit 3 with no finished
+    radius, and nothing near the 4 MB the coefficients would take."""
+    tracemalloc.start()
+    try:
+        code = main(["rd-fit", "--d", "2", "--samples", "100000",
+                     "--budget", "50000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert peak < 1_000_000
+    assert report["error"]["type"] == "budget"
+    assert report["error"]["radius_reached"] == 0
+    assert report["error"]["partial"] == {"max_ratio_per_n": {},
+                                          "unconverged_per_n": {}}
+    assert report["results"] == []
+
+
+def test_rd_fit_budget_keeps_finished_radii(capsys):
+    """200 samples fit the budget at n = 1 (1000 coefficients) but not at
+    n = 2 (2600): the partial report carries the n = 1 row, equal to the
+    one an unbudgeted run reports."""
+    argv = ["rd-fit", "--d", "2", "--nmax", "3", "--samples", "200"]
+    code, report = run_json(capsys, argv + ["--budget", "2000"])
+    assert code == 3
+    assert report["error"]["radius_reached"] == 1
+    partial = report["error"]["partial"]
+    code, full = run_json(capsys, argv)
+    assert code == 0
+    row = full["results"][0]
+    assert sorted(row["unconverged_per_n"]) == ["1", "2", "3"]
+    assert all(isinstance(v, int) for v in row["unconverged_per_n"].values())
+    assert partial == {key: {"1": row[key]["1"]}
+                       for key in ("max_ratio_per_n", "unconverged_per_n")}
 
 
 def test_lambda_entry_budget_exit_3(capsys):

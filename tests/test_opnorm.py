@@ -1,6 +1,8 @@
 """Truncated convolution norms, RD ratios, and multiplier lower bounds."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,13 +337,27 @@ def test_compression_matches_reference_on_verify_probes(family):
         assert_matches_reference(group, support, 8)
 
 
+def block_diag_csr(indptr, indices, datas, ncols):
+    """Block-diagonal CSR matrix with one copy of the reference pattern
+    (indptr, indices) per entry of ``datas``, the b-th shifted by b rows
+    and b*ncols columns of the pattern."""
+    k, nrows, nnz = len(datas), len(indptr) - 1, indptr[-1]
+    ptr = np.concatenate([indptr[:-1] + b * nnz for b in range(k)]
+                         + [[k * nnz]])
+    idx = np.concatenate([indices + b * ncols for b in range(k)])
+    return sp.csr_matrix((np.concatenate(datas), idx, ptr),
+                         shape=(k * nrows, k * ncols))
+
+
 @pytest.mark.parametrize("family", sorted(PROBE_CUTS) + ["rd_test"])
 def test_power_iteration_bit_identical_to_reference_csr(family):
     """The power iteration on the compression returns exactly what it
     returns on the row-sorted CSR matrix assembled from the reference
     arrays, for real and complex coefficients: every matvec adds each output
     entry's terms in the same order.  Cases: verify_cut's probe supports at
-    its radius and tolerance, and rd_test's Z^2 support B_2 at radius 8."""
+    its radius and tolerance, and rd_test's Z^2 support B_2 at radius 8;
+    each as one block, and as three blocks of the block-diagonal CSC
+    against the block-diagonal CSR built from the reference arrays."""
     if family == "rd_test":
         group, supports = Z2, [list(ball(Z2, 2))]
     else:
@@ -354,8 +370,137 @@ def test_power_iteration_bit_identical_to_reference_csr(family):
         for c in (real, real + 1j * rng.uniform(-1.0, 1.0, len(support))):
             ref = sp.csr_matrix((c[yidx], indices, indptr),
                                 shape=(len(indptr) - 1, conv.dim_in))
-            assert (opnorm._power_iteration(conv.matrix(c), 1e-6, 2000, 0)
-                    == opnorm._power_iteration(ref, 1e-6, 2000, 0))
+            assert (opnorm._power_iteration(conv.matrix(c), 1e-6, 2000, [0])
+                    == opnorm._power_iteration(ref, 1e-6, 2000, [0]))
+        rows = rng.uniform(0.0, 1.0, (3, len(support)))
+        for block in (rows, rows + 1j * rng.uniform(-1.0, 1.0, rows.shape)):
+            ref = block_diag_csr(indptr, indices, [c[yidx] for c in block],
+                                 conv.dim_in)
+            assert (opnorm._power_iteration(conv.matrix(block), 1e-6, 2000,
+                                            [0, 1, 2])
+                    == opnorm._power_iteration(ref, 1e-6, 2000, [0, 1, 2]))
+
+
+def sequential_power_iteration(L, tol, max_iter, seed):
+    """One power iteration at a time, written out independently of the
+    library: (rho, iterations, residual, converged)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(L.shape[1])
+    if np.iscomplexobj(L.data):
+        v = v + 1j * rng.standard_normal(L.shape[1])
+    v = v / np.linalg.norm(v)
+    Lh = L.conjugate().T
+    rho_prev, residual, run = -1.0, math.inf, 0
+    for it in range(1, max_iter + 1):
+        w = L @ v
+        rho = float(np.vdot(w, w).real)
+        if rho == 0.0:
+            return 0.0, it, 0.0, True
+        u = Lh @ w
+        v = u / np.linalg.norm(u)
+        residual = abs(rho - rho_prev) / rho
+        rho_prev = rho
+        run = run + 1 if residual < tol else 0
+        if run > 20:
+            return rho, it, residual, True
+    return rho_prev, max_iter, residual, False
+
+
+def sequential_rd(group, n, samples, seed, tol, max_iter=600):
+    """rd_test's ratios and solver diagnostics, one sample at a time."""
+    support = list(ball(group, n))
+    conv = CompressedConvolution(group, support, max(2 * n, 8))
+    rng = np.random.default_rng(seed)
+    out = []
+    for s in range(samples):
+        coeffs = rng.uniform(0.0, 1.0, size=len(support))
+        l2 = float(np.linalg.norm(coeffs))
+        rho, iters, _, converged = sequential_power_iteration(
+            conv.matrix(coeffs), tol, max_iter, seed + 1 + s)
+        lam = max(min(math.sqrt(rho), float(coeffs.sum())), l2)
+        out.append((lam / l2, iters, converged))
+    return out
+
+
+BATCH_GROUPS = [Z2, GroupSpec.lamplighter(2)]
+
+
+@pytest.mark.parametrize("group", BATCH_GROUPS, ids=lambda g: g.family)
+def test_power_iteration_batch_invariant(group):
+    """Every block of a k = 3 or k = 7 block-diagonal solve returns, bit for
+    bit, what the k = 1 call on that block alone returns, for real and
+    complex coefficients.  The rows stop at different iterations (the real
+    zero row at the first, the tighter tolerance leaves some at max_iter),
+    so blocks leave the active set in every position."""
+    conv = CompressedConvolution(group, list(ball(group, 1)), 8)
+    rng = np.random.default_rng(3)
+    real = rng.uniform(0.0, 1.0, (7, len(conv.support)))
+    real[4] = 0.0
+    seeds = [11 + 5 * b for b in range(7)]
+    for coeffs in (real, real + 1j * rng.uniform(-1.0, 1.0, real.shape)):
+        for tol, max_iter in ((1e-6, 2000), (1e-8, 200)):
+            single = [opnorm._power_iteration(conv.matrix(c), tol, max_iter,
+                                              [s])[0]
+                      for c, s in zip(coeffs, seeds)]
+            assert len({r[1] for r in single}) >= 3
+            if max_iter == 200:
+                assert {r[3] for r in single} == {True, False}
+            if coeffs is real:
+                assert single[4] == (0.0, 1, 0.0, True)
+            for k in (3, 7):
+                for first in range(0, 7, k):
+                    block = opnorm._power_iteration(
+                        conv.matrix(coeffs[first:first + k]), tol, max_iter,
+                        seeds[first:first + k])
+                    assert block == single[first:first + k]
+
+
+@pytest.mark.parametrize("group", BATCH_GROUPS, ids=lambda g: g.family)
+def test_rd_test_matches_sequential_loop(group):
+    """rd_test's blocked solves against the per-sample loop written above:
+    the same iteration counts and convergence flags, ratios within 1e-13
+    relative, at a block width that leaves a partial last block."""
+    for n in (1, 2):
+        rows = rd_test(group, n, samples=23, seed=5, tol=1e-8)
+        ref = sequential_rd(group, n, 23, 5, 1e-8)
+        assert [(r.iterations, r.converged) for r in rows] == \
+            [(it, conv) for _, it, conv in ref]
+        for row, (ratio, _, _) in zip(rows, ref):
+            assert abs(row.ratio - ratio) <= 1e-13 * ratio
+
+
+def test_rd_unconverged_count_matches_sequential_loop():
+    """Lamplighter(2), n = 1, seed 0: some samples stop at max_iter, and
+    rd_test reports as many unconverged samples as the sequential loop."""
+    rows = rd_test(GroupSpec.lamplighter(2), 1, samples=100, seed=0)
+    ref = sequential_rd(GroupSpec.lamplighter(2), 1, 100, 0, 1e-8)
+    unconverged = sum(not r.converged for r in rows)
+    assert unconverged == sum(not conv for _, _, conv in ref)
+    assert unconverged > 0
+    assert all(r.iterations == 600 for r in rows if not r.converged)
+
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+
+@pytest.mark.parametrize("argv", [
+    "rd-fit --group lamplighter --p 2 --nmax 4 --samples 100 --seed 0",
+    "rd-fit --group free_abelian --d 2 --nmax 6 --samples 100 --seed 0",
+])
+def test_rd_matches_benchmark_reference(argv):
+    """max_ratio_per_n for n <= 2 recomputed from rd_test agrees with the
+    recorded benchmark reference at its relative tolerance 1e-9, so a solver
+    change that would move the rd-sampling references fails here."""
+    report = json.loads((REFS / "rd-sampling.json").read_text())[argv]["report"]
+    config = report["config"]
+    group = (GroupSpec.lamplighter(config["p"]) if config["group"] == "lamplighter"
+             else GroupSpec.free_abelian(config["d"]))
+    recorded = report["results"][0]["max_ratio_per_n"]
+    for n in (1, 2):
+        rows = rd_test(group, n, config["samples"], seed=config["seed"],
+                       tol=config["tol"])
+        got = max(r.ratio for r in rows)
+        assert abs(got - recorded[str(n)]) <= 1e-9 * recorded[str(n)]
 
 
 @pytest.mark.parametrize("family", sorted(PROBE_CUTS))
