@@ -4,9 +4,10 @@ characteristic tame-cut families on concrete finitely generated groups.
 The package has four computational layers:
 
 * ``tamecuts.groups``   exact canonical-form arithmetic, Cayley-graph BFS
-  ball enumeration, word lengths, coset sections, and a persistent ball
-  cache for five group families (free abelian, matrix semidirect products
-  of Z^d, the p/q affine matrix groups, lamplighters, Baumslag-Solitar);
+  ball enumeration, word lengths and coset sections for five group
+  families (free abelian, matrix semidirect products of Z^d, the p/q
+  affine matrix groups, lamplighters, Baumslag-Solitar); balls are always
+  grown, and ``BallCache`` only writes and reads JSON ball files;
 * ``tamecuts.fourier``  Fourier-algebra norms of finitely supported
   functions on Z^d via exact Dirichlet-kernel formulas and adaptive FFT
   quadrature, packaged as (lower, upper) certificates;

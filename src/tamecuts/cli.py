@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 argument errors (message on stderr), 3 resource
 budget exhausted (the report still carries the best partial bounds).
 
 The ball cache directory resolves from --cache-dir, then the
-TAMECUT_CACHE_DIR environment variable, then ./.tamecut-cache; commands only
-touch it when asked to (ball --write-cache, cache subcommand).
+TAMECUT_CACHE_DIR environment variable, then ./.tamecut-cache.  Only
+``ball --write-cache`` (which writes the entry of the ball it grew) and the
+``cache`` command (list, clear) touch it; no command reads balls from it.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ def _group_from_args(args) -> GroupSpec:
     raise InputError(f"unknown group {name!r}")
 
 
-def _cut_from_args(args, cache):
+def _cut_from_args(args):
     fam = args.family
     if fam == "lamplighter":
-        return cut_lamplighter(args.p or 2, args.n, cache=cache)
+        return cut_lamplighter(args.p or 2, args.n)
     if fam == "pq":
         return cut_pq(args.p or 2, args.q or 3, args.n)
     if fam == "semidirect":
@@ -85,10 +86,9 @@ def _cut_from_args(args, cache):
             raise InputError("--matrix is required for semidirect")
         return cut_semidirect_zd(_parse_matrix(args.matrix), args.n)
     if fam == "bs":
-        return cut_bs(args.p or 2, args.q or 3, args.n, cache=cache)
+        return cut_bs(args.p or 2, args.q or 3, args.n)
     if fam == "ball":
-        return cut_ball(_group_from_args(args), args.n, cache=cache,
-                        seed=args.seed)
+        return cut_ball(_group_from_args(args), args.n, seed=args.seed)
     raise InputError(f"unknown cut family {fam!r}")
 
 
@@ -118,13 +118,13 @@ def _jsonable(obj):
 # command handlers; each returns a list of result dicts
 
 
-def _run_dirichlet(args, cache):
+def _run_dirichlet(args):
     cert = dirichlet_l1(args.n, tol=args.tol)
     return [{"name": "dirichlet_l1", "params": {"n": args.n},
              "certificate": cert.to_dict(), "value": cert.value}]
 
 
-def _run_anorm(args, cache):
+def _run_anorm(args):
     if args.support:
         pts = [int(x) for x in args.support.split(",")]
         poly = TrigPoly.indicator(pts, dim=1)
@@ -137,7 +137,7 @@ def _run_anorm(args, cache):
              "certificate": cert.to_dict(), "value": cert.value}]
 
 
-def _run_hardy(args, cache):
+def _run_hardy(args):
     out = []
     if args.set:
         pts = [int(x) for x in args.set.split(",")]
@@ -146,6 +146,10 @@ def _run_hardy(args, cache):
         return out
     if args.random < 1:
         raise InputError("hardy needs --set or --random COUNT")
+    if args.random * args.size_max > args.budget:  # before any set is drawn
+        raise BudgetExceededError(
+            f"hardy budget {args.budget} exceeded: {args.random} sets of up "
+            f"to {args.size_max} frequencies")
     import numpy as np
     rng = np.random.default_rng(args.seed)
     values = []
@@ -162,12 +166,11 @@ def _run_hardy(args, cache):
     return out
 
 
-def _run_ball(args, cache):
+def _run_ball(args):
     group = _group_from_args(args)
-    store = None
+    bn = ball(group, args.n, budget=args.budget)
     if args.write_cache:
-        store = cache if cache is not None else BallCache(_cache_dir(args))
-    bn = ball(group, args.n, cache=store, budget=args.budget)
+        BallCache(_cache_dir(args)).store(group, args.n, bn)
     section = coset_section(group, args.n, budget=args.budget)
     sizes = bn.level_sizes()
     return [{"name": "ball", "params": {"group": group.to_dict(), "n": args.n},
@@ -177,7 +180,7 @@ def _run_ball(args, cache):
              "coset_section_size": len(section)}]
 
 
-def _run_lambda(args, cache):
+def _run_lambda(args):
     group = _group_from_args(args)
     bm = ball(group, args.ball, budget=args.budget)
     f = FinSuppFun.indicator(group, bm)
@@ -200,7 +203,7 @@ def _rd_per_n(rows) -> dict:
                                   for k, v in sorted(unconverged.items())}}
 
 
-def _run_rd_fit(args, cache):
+def _run_rd_fit(args):
     group = _group_from_args(args)
     rows = []
     for n in range(1, args.nmax + 1):
@@ -217,25 +220,25 @@ def _run_rd_fit(args, cache):
              **_rd_per_n(rows), "C": c, "a": a, "value": a}]
 
 
-def _run_cut(args, cache):
-    cut = _cut_from_args(args, cache)
+def _run_cut(args):
+    cut = _cut_from_args(args)
     return [{"name": "cut", "params": {"family": args.family, "n": args.n},
              "cut": _cut_result(cut), "value": cut.certificate.upper}]
 
 
-def _run_verify(args, cache):
-    cut = _cut_from_args(args, cache)
-    report = verify_cut(cut, cache=cache, seed=args.seed)
+def _run_verify(args):
+    cut = _cut_from_args(args)
+    report = verify_cut(cut, seed=args.seed)
     return [{"name": "verify_cut", "params": {"family": args.family, "n": args.n},
              "cut": _cut_result(cut), "report": report.to_dict(),
              "value": 1.0 if report.covers_ball else 0.0}]
 
 
-def _run_fit_growth(args, cache):
+def _run_fit_growth(args):
     fam = args.family
     indices = range(1, args.nmax + 1)
     if fam == "lamplighter":
-        family = lamplighter_cut_family(args.p or 2, indices, cache=cache)
+        family = lamplighter_cut_family(args.p or 2, indices)
     elif fam == "pq":
         family = pq_cut_family(args.p or 2, args.q or 3, indices)
     elif fam == "semidirect":
@@ -251,7 +254,7 @@ def _run_fit_growth(args, cache):
              "uppers": uppers, "C": c, "a": a, "value": a}]
 
 
-def _run_cache(args, cache):
+def _run_cache(args):
     store = BallCache(_cache_dir(args))
     if args.clear:
         removed = store.clear()
@@ -412,10 +415,6 @@ def main(argv=None) -> int:
     if getattr(args, "budget", 1) <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return 2
-    cache = None
-    if args.cache_dir or os.environ.get("TAMECUT_CACHE_DIR"):
-        if args.command != "cache":
-            cache = BallCache(_cache_dir(args))
     report = {
         "tool": "tamecuts",
         "version": __version__,
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
                    if k not in ("out",)},
     }
     try:
-        report["results"] = _HANDLERS[args.command](args, cache)
+        report["results"] = _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,6 @@ from .groups import (
     ball,
     coset_section,
     embed_j2,
-    identity,
     invert,
     multiply,
     subgroup_ball,
@@ -149,34 +148,33 @@ class VerificationReport:
 # constructions
 
 
-def cut_lamplighter(p: int, n: int, cache=None) -> Cut:
+def cut_lamplighter(p: int, n: int) -> Cut:
     """Indicator of the finite subgroup generated by B_n inside the lamp
     subgroup of Z_p wr Z.  Its multiplier norm is exactly 1: the indicator of
     a finite subgroup acts as the identity on that subgroup's Fourier algebra
-    and extends isometrically."""
+    and extends isometrically.
+
+    The subgroup is in closed form.  A cursor-0 element with a lamp lit at
+    j has word length at least 2|j| + 1, and t^j a t^-j has exactly that
+    length, so B_n generates all lamp configurations on |j| <= w with
+    w = (n - 1) // 2: p^(2w + 1) elements, cursor 0."""
     if n < 1:
         raise InputError("cut index must be positive")
     group = GroupSpec.lamplighter(p)
-    bn = ball(group, n, cache=cache)
-    gens = [x for x in subgroup_ball(bn) if not x.is_identity()]
-    # the lamp subgroup is abelian, so closing one generator at a time by
-    # whole cosets reaches the generated subgroup without a full BFS
-    members = {identity(group)}
-    for g in gens:
-        if g in members:
-            continue
-        shifts = []
-        kg = g
-        while kg not in members:
-            shifts.append(kg)
-            kg = multiply(kg, g)
-        base = list(members)
-        for s in shifts:
-            members.update(multiply(x, s) for x in base)
+    w = (n - 1) // 2
+    order = p ** (2 * w + 1)
+
+    def contains(x: Element) -> bool:
+        lamps, shift = x.data
+        return shift == 0 and all(abs(j) <= w for j, _ in lamps)
+
     cert = NormCertificate(1.0, 1.0, "extension-isometry", 0.0)
-    return Cut(group, n, ExplicitSupport(members), cert,
+    return Cut(group, n,
+               PredicateSupport(contains, size=order,
+                                description=f"lamps at |j| <= {w}, cursor 0"),
+               cert,
                provenance={"construction": "lamplighter", "p": p, "n": n,
-                           "subgroup_order": len(members),
+                           "subgroup_order": order,
                            "norm_chain": ["finite-subgroup-identity",
                                           "extension-isometry"]},
                subgroup_only=True)
@@ -254,8 +252,7 @@ def cut_semidirect_zd(matrix, n: int, tol: float = 1e-9) -> Cut:
                subgroup_only=True)
 
 
-def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int,
-                       cache=None) -> Cut:
+def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int) -> Cut:
     """Promote subgroup cuts to a whole-group cut along a minimal-length
     coset section.
 
@@ -274,7 +271,7 @@ def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int,
     if not sub.subgroup_only or sub.group != group:
         raise InputError("subgroup cuts must live on the designated subgroup "
                          "of the same group")
-    section = coset_section(group, n, cache=cache)
+    section = coset_section(group, n)
     reps = list(section)
     inv_reps = [invert(y) for y in reps]
     subsupport = sub.support
@@ -304,9 +301,8 @@ def pq_cut_family(p: int, q: int, indices: Iterable[int],
     return CutFamily(tuple(cut_pq(p, q, n, tol=tol) for n in sorted(indices)))
 
 
-def lamplighter_cut_family(p: int, indices: Iterable[int], cache=None) -> CutFamily:
-    return CutFamily(tuple(cut_lamplighter(p, n, cache=cache)
-                           for n in sorted(indices)))
+def lamplighter_cut_family(p: int, indices: Iterable[int]) -> CutFamily:
+    return CutFamily(tuple(cut_lamplighter(p, n) for n in sorted(indices)))
 
 
 def semidirect_cut_family(matrix, indices: Iterable[int],
@@ -315,7 +311,7 @@ def semidirect_cut_family(matrix, indices: Iterable[int],
                            for n in sorted(indices)))
 
 
-def cut_bs(p: int, q: int, n: int, cache=None, tol: float = 1e-9) -> Cut:
+def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     """Tree-ball times matrix-part cut for BS(p,q).
 
     An element lies in the support when its Britton-reduced form uses at most
@@ -328,7 +324,7 @@ def cut_bs(p: int, q: int, n: int, cache=None, tol: float = 1e-9) -> Cut:
     group = GroupSpec.baumslag_solitar(p, q)
     pq_group = GroupSpec.pq(p, q)
     psi = extend_by_cogrowth(pq_cut_family(p, q, [2 * n], tol=tol),
-                             pq_group, n, cache=cache)
+                             pq_group, n)
     psi_support = psi.support
 
     def contains(x: Element) -> bool:
@@ -350,7 +346,7 @@ def cut_bs(p: int, q: int, n: int, cache=None, tol: float = 1e-9) -> Cut:
                subgroup_only=False)
 
 
-def cut_ball(group: GroupSpec, n: int, cache=None, tol: float = 1e-6,
+def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6,
              probe_radius: int = 8, seed: int = 0) -> Cut:
     """The ball indicator itself as a cut (the rapid-decay route).
 
@@ -359,7 +355,7 @@ def cut_ball(group: GroupSpec, n: int, cache=None, tol: float = 1e-6,
     the lower bound is an empirical multiplier bound."""
     if n < 0:
         raise InputError("index must be nonnegative")
-    bn = ball(group, n, cache=cache)
+    bn = ball(group, n)
     members = list(bn)
     if group.family == "free_abelian" and group.d <= 3:
         if n == 0:
@@ -370,10 +366,10 @@ def cut_ball(group: GroupSpec, n: int, cache=None, tol: float = 1e-6,
             poly = TrigPoly.indicator([x.data for x in members], dim=group.d)
             cert = a_norm_torus(poly, tol=tol)
     else:
-        probes = default_probes(group, min(n, 2), seed=seed, cache=cache)
+        probes = default_probes(group, min(n, 2), seed=seed)
         lower = multiplier_lower(
             lambda x: 1.0 if x in bn else 0.0, probes,
-            radius=probe_radius, tol=tol, seed=seed, cache=cache)
+            radius=probe_radius, tol=tol, seed=seed)
         cert = NormCertificate(max(lower, 1.0), float(len(members)),
                                "l1-bound", tol)
     return Cut(group, n, ExplicitSupport(members), cert,
@@ -409,7 +405,7 @@ def interval_cut_family(radii: Iterable[int], tol: float = 1e-9) -> CutFamily:
 # verification and growth fitting
 
 
-def verify_cut(cut: Cut, cache=None, probes=None, probe_radius: int = 8,
+def verify_cut(cut: Cut, probes=None, probe_radius: int = 8,
                tol: float = 1e-6, seed: int = 0) -> VerificationReport:
     """Exhaustive coverage check against the BFS ball plus an empirical
     norm consistency check.
@@ -417,7 +413,7 @@ def verify_cut(cut: Cut, cache=None, probes=None, probe_radius: int = 8,
     Coverage means the cut equals 1 on every element of B_n (intersected
     with the designated subgroup for subgroup-level cuts); the first missing
     element, if any, is returned as a witness."""
-    bn = ball(cut.group, cut.index, cache=cache)
+    bn = ball(cut.group, cut.index)
     members = subgroup_ball(bn) if cut.subgroup_only else list(bn)
     witness = None
     for x in members:
@@ -425,10 +421,9 @@ def verify_cut(cut: Cut, cache=None, probes=None, probe_radius: int = 8,
             witness = x
             break
     if probes is None:
-        probes = default_probes(cut.group, min(cut.index, 2), seed=seed,
-                                cache=cache)
+        probes = default_probes(cut.group, min(cut.index, 2), seed=seed)
     lower = multiplier_lower(cut.indicator(), probes, radius=probe_radius,
-                             tol=tol, seed=seed, cache=cache)
+                             tol=tol, seed=seed)
     upper = cut.certificate
     return VerificationReport(
         covers_ball=witness is None,

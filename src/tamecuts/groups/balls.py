@@ -107,48 +107,6 @@ class _BallGrower:
             raise
         self.level_end.append(len(elements))
 
-    def seed_from_cache(self, lengths: list[int], elements: list[tuple]) -> bool:
-        """Replace level-0-only state with cached BFS output: canonical data
-        tuples in discovery order.  Returns whether the entry was installed.
-
-        The table is rebuilt by replaying the products over every level below
-        the top one, which also validates the entry: it is installed only if
-        the elements are distinct, start at the identity, every neighbour of
-        a non-top element is present, and replaying BFS discovers the
-        elements in the stored order with the stored lengths.
-        """
-        if self.radius != 0:
-            raise RuntimeError("only an ungrown state can be seeded")
-        if not elements or len(lengths) != len(elements):
-            return False
-        index_of = {x: i for i, x in enumerate(elements)}
-        if (len(index_of) != len(elements) or elements[0] != self.elements[0]
-                or lengths[0] != 0):
-            return False
-        top = max(lengths)
-        mul = self.mul
-        right, parent, gen = array("i"), array("i", [-1]), array("b", [-1])
-        for i, x in enumerate(elements):
-            if lengths[i] == top:
-                break
-            for j, g in enumerate(self.gens):
-                idx = index_of.get(mul(x, g))
-                if idx is None or idx > len(parent):
-                    return False  # neighbour missing, or not in BFS order
-                if idx == len(parent):
-                    if lengths[idx] != lengths[i] + 1:
-                        return False
-                    parent.append(i)
-                    gen.append(j)
-                right.append(idx)
-        if len(parent) != len(elements):
-            return False  # some element is reached from no level below
-        self.elements = list(elements)
-        self.index_of = index_of
-        self.level_end = [bisect_right(lengths, r) for r in range(top + 1)]
-        self.right, self.parent, self.gen = right, parent, gen
-        return True
-
 
 _growers: dict[GroupSpec, _BallGrower] = {}
 _growers_lock = threading.Lock()
@@ -248,27 +206,14 @@ class Ball:
         return out
 
 
-def ball(group: GroupSpec, n: int, cache=None, budget: int = DEFAULT_BUDGET) -> Ball:
-    """Ball of radius ``n``; reads/writes the optional persistent cache.
-
-    A cache entry that does not replay is dropped, so the store below
-    writes a sound one in its place."""
+def ball(group: GroupSpec, n: int, budget: int = DEFAULT_BUDGET) -> Ball:
+    """Ball of radius ``n``, grown on the group's shared state as far as
+    needed."""
     if n < 0:
         raise InputError("radius must be nonnegative")
     grower = _get_grower(group)
-    if cache is not None and grower.radius == 0 < n:
-        pick = cache.best_radius(group, n)
-        if pick is not None:
-            loaded = cache.load(group, pick)
-            with grower.lock:
-                if grower.radius == 0:  # no other thread has grown it since
-                    if loaded is None or not grower.seed_from_cache(*loaded):
-                        cache.discard(group, pick)
     grower.grow_to(n, budget)
-    out = Ball(group, n, grower)
-    if cache is not None:
-        cache.store(group, n, out)
-    return out
+    return Ball(group, n, grower)
 
 
 def word_length(x: Element, group: GroupSpec | None = None,
@@ -312,9 +257,9 @@ class CosetSection:
         return iter(self.representatives)
 
 
-def coset_section(group: GroupSpec, n: int, cache=None,
+def coset_section(group: GroupSpec, n: int,
                   budget: int = DEFAULT_BUDGET) -> CosetSection:
-    bn = ball(group, n, cache=cache, budget=budget)
+    bn = ball(group, n, budget=budget)
     key = family_ops(group).coset_key
     seen: set = set()
     reps: list[Element] = []

@@ -10,11 +10,15 @@ One JSON file per (group-spec hash, radius), named ``<hash>-r<radius>.json``:
       "members": [[length, payload], ...]
     }
 
-``members`` is in BFS discovery order, so lengths are nondecreasing and a
-reloaded ball reproduces the exact enumeration order of a fresh search
+``members`` is in BFS discovery order, so lengths are nondecreasing and
+``load`` returns the exact enumeration order of a fresh search
 (coset-section tie-breaks included).  Payloads use the per-family canonical
 JSON forms of ``FamilyOps.to_payload``; JSON integers are unbounded and
 byte-order free, so files are portable across platforms.
+
+Entries are written by ``tamecut ball --write-cache`` and read back only
+through ``load``: ``ball()`` always grows its balls and never consults a
+cache.
 
 Writes go through a temporary file and an atomic rename, so concurrent
 readers never observe a partial entry; concurrent writers of the same entry
@@ -42,16 +46,6 @@ class BallCache:
     def path_for(self, group: GroupSpec, radius: int) -> Path:
         return self.directory / f"{group.spec_hash()}-r{radius}.json"
 
-    def radii_for(self, group: GroupSpec) -> list[int]:
-        prefix = group.spec_hash() + "-r"
-        out = []
-        for p in self.directory.glob(prefix + "*.json"):
-            try:
-                out.append(int(p.stem[len(prefix):]))
-            except ValueError:
-                continue
-        return sorted(out)
-
     def load(self, group: GroupSpec, radius: int):
         """(lengths, canonical data tuples) for the exact radius, or None."""
         path = self.path_for(group, radius)
@@ -69,23 +63,6 @@ class BallCache:
         lengths = [int(ln) for ln, _ in blob["members"]]
         elements = [from_payload(payload) for _, payload in blob["members"]]
         return lengths, elements
-
-    def best_radius(self, group: GroupSpec, radius: int) -> int | None:
-        """The cached radius most useful for building B_radius, or None.
-
-        Prefers the smallest cached radius >= the request (a superset whose
-        prefix is the answer), otherwise the largest cached radius below it
-        (a resumable prefix).
-        """
-        radii = self.radii_for(group)
-        if not radii:
-            return None
-        above = [r for r in radii if r >= radius]
-        return min(above) if above else max(radii)
-
-    def discard(self, group: GroupSpec, radius: int) -> None:
-        """Remove an entry, so that the next ``store`` writes it afresh."""
-        self.path_for(group, radius).unlink(missing_ok=True)
 
     def store(self, group: GroupSpec, radius: int, ball) -> Path:
         path = self.path_for(group, radius)

@@ -221,7 +221,8 @@ class FamilyOps(NamedTuple):
     follows.  ``mul`` and ``inv`` take and return canonical forms;
     ``in_subgroup`` and ``coset_key`` describe the designated subgroup H (see
     ``subgroup_membership``); ``to_payload``/``from_payload`` convert to and
-    from the JSON form of the ball cache."""
+    from the JSON form that ``BallCache.store`` writes and ``BallCache.load``
+    reads."""
 
     identity: tuple
     base_generators: Mapping[str, tuple]

@@ -111,20 +111,20 @@ class CompressedConvolution:
     """
 
     def __init__(self, group: GroupSpec, support: list[Element], radius: int,
-                 cache=None, budget: int = DEFAULT_BUDGET):
+                 budget: int = DEFAULT_BUDGET):
         self.group = group
         self.support = support
         self.radius = radius
         deg = max((word_length(y, group, budget=budget) for y in support), default=0)
         self.degree = deg
-        bin_ = ball(group, radius, cache=cache, budget=budget)
+        bin_ = ball(group, radius, budget=budget)
         self.dim_in = len(bin_)
         entries = len(support) * self.dim_in
         if entries > budget:  # before the index arrays are allocated
             raise BudgetExceededError(
                 f"compression entry budget {budget} exceeded: {len(support)} "
                 f"support elements x {self.dim_in} ball elements")
-        bout = ball(group, radius + deg, cache=cache, budget=budget)
+        bout = ball(group, radius + deg, budget=budget)
         self.dim_out = len(bout)
         # csc layout: column i holds the rows of y*x_i, ascending, so that
         # L @ v and the transpose view's L^H @ w add every output entry's
@@ -270,14 +270,14 @@ def _power_iteration(L: sp.spmatrix, tol: float, max_iter: int,
     return results
 
 
-def _compression(f: FinSuppFun, radius: int, cache=None,
+def _compression(f: FinSuppFun, radius: int,
                  budget: int = DEFAULT_BUDGET) -> CompressedConvolution:
     """The compression for the support of f; past ``budget`` the
     ``BudgetExceededError`` carries the bracket described in
     ``lambda_norm_lower``."""
     try:
         return CompressedConvolution(f.group, f.support(), radius,
-                                     cache=cache, budget=budget)
+                                     budget=budget)
     except BudgetExceededError as exc:
         partial = SpectralEstimate(f.l2, f.l1, f.l2, radius, 0, 1.0, False)
         raise BudgetExceededError(str(exc), radius_reached=exc.radius_reached,
@@ -285,7 +285,7 @@ def _compression(f: FinSuppFun, radius: int, cache=None,
 
 
 def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
-                      max_iter: int = 2000, seed: int = 0, cache=None,
+                      max_iter: int = 2000, seed: int = 0,
                       conv: CompressedConvolution | None = None,
                       budget: int = DEFAULT_BUDGET) -> SpectralEstimate:
     """Certified lower bound for ||lambda(f)|| from the radius-``radius``
@@ -304,7 +304,7 @@ def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
     if not f.values:
         return SpectralEstimate(0.0, 0.0, 0.0, radius, 0, 0.0, True)
     if conv is None:
-        conv = _compression(f, radius, cache=cache, budget=budget)
+        conv = _compression(f, radius, budget=budget)
     elif conv.group != f.group or not set(f.values).issubset(conv.support):
         raise InputError("prebuilt operator does not cover the support of f")
     coeffs = np.array([f.values.get(y, 0.0) for y in conv.support])
@@ -336,8 +336,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 def rd_test(group: GroupSpec, n: int, samples: int, seed: int = 0,
             radius: int | None = None, tol: float = 1e-8,
-            max_iter: int = 600, cache=None,
-            budget: int = DEFAULT_BUDGET) -> list[RdSample]:
+            max_iter: int = 600, budget: int = DEFAULT_BUDGET) -> list[RdSample]:
     """Ratios ||lambda(f)||_lower / ||f||_2 for random nonnegative f on B_n.
 
     Deterministic under a fixed seed: the coefficients of sample s are the
@@ -351,14 +350,13 @@ def rd_test(group: GroupSpec, n: int, samples: int, seed: int = 0,
     if n < 0 or samples < 1:
         raise InputError("need n >= 0 and at least one sample")
     radius = radius if radius is not None else max(2 * n, 8)
-    bn = ball(group, n, cache=cache, budget=budget)
+    bn = ball(group, n, budget=budget)
     if samples * len(bn) > budget:
         raise BudgetExceededError(
             f"rd sample budget {budget} exceeded: {samples} samples x "
             f"{len(bn)} ball elements")
     support = list(bn)
-    conv = CompressedConvolution(group, support, radius, cache=cache,
-                                 budget=budget)
+    conv = CompressedConvolution(group, support, radius, budget=budget)
     width = max(1, _BLOCK_ENTRIES // conv.nnz)
     rng = np.random.default_rng(seed)
     out: list[RdSample] = []
@@ -401,7 +399,7 @@ def _as_pointwise(phi) -> Callable[[Element], complex]:
 
 
 def multiplier_lower(phi, probes: Iterable[FinSuppFun], radius: int,
-                     tol: float = 1e-8, seed: int = 0, cache=None) -> float:
+                     tol: float = 1e-8, seed: int = 0) -> float:
     """Empirical lower bound for the multiplier norm of phi.
 
     For each probe f the ratio ||lambda(phi f)||_lower / ||f||_1 never
@@ -422,7 +420,7 @@ def multiplier_lower(phi, probes: Iterable[FinSuppFun], radius: int,
         support = tuple(g.values)
         conv = convs.get(support)
         if conv is None:
-            conv = convs[support] = _compression(g, radius, cache=cache)
+            conv = convs[support] = _compression(g, radius)
         est = lambda_norm_lower(g, radius, tol=tol, seed=seed, conv=conv)
         best = max(best, est.lower / f.l1)
     return best
@@ -430,11 +428,11 @@ def multiplier_lower(phi, probes: Iterable[FinSuppFun], radius: int,
 
 def ma_ball_norm_lower(phi, group: GroupSpec, n: int,
                        probes: Iterable[FinSuppFun], radius: int,
-                       tol: float = 1e-8, seed: int = 0, cache=None) -> float:
+                       tol: float = 1e-8, seed: int = 0) -> float:
     """Empirical lower bound for the ball-restricted multiplier norm: the
     supremum of ||lambda(phi f)|| over f supported in B_n with
     ||lambda(f)|| <= 1.  Probes must be supported in B_n."""
-    bn = ball(group, n, cache=cache)
+    bn = ball(group, n)
     checked = []
     for f in probes:
         for x in f.support():
@@ -442,14 +440,14 @@ def ma_ball_norm_lower(phi, group: GroupSpec, n: int,
                 raise InputError(
                     f"probe support leaves the ball of radius {n}")
         checked.append(f)
-    return multiplier_lower(phi, checked, radius, tol=tol, seed=seed, cache=cache)
+    return multiplier_lower(phi, checked, radius, tol=tol, seed=seed)
 
 
-def default_probes(group: GroupSpec, n: int, count: int = 2, seed: int = 0,
-                   cache=None) -> list[FinSuppFun]:
+def default_probes(group: GroupSpec, n: int, count: int = 2,
+                   seed: int = 0) -> list[FinSuppFun]:
     """Point mass at the identity, the flat indicator of B_n, and ``count``
     random nonnegative functions on B_n."""
-    bn = ball(group, n, cache=cache)
+    bn = ball(group, n)
     rng = np.random.default_rng(seed)
     probes = [FinSuppFun.delta(group), FinSuppFun.indicator(group, bn)]
     probes.extend(FinSuppFun.random_nonneg(bn, rng) for _ in range(count))

@@ -54,6 +54,13 @@ def test_cut_and_verify_lamplighter(capsys):
     assert cut["support_size"] == 8
     assert cut["certificate"]["lower"] == cut["certificate"]["upper"] == 1.0
 
+    # the support is in closed form: 2^201 elements, none enumerated
+    code, report = run_json(capsys, ["cut", "--family", "lamplighter",
+                                     "--p", "2", "--n", "201"])
+    assert code == 0
+    cut = report["results"][0]["cut"]
+    assert cut["support_size"] == cut["provenance"]["subgroup_order"] == 2 ** 201
+
     code, report = run_json(capsys, ["verify", "--family", "lamplighter",
                                      "--p", "2", "--n", "3"])
     assert code == 0
@@ -180,6 +187,40 @@ def test_ball_report_and_cache(tmp_path, capsys):
                                      "--cache-dir", str(cache_dir)])
     assert code == 0
     assert report["results"][0]["removed"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "bs", "--n", "2"],
+    ["rd-fit", "--d", "2", "--nmax", "3", "--samples", "5"],
+])
+def test_cache_dir_does_not_change_results(tmp_path, capsys, monkeypatch, argv):
+    """Balls are always grown: naming a cache directory, by flag or by
+    environment, changes no result and creates no directory."""
+    cache_dir = tmp_path / "cache"
+    code, plain = run_json(capsys, argv)
+    assert code == 0
+    code, flagged = run_json(capsys, argv + ["--cache-dir", str(cache_dir)])
+    assert code == 0 and flagged["results"] == plain["results"]
+    monkeypatch.setenv("TAMECUT_CACHE_DIR", str(cache_dir))
+    code, env = run_json(capsys, argv)
+    assert code == 0 and env["results"] == plain["results"]
+    assert not cache_dir.exists()
+
+
+def test_hardy_random_budget_exit_3(capsys):
+    """100000 sets of up to 512 frequencies exceed the budget, which is
+    checked before any set is drawn."""
+    tracemalloc.start()
+    try:
+        code = main(["hardy", "--random", "100000", "--budget", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert peak < 1_000_000
+    assert report["error"]["type"] == "budget"
+    assert report["results"] == []
 
 
 def test_hardy_and_fit_growth(capsys):

@@ -12,6 +12,7 @@ from tamecuts.groups import (
     Element,
     GroupSpec,
     ball,
+    generators,
     identity,
     multiply,
     subgroup_ball,
@@ -54,10 +55,10 @@ def test_lamplighter_cut_examples():
     assert c5.support.size == 2 ** 5
 
 
-def test_lamplighter_closure_matches_generic_bfs():
-    spec = GroupSpec.lamplighter(3)
-    cut = cut_lamplighter(3, 4)
-    gens = [x for x in subgroup_ball(ball(spec, 4)) if not x.is_identity()]
+def _lamp_closure(spec, n):
+    """The subgroup generated by the lamp-subgroup part of B_n, closed by
+    generic BFS over those generators."""
+    gens = [x for x in subgroup_ball(ball(spec, n)) if not x.is_identity()]
     members = {identity(spec)}
     frontier = [identity(spec)]
     while frontier:
@@ -69,7 +70,24 @@ def test_lamplighter_closure_matches_generic_bfs():
                     members.add(y)
                     fresh.append(y)
         frontier = fresh
-    assert members == set(cut.support.members)
+    return members
+
+
+def test_lamplighter_closure_matches_generic_bfs():
+    """The closed-form support agrees with the BFS closure on the closure
+    and on every neighbour of it, and its size is the closure's."""
+    for p, n in [(3, 4), (2, 5), (2, 6)]:
+        spec = GroupSpec.lamplighter(p)
+        cut = cut_lamplighter(p, n)
+        members = _lamp_closure(spec, n)
+        assert cut.support.size == len(members)
+        assert cut.provenance["subgroup_order"] == len(members)
+        steps = [g for _, g in generators(spec)]
+        for x in members:
+            assert x in cut.support
+            for g in steps:
+                y = multiply(x, g)
+                assert (y in cut.support) == (y in members), y
 
 
 def test_lamplighter_verify_and_fit():
@@ -80,7 +98,10 @@ def test_lamplighter_verify_and_fit():
         assert report.consistent
         assert report.norm_lower <= 1.0 + 1e-9
     for small, large in zip(fam.cuts, fam.cuts[1:]):
-        assert small.support.members <= large.support.members
+        closure = _lamp_closure(large.group, large.index)
+        assert all(x in large.support for x in closure)
+        assert ({x for x in closure if x in small.support}
+                == _lamp_closure(small.group, small.index))
     c, a = fit_growth(fam)
     assert a == 0.0 and abs(c - 1.0) < 1e-12
 

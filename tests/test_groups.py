@@ -3,7 +3,6 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -610,102 +609,49 @@ def _reset_growers():
 
 
 def test_cache_roundtrip(tmp_path):
+    """``store`` writes a ball's BFS order, lengths and payloads, and
+    ``load`` gives back the same data tuples and lengths in that order."""
     cache = BallCache(tmp_path)
-    _reset_growers()
-    fresh = ball(LAMP2, 4, cache=cache)
-    order_fresh = [x.data for x in fresh]
-    path = cache.path_for(LAMP2, 4)
-    assert path.exists()
+    bn = ball(LAMP2, 4)
+    path = cache.store(LAMP2, 4, bn)
+    assert path == cache.path_for(LAMP2, 4) and path.exists()
     blob = json.loads(path.read_text())
     assert blob["format_version"] == 1
     assert blob["group"] == LAMP2.to_dict()
+    assert blob["radius"] == 4 and blob["member_count"] == len(bn)
+    assert blob["members"] == [[ln, json.loads(json.dumps(to_payload(x)))]
+                               for x, ln in bn.items()]
     lens = [ln for ln, _ in blob["members"]]
     assert lens == sorted(lens)  # length-sorted (BFS order)
 
-    _reset_growers()
-    reloaded = ball(LAMP2, 4, cache=cache)
-    assert [x.data for x in reloaded] == order_fresh
-    assert dict(reloaded.items()) == dict(fresh.items())
-
-
-def test_cache_prefix_and_resume(tmp_path):
-    cache = BallCache(tmp_path)
-    _reset_growers()
-    ball(Z2, 5, cache=cache)
-    _reset_growers()
-    # smaller radius served from the larger file, same order
-    b3 = ball(Z2, 3, cache=cache)
-    assert len(b3) == 25
-    _reset_growers()
-    # larger radius resumes from the cached prefix
-    b6 = ball(Z2, 6, cache=cache)
-    assert len(b6) == 85
-    assert cache.radii_for(Z2) == [3, 5, 6]
+    lengths, elements = cache.load(LAMP2, 4)
+    assert elements == list(bn.data())
+    assert lengths == [ln for _, ln in bn.data_items()]
+    assert cache.load(LAMP2, 3) is None  # only the exact radius is read
 
 
 def test_cache_ignores_corrupt_and_mismatched(tmp_path):
     cache = BallCache(tmp_path)
-    _reset_growers()
-    ball(Z1, 2, cache=cache)
+    cache.store(Z1, 2, ball(Z1, 2))
+    assert cache.load(Z1, 2) == ([0, 1, 1, 2, 2], [(0,), (1,), (-1,), (2,), (-2,)])
+    assert cache.load(Z2, 2) is None  # another group's hash, no file
+    blob = json.loads(cache.path_for(Z1, 2).read_text())
+    cache.path_for(Z1, 3).write_text(json.dumps(blob))
+    assert cache.load(Z1, 3) is None  # file's radius differs from its name
+    blob["format_version"] = 2
+    cache.path_for(Z1, 2).write_text(json.dumps(blob))
+    assert cache.load(Z1, 2) is None
     cache.path_for(Z1, 2).write_text("{ not json")
-    _reset_growers()
-    assert len(ball(Z1, 2, cache=cache)) == 5  # recomputed, no crash
-    assert cache.load(Z2, 2) is None
-
-
-def _z2_ball_size(n):
-    return sum(2 ** k * comb(2, k) * comb(n, k) for k in range(3))
-
-
-@pytest.mark.parametrize("corruption", ["length", "duplicate", "missing", "order"])
-def test_cache_rejects_inconsistent_entry(tmp_path, corruption, monkeypatch):
-    """A cached Z^2 ball whose BFS data does not replay is ignored and the
-    ball is grown fresh: level sizes follow sum_k 2^k C(2,k) C(n,k) and each
-    length is the l1 norm.  The entry is rewritten, so the next query loads
-    it without growing."""
-    cache = BallCache(tmp_path)
-    _reset_growers()
-    ball(Z2, 4, cache=cache)
-    path = cache.path_for(Z2, 4)
-    blob = json.loads(path.read_text())
-    members = blob["members"]
-    if corruption == "length":
-        members[20][0] += 1  # a level-3 element recorded at length 4
-    elif corruption == "duplicate":
-        members[30] = members[29]
-    elif corruption == "missing":
-        del members[8]  # a level-2 element, neighbour of a level-1 one
-    else:
-        members[5], members[6] = members[6], members[5]  # same level, swapped
-    path.write_text(json.dumps(blob))
-    _reset_growers()
-    reloaded = ball(Z2, 4, cache=cache)
-    assert reloaded.level_sizes() == tuple(_z2_ball_size(n) for n in range(5))
-    assert sorted(x.data for x in reloaded) == sorted(
-        (a, b) for a in range(-4, 5) for b in range(-4, 5) if abs(a) + abs(b) <= 4)
-    for x, ln in reloaded.items():
-        assert ln == sum(abs(c) for c in x.data)
-    if corruption == "order":
-        assert [x.data for x in reloaded][5:7] == [tuple(members[6][1]),
-                                                  tuple(members[5][1])]
-    fresh_order = [x.data for x in reloaded]
-
-    def no_growth(self, budget):
-        raise AssertionError("ball grown although its cache entry is sound")
-
-    _reset_growers()
-    monkeypatch.setattr(balls_mod._BallGrower, "_grow_level", no_growth)
-    again = ball(Z2, 4, cache=cache)
-    assert [x.data for x in again] == fresh_order
-    assert again.level_sizes() == reloaded.level_sizes()
+    assert cache.load(Z1, 2) is None
 
 
 def test_cache_entries_and_clear(tmp_path):
     cache = BallCache(tmp_path)
-    _reset_growers()
-    ball(Z1, 1, cache=cache)
-    ball(Z1, 2, cache=cache)
-    assert len(cache.entries()) == 2
+    cache.store(Z1, 1, ball(Z1, 1))
+    cache.store(Z1, 2, ball(Z1, 2))
+    entries = cache.entries()
+    assert [(e["radius"], e["member_count"]) for e in entries] == [(1, 3), (2, 5)]
+    assert all(e["group"] == Z1.to_dict() for e in entries)
     assert cache.clear() == 2
     assert cache.entries() == []
 
