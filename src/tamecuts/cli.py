@@ -146,6 +146,9 @@ def _run_hardy(args):
         return out
     if args.random < 1:
         raise InputError("hardy needs --set or --random COUNT")
+    if not 2 <= args.size_max <= 2 * args.span + 1:
+        raise InputError(f"--size-max must be between 2 and 2*span+1 = "
+                         f"{2 * args.span + 1}, got {args.size_max}")
     if args.random * args.size_max > args.budget:  # before any set is drawn
         raise BudgetExceededError(
             f"hardy budget {args.budget} exceeded: {args.random} sets of up "

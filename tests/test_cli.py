@@ -101,6 +101,10 @@ def test_argument_errors_exit_2(capsys):
                  "--matrix", "1,1;0"]) == 2  # not square
     assert main(["dirichlet", "--n", "1", "--tol", "-1"]) == 2
     assert main(["hardy"]) == 2  # neither --set nor --random
+    assert main(["hardy", "--random", "1", "--size-max", "1"]) == 2
+    # more frequencies than the 5 in -2..2
+    assert main(["hardy", "--random", "1", "--span", "2", "--size-max", "9",
+                 "--seed", "3"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
 

@@ -49,9 +49,13 @@ def tan_sum_lebesgue(r):
 
 # (dim, grid, slab points): on the 20-point 1-D grid frequencies in -25..25
 # share residues; slabs of 5 of the 48 columns (2-D) and 7 of the 400 (3-D)
-# leave a partial last slab
+# leave a partial last slab.  Each case draws four complex and four real
+# coefficient sets.  Real ones keep m//2+1 points of the last axis, so there
+# slabs of 7 of the 23 columns (m = 45), 120 (m = 15) and 220 (m = 20) leave
+# a partial last slab; odd m has no m/2 point.
 SLAB_CASES = [(1, 20, None), (1, 256, None), (2, 48, 5 * 48), (2, 64, None),
-              (3, 20, 7 * 20), (3, 16, None)]
+              (3, 20, 7 * 20), (3, 16, None), (1, 21, None), (2, 45, 7 * 45),
+              (3, 15, 7 * 15)]
 
 
 @pytest.mark.parametrize("dim,m,slab", SLAB_CASES)
@@ -59,13 +63,14 @@ def test_slab_mean_matches_dense_reference(dim, m, slab, monkeypatch):
     if slab is not None:
         monkeypatch.setattr(fourier, "_SLAB_POINTS", slab)
     rng = np.random.default_rng(100 + dim * m)
-    for _ in range(4):
+    for real in (False,) * 4 + (True,) * 4:
         keys = {tuple(int(x) for x in rng.integers(-25, 26, size=dim))
                 for _ in range(15)}
         # first coordinates k and k - m land on the same row
         base = next(iter(keys))
         keys.add((base[0] - m,) + base[1:])
-        f = TrigPoly({k: complex(rng.normal(), rng.normal()) for k in keys},
+        f = TrigPoly({k: rng.normal() if real else
+                      complex(rng.normal(), rng.normal()) for k in keys},
                      dim=dim)
         got = fourier._mean_abs_on_grid(f, m)
         want = dense_mean_abs(f, m)
@@ -190,6 +195,22 @@ def test_dirichlet_examples():
         assert abs(dirichlet_l1(n).value - oracle) < 1e-6
     with pytest.raises(InputError):
         dirichlet_l1(-1)
+
+
+def test_dirichlet_exact_contains_high_precision_value():
+    """At n = 2^17 the double-precision tan sum is off by 2.8e-12 relative,
+    beyond the certified half-width of 1e-12; the certificate must contain
+    the same sum taken to 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 1 << 17
+    with mpmath.workdps(30):
+        big_n = 2 * n + 1
+        tan_sum = mpmath.fsum(mpmath.tan(mpmath.pi * k / big_n) / k
+                              for k in range(1, n + 1))
+        want = float(1 / mpmath.mpf(big_n) + 2 / mpmath.pi * tan_sum)
+    cert = dirichlet_l1(n)
+    assert cert.method == "exact-dft"
+    assert cert.lower <= want <= cert.upper, (cert, want)
 
 
 def test_dirichlet_strictly_increasing_to_256():
