@@ -9,9 +9,10 @@ repeated queries (and queries at increasing radii) reuse earlier levels; a
 The state is the canonical ``data`` tuple of each element with its index
 (its BFS discovery position), plus the right Cayley table and BFS parent
 pointers, all recorded as the ball grows; lengths are read off the level
-boundaries.  Growth multiplies data tuples through the group's
-``FamilyOps`` record; ``Element``s are made only when a caller asks for
-members.
+boundaries.  Growth only ever multiplies on the right by a generator, so it
+calls the closed-form ``right_steps`` of the group's ``FamilyOps`` record
+on data tuples, never the general ``mul``; ``Element``s are made only when
+a caller asks for members.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import BudgetExceededError, ElementNotFoundError, InputError
-from .elements import Element, family_ops, generators
+from .elements import Element, family_ops
 from .spec import GroupSpec
 
 DEFAULT_BUDGET = 5_000_000
@@ -36,21 +37,21 @@ DEFAULT_BUDGET = 5_000_000
 class _BallGrower:
     """Append-only BFS state for one group; safe to snapshot while growing.
 
-    ``elements`` and ``gens`` hold canonical data tuples, and ``index_of``
-    maps data to index.  Element ``i`` (in discovery order) has word length r
-    exactly when ``level_end[r-1] <= i < level_end[r]``.  Every product
-    computed while growing is kept: ``right[k*i + j]`` is the index of
-    ``elements[i] * gens[j]`` for each expanded element (all of
+    ``elements`` holds canonical data tuples, and ``index_of`` maps data to
+    index.  Element ``i`` (in discovery order) has word length r exactly when
+    ``level_end[r-1] <= i < level_end[r]``.  ``steps[j]`` right-multiplies by
+    the j-th generator of ``generators(group)``, and there are k of them.
+    Every product computed while growing is kept: ``right[k*i + j]`` is the
+    index of ``steps[j](elements[i])`` for each expanded element (all of
     B_{radius-1}), and ``parent[i]``, ``gen[i]`` name the expanded element
     and generator that first reached element ``i``, so ``elements[i] ==
-    elements[parent[i]] * gens[gen[i]]`` spells out a geodesic word.
+    steps[gen[i]](elements[parent[i]])`` spells out a geodesic word.
     """
 
     def __init__(self, group: GroupSpec):
         self.group = group
         ops = family_ops(group)
-        self.mul = ops.mul
-        self.gens = tuple(elem.data for _, elem in generators(group))
+        self.steps = ops.right_steps
         self.elements: list[tuple] = [ops.identity]
         self.index_of: dict[tuple, int] = {ops.identity: 0}
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
@@ -75,17 +76,17 @@ class _BallGrower:
     def _grow_level(self, budget: int) -> None:
         start = self.level_end[-2] if len(self.level_end) >= 2 else 0
         stop = self.level_end[-1]
-        elements, index_of, mul = self.elements, self.index_of, self.mul
+        elements, index_of = self.elements, self.index_of
         claim, record = index_of.setdefault, self.right.append
         add_element, add_parent, add_gen = (
             elements.append, self.parent.append, self.gen.append)
-        gens = tuple(enumerate(self.gens))
+        steps = tuple(enumerate(self.steps))
         n = stop
         try:
             for i in range(start, stop):
                 x = elements[i]
-                for j, g in gens:
-                    y = mul(x, g)
+                for j, step in steps:
+                    y = step(x)
                     idx = claim(y, n)
                     if idx == n:  # y is new
                         if n >= budget:  # fail before memory does
@@ -103,7 +104,7 @@ class _BallGrower:
             for y in elements[stop:]:
                 del index_of[y]
             del elements[stop:], self.parent[stop:], self.gen[stop:]
-            del self.right[len(self.gens) * start:]
+            del self.right[len(self.steps) * start:]
             raise
         self.level_end.append(len(elements))
 
@@ -191,7 +192,7 @@ class Ball:
         deg = max((word_length(y, self.group, budget=budget) for y in support),
                   default=0)
         g.grow_to(self.radius + deg, budget)
-        k, n = len(g.gens), len(self)
+        k, n = len(g.steps), len(self)
         with g.lock:
             covered = g.level_end[self.radius + deg - 1] if self.radius + deg else 0
             right = np.frombuffer(g.right, dtype=np.intc, count=k * covered).copy()

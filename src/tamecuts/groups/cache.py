@@ -18,7 +18,8 @@ byte-order free, so files are portable across platforms.
 
 Entries are written by ``tamecut ball --write-cache`` and read back only
 through ``load``: ``ball()`` always grows its balls and never consults a
-cache.
+cache.  Only ``store`` creates the directory; listing or clearing a missing
+one finds no entries.
 
 Writes go through a temporary file and an atomic rename, so concurrent
 readers never observe a partial entry; concurrent writers of the same entry
@@ -41,7 +42,6 @@ FORMAT_VERSION = 1
 class BallCache:
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, group: GroupSpec, radius: int) -> Path:
         return self.directory / f"{group.spec_hash()}-r{radius}.json"
@@ -77,6 +77,7 @@ class BallCache:
             "member_count": len(members),
             "members": members,
         }
+        self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

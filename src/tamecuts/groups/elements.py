@@ -22,11 +22,13 @@ in the group exactly when their canonical forms coincide.
 
 Each family's arithmetic on the bare ``data`` tuples lives in one
 ``FamilyOps`` record per group (``family_ops``); the public functions below
-wrap and unwrap ``Element``s around it, and the ball search calls it directly.
+wrap and unwrap ``Element``s around it, and the ball search calls its
+closed-form right steps by generators directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from operator import add, itemgetter, neg
@@ -218,16 +220,20 @@ class FamilyOps(NamedTuple):
 
     ``base_generators`` maps each base generator symbol to its data, in the
     fixed order that ``GroupSpec.base_symbols`` reports and that BFS order
-    follows.  ``mul`` and ``inv`` take and return canonical forms;
-    ``in_subgroup`` and ``coset_key`` describe the designated subgroup H (see
-    ``subgroup_membership``); ``to_payload``/``from_payload`` convert to and
-    from the JSON form that ``BallCache.store`` writes and ``BallCache.load``
-    reads."""
+    follows.  ``mul`` and ``inv`` take and return canonical forms.
+    ``right_steps`` holds one function per symbol of ``GroupSpec.symbols``,
+    in that order: ``right_steps[j](x)`` is the canonical form of x*g_j,
+    computed in closed form for that one generator (ball growth multiplies
+    by nothing else).  ``in_subgroup`` and ``coset_key`` describe the
+    designated subgroup H (see ``subgroup_membership``);
+    ``to_payload``/``from_payload`` convert to and from the JSON form that
+    ``BallCache.store`` writes and ``BallCache.load`` reads."""
 
     identity: tuple
     base_generators: Mapping[str, tuple]
     mul: Callable[[tuple, tuple], tuple]
     inv: Callable[[tuple], tuple]
+    right_steps: tuple[Callable[[tuple], tuple], ...]
     in_subgroup: Callable[[tuple], bool]
     coset_key: Callable[[tuple], Hashable]
     to_payload: Callable[[tuple], Any]
@@ -265,31 +271,69 @@ def _unit(d: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(d))
 
 
+# x * e_i^s adds s to coordinate i.  For d = 3 (the Z^3 ball of the
+# ball-enum benchmark) the tuple is unpacked and rebuilt explicitly: that
+# raised ball-enum's ops_per_s by about 4% over the generic list edit.
+
+
+def _fa_step(i: int, s: int, x: tuple) -> tuple:
+    y = list(x)
+    y[i] += s
+    return tuple(y)
+
+
+def _fa_step3(i: int, s: int, x: tuple) -> tuple:
+    a, b, c = x
+    if i == 0:
+        return a + s, b, c
+    return (a, b + s, c) if i == 1 else (a, b, c + s)
+
+
 def _free_abelian_ops(group: GroupSpec) -> FamilyOps:
     d = group.d
     gens = {f"e{i + 1}": _unit(d, i) for i in range(d)}
-    return FamilyOps((0,) * d, gens, _fa_mul, _fa_inv, _always, _zero_key,
-                     list, _fa_from_payload)
+    step = _fa_step3 if d == 3 else _fa_step
+    steps = tuple(partial(step, i, s) for i in range(d) for s in (1, -1))
+    return FamilyOps((0,) * d, gens, _fa_mul, _fa_inv, steps, _always,
+                     _zero_key, list, _fa_from_payload)
 
 
-class _MatPowers(dict):
-    """A^k for every integer k, each computed once (A is unimodular)."""
+class _ByK(dict):
+    """``f(k)`` for every integer k, each computed once."""
 
-    def __init__(self, matrix: intmat.IntMatrix):
+    def __init__(self, f: Callable[[int], Any]):
         super().__init__()
-        self.matrix = matrix
+        self.f = f
 
-    def __missing__(self, k: int) -> intmat.IntMatrix:
-        out = self[k] = intmat.mat_pow(self.matrix, k)
+    def __missing__(self, k: int):
+        out = self[k] = self.f(k)
         return out
 
 
-def _sd_mul(powers: _MatPowers, x: tuple, y: tuple) -> tuple:
+def _signed_columns(powers: _ByK, k: int) -> tuple:
+    """The columns of A^k each followed by its negative: the translation
+    parts of (0, k) * e_i^{+-1}, in symbol order."""
+    return tuple(signed for col in intmat.transpose(powers[k])
+                 for signed in (col, tuple(map(neg, col))))
+
+
+def _sd_step(columns: _ByK, j: int, x: tuple) -> tuple:
+    v, k = x
+    return tuple(map(add, v, columns[k][j])), k
+
+
+def _shift_step(s: int, x: tuple) -> tuple:
+    """x * t^s for a pair x = (a, k) whose t-letters only move k."""
+    a, k = x
+    return a, k + s
+
+
+def _sd_mul(powers: _ByK, x: tuple, y: tuple) -> tuple:
     (v, k), (w, l) = x, y
     return tuple(map(add, v, intmat.mat_vec(powers[k], w))), k + l
 
 
-def _sd_inv(powers: _MatPowers, x: tuple) -> tuple:
+def _sd_inv(powers: _ByK, x: tuple) -> tuple:
     v, k = x
     return tuple(map(neg, intmat.mat_vec(powers[-k], v))), -k
 
@@ -308,9 +352,12 @@ def _semidirect_ops(group: GroupSpec) -> FamilyOps:
     d = group.d
     gens = {f"e{i + 1}": (_unit(d, i), 0) for i in range(d)}
     gens["t"] = ((0,) * d, 1)
-    powers = _MatPowers(group.matrix)
+    powers = _ByK(partial(intmat.mat_pow, group.matrix))  # A is unimodular
+    columns = _ByK(partial(_signed_columns, powers))
+    steps = tuple(partial(_sd_step, columns, j) for j in range(2 * d))
+    steps += (partial(_shift_step, 1), partial(_shift_step, -1))
     return FamilyOps(((0,) * d, 0), gens, partial(_sd_mul, powers),
-                     partial(_sd_inv, powers), _last_is_zero, _last,
+                     partial(_sd_inv, powers), steps, _last_is_zero, _last,
                      _sd_to_payload, _sd_from_payload)
 
 
@@ -320,6 +367,25 @@ def _pq_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
         return m1, e1, k1 + k2
     m, e = _pq_add((m1, e1), _pq_scale(m2, e2, k1, p, q), p * q)
     return m, e, k1 + k2
+
+
+def _pq_s_step(s: int, x: tuple) -> tuple:
+    m, e, k = x
+    return m, e, k + s
+
+
+def _pq_t_step(powers: _ByK, pq: int, x: tuple) -> tuple:
+    """x * t^s adds s * (p/q)^k, which ``powers[k]`` holds normalized, to the
+    translation part.  When the two exponents differ, the term with the
+    larger one (> 0, so canonical and not divisible by pq) is added to a
+    multiple of pq: the sum is canonical."""
+    m, e, k = x
+    mk, ek = powers[k]
+    if e > ek:
+        return m + mk * pq ** (e - ek), e, k
+    if e < ek:
+        return m * pq ** (ek - e) + mk, ek, k
+    return _pq_normalize(m + mk, e, pq) + (k,)
 
 
 def _pq_inv(p: int, q: int, x: tuple) -> tuple:
@@ -334,14 +400,29 @@ def _pq_from_payload(payload) -> tuple:
 
 def _pq_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
+    steps = (partial(_pq_s_step, 1), partial(_pq_s_step, -1))
+    for s in (1, -1):
+        powers = _ByK(partial(_pq_scale, s, 0, p=p, q=q))  # s * (p/q)^k
+        steps += (partial(_pq_t_step, powers, p * q),)
     return FamilyOps((0, 0, 0), {"s": (0, 0, 1), "t": (1, 0, 0)},
-                     partial(_pq_mul, p, q), partial(_pq_inv, p, q),
+                     partial(_pq_mul, p, q), partial(_pq_inv, p, q), steps,
                      _last_is_zero, _last, list, _pq_from_payload)
 
 
 def _lamp_mul(p: int, x: tuple, y: tuple) -> tuple:
     (f, k), (g, l) = x, y
     return _lamps_mul(f, g, k, p), k + l
+
+
+def _lamp_step(p: int, s: int, x: tuple) -> tuple:
+    """x * a^{+-1} adds s (1 or p - 1) to the lamp at the cursor."""
+    lamps, k = x
+    i = bisect_left(lamps, (k,))
+    if i < len(lamps) and lamps[i][0] == k:
+        val = (lamps[i][1] + s) % p
+        rest = lamps[i + 1:]
+        return (lamps[:i] + ((k, val),) + rest if val else lamps[:i] + rest), k
+    return lamps[:i] + ((k, s),) + lamps[i:], k
 
 
 def _lamp_inv(p: int, x: tuple) -> tuple:
@@ -360,10 +441,34 @@ def _lamp_from_payload(payload) -> tuple:
 
 
 def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
+    p = group.p
+    steps = (partial(_lamp_step, p, 1), partial(_lamp_step, p, p - 1),
+             partial(_shift_step, 1), partial(_shift_step, -1))
     return FamilyOps(((), 0), {"a": (((0, 1),), 0), "t": ((), 1)},
-                     partial(_lamp_mul, group.p),
-                     partial(_lamp_inv, group.p), _last_is_zero, _last,
-                     _lamp_to_payload, _lamp_from_payload)
+                     partial(_lamp_mul, p), partial(_lamp_inv, p), steps,
+                     _last_is_zero, _last, _lamp_to_payload,
+                     _lamp_from_payload)
+
+
+def _bs_a_step(s: int, x: tuple) -> tuple:
+    head, tail = x
+    if tail:
+        eps, c = tail[-1]
+        return head, tail[:-1] + ((eps, c + s),)
+    return head + s, tail
+
+
+def _bs_t_step(eps: int, div: int, mul: int, x: tuple) -> tuple:
+    """x * t^eps, as ``_bs_push_t`` computes it, with (div, mul) = (q, p)
+    for eps = 1 and (p, q) for eps = -1."""
+    head, tail = x
+    last_eps, c = tail[-1] if tail else (0, head)
+    m, r = divmod(c, div)
+    if r == 0 and last_eps == -eps:  # pinch t^-eps a^{div m} t^eps = a^{mul m}
+        return _bs_a_step(mul * m, (head, tail[:-1]))
+    if tail:
+        return head, tail[:-1] + ((last_eps, r), (eps, mul * m))
+    return r, ((eps, mul * m),)
 
 
 def _bs_in_subgroup(x: tuple) -> bool:
@@ -390,8 +495,10 @@ def _bs_from_payload(payload) -> tuple:
 
 def _baumslag_solitar_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
+    steps = (partial(_bs_a_step, 1), partial(_bs_a_step, -1),
+             partial(_bs_t_step, 1, q, p), partial(_bs_t_step, -1, p, q))
     return FamilyOps((0, ()), {"a": (1, ()), "t": (0, ((1, 0),))},
-                     partial(_bs_mul, p, q), partial(_bs_inv, p, q),
+                     partial(_bs_mul, p, q), partial(_bs_inv, p, q), steps,
                      _bs_in_subgroup, _bs_coset_key, _bs_to_payload,
                      _bs_from_payload)
 

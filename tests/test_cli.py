@@ -193,6 +193,24 @@ def test_ball_report_and_cache(tmp_path, capsys):
     assert report["results"][0]["removed"] == 1
 
 
+def test_cache_command_creates_no_directory(tmp_path, capsys):
+    """Listing or clearing a missing cache directory reports it empty and
+    leaves it missing; only ``ball --write-cache`` creates it."""
+    cache_dir = tmp_path / "fresh" / "cache"
+    code, report = run_json(capsys, ["cache", "--cache-dir", str(cache_dir)])
+    assert code == 0 and report["results"][0]["entries"] == []
+    code, report = run_json(capsys, ["cache", "--clear",
+                                     "--cache-dir", str(cache_dir)])
+    assert code == 0 and report["results"][0]["removed"] == 0
+    assert not cache_dir.exists()
+
+    code, _ = run_json(capsys, [
+        "ball", "--group", "free_abelian", "--d", "1", "--n", "2",
+        "--write-cache", "--cache-dir", str(cache_dir)])
+    assert code == 0
+    assert [p.suffix for p in cache_dir.iterdir()] == [".json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "bs", "--n", "2"],
     ["rd-fit", "--d", "2", "--nmax", "3", "--samples", "5"],

@@ -1,6 +1,7 @@
 """Group arithmetic, canonical forms, balls, sections, and the cache."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -390,8 +391,8 @@ def assert_table_matches_multiply(spec, n):
     """Every recorded right product and every parent pointer of the shared
     state, grown to radius n, agrees with ``multiply`` on the elements."""
     bn, g = _table(spec, n)
-    elems, k = list(bn), len(g.gens)
-    gens = [Element(spec, x) for x in g.gens]
+    gens = [elem for _, elem in generators(spec)]
+    elems, k = list(bn), len(gens)
     expanded = bn.level_sizes()[-2]
     assert len(g.right) >= k * expanded
     for i in range(expanded):
@@ -415,12 +416,181 @@ def test_cayley_table_walk_matches_multiply(family, word):
     the index of the word's product."""
     spec = ALL_FAMILIES[family]
     bn, g = _table(spec, 4)
-    k = len(g.gens)
+    gens = [elem for _, elem in generators(spec)]
+    k = len(gens)
     i, x = 0, identity(spec)
     for letter in word:
         i = g.right[k * i + letter % k]
-        x = multiply(x, Element(spec, g.gens[letter % k]))
+        x = multiply(x, gens[letter % k])
     assert list(bn)[i] == x
+
+
+# ---------------------------------------------------------------------------
+# closed-form right steps against the general product
+
+STEP_GROUPS = [
+    GroupSpec.free_abelian(1),
+    GroupSpec.free_abelian(3),
+    GroupSpec.semidirect_zd([[2, 1], [1, 1]]),
+    GroupSpec.semidirect_zd([[1, 1, 0], [0, 0, 1], [0, 1, 0]]),  # det -1
+    GroupSpec.pq(2, 3),
+    GroupSpec.pq(2, 5),
+    GroupSpec.pq(1, 1),
+    GroupSpec.lamplighter(2),
+    GroupSpec.lamplighter(3),
+    GroupSpec.baumslag_solitar(1, 2),
+    GroupSpec.baumslag_solitar(2, 3),
+    GroupSpec.baumslag_solitar(3, 2),
+]
+
+
+def _power(spec, symbol, n):
+    """Data of the generator ``symbol`` raised to the integer power n."""
+    letter = symbol if n >= 0 else symbol + "^-1"
+    return canonicalize([letter] * abs(n), spec).data
+
+
+def _far_elements(spec, rng):
+    """Seeded canonical forms far from the identity, with the cases each
+    family's right steps treat separately."""
+    ops = family_ops(spec)
+    if spec.family == "free_abelian":
+        return [tuple(rng.randint(-40, 40) for _ in range(spec.d))
+                for _ in range(20)]
+    ks = [s * rng.randint(20, 30) for s in (1, -1) for _ in range(5)]
+    if spec.family == "semidirect_zd":
+        return [(tuple(rng.randint(-50, 50) for _ in range(spec.d)), k)
+                for k in ks]
+    if spec.family == "pq":
+        out = []
+        for k in ks:
+            # x = +-(p/q)^k * a, with a = 1 (x * t^-+1 is 0), a = -1 and
+            # a random unit-free a, all with the exponent e_k of (p/q)^k
+            for a in (1, -1, rng.randint(-50, 50) or 1):
+                m, e, _ = ops.mul(_power(spec, "s", k), (a, 0, 0))
+                out.append((m, e, k))
+            # m/(pq)^e, normalized by the product with the identity
+            for e in (rng.randint(0, 4), rng.randint(0, 30)):
+                shift = ops.mul(ops.identity, (rng.randint(-999, 999), e, 0))
+                out.append(ops.mul(_power(spec, "s", k), shift))
+                out.append(ops.mul(shift, _power(spec, "s", k)))
+        return out
+    if spec.family == "lamplighter":
+        p, out = spec.p, []
+        for k in ks:
+            around = rng.sample(range(k - 6, k + 7), 6)
+            lamps = {pos: rng.randint(1, p - 1) for pos in around}
+            for cursor in (1, p - 1):  # the cursor lamp switches off under a^-+1
+                lamps[k] = cursor
+                out.append((tuple(sorted(lamps.items())), k))
+            del lamps[k]  # cursor dark, lamps on both sides
+            out.append((tuple(sorted(lamps.items())), k))
+        return out
+    p, q = spec.p, spec.q
+    out = []
+    for _ in range(12):
+        word = [rng.choice(spec.symbols()) for _ in range(rng.randint(0, 30))]
+        y = canonicalize(word, spec).data
+        out.append(y)
+        # y t^-+1 a^{div m}: right-multiplying by t^+-1 pinches; from a
+        # t-free y, the pinch empties the tail
+        for eps, div in ((1, q), (-1, p)):
+            for base in (y, (y[0], ())):
+                x = ops.mul(base, _power(spec, "t", -eps))
+                out.append(ops.mul(x, (div * rng.randint(-4, 4), ())))
+    return out
+
+
+@pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
+def test_right_steps_match_mul(spec):
+    """``right_steps[j](x)`` is ``mul(x, g_j)`` on all of B_3 and on seeded
+    far elements."""
+    ops = family_ops(spec)
+    gens = [elem.data for _, elem in generators(spec)]
+    assert len(ops.right_steps) == len(gens) == len(spec.symbols())
+    far = _far_elements(spec, random.Random(f"steps-{spec.label()}"))
+    assert far
+    for x in list(ball(spec, 3).data()) + far:
+        for step, g in zip(ops.right_steps, gens):
+            assert step(x) == ops.mul(x, g), (x, g)
+    # the steps and their caches pickle with the spec
+    again = family_ops(pickle.loads(pickle.dumps(spec))).right_steps
+    assert [step(x) for step in again for x in far] == [
+        step(x) for step in ops.right_steps for x in far]
+
+
+def test_right_steps_reach_the_cases():
+    """The far elements include a t-step of pq adding terms with equal
+    exponents, lamps switched off, and BS pinches that empty the tail."""
+    pq = GroupSpec.pq(2, 3)
+    steps = family_ops(pq).right_steps
+    far = _far_elements(pq, random.Random(f"steps-{pq.label()}"))
+    assert any(steps[3](x)[:2] == (0, 0) for x in far)  # t^-1 cancels
+    lamp = GroupSpec.lamplighter(3)
+    steps = family_ops(lamp).right_steps
+    far = _far_elements(lamp, random.Random(f"steps-{lamp.label()}"))
+    assert any(len(steps[j](x)[0]) < len(x[0]) for x in far for j in (0, 1))
+    bs = GroupSpec.baumslag_solitar(2, 3)
+    steps = family_ops(bs).right_steps
+    far = _far_elements(bs, random.Random(f"steps-{bs.label()}"))
+    for j in (2, 3):
+        assert any(x[1] and not steps[j](x)[1] for x in far)
+        assert any(len(steps[j](x)[1]) == len(x[1]) - 1 >= 1 for x in far)
+
+
+def _plain_bfs(spec, radius, budget=None):
+    """Growth state of a BFS written with public ``multiply``: (elements,
+    right, parent, gen, level_end) at ``radius``, or at the last radius
+    whose ball has at most ``budget`` elements."""
+    gens = [elem for _, elem in generators(spec)]
+    elems, index_of = [identity(spec)], {identity(spec): 0}
+    right, parent, gen, level_end = [], [-1], [-1], [1]
+    for _ in range(radius):
+        start = level_end[-2] if len(level_end) >= 2 else 0
+        grown = (list(elems), list(right), list(parent), list(gen))
+        for i in range(start, level_end[-1]):
+            for j, g in enumerate(gens):
+                y = multiply(elems[i], g)
+                if y not in index_of:
+                    index_of[y] = len(elems)
+                    elems.append(y)
+                    parent.append(i)
+                    gen.append(j)
+                right.append(index_of[y])
+        if budget is not None and len(elems) > budget:
+            elems, right, parent, gen = grown
+            break
+        level_end.append(len(elems))
+    return [x.data for x in elems], right, parent, gen, level_end
+
+
+def _growth_state(spec):
+    g = balls_mod._get_grower(spec)
+    return (list(g.elements), list(g.right), list(g.parent), list(g.gen),
+            list(g.level_end))
+
+
+@pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
+def test_growth_state_matches_plain_bfs(spec):
+    """The grown state, and the state rolled back after a budget stop in
+    the middle of a level, are those of a plain BFS with ``multiply``."""
+    _reset_growers()
+    ball(spec, 4)
+    plain = _plain_bfs(spec, 4)
+    assert _growth_state(spec) == plain
+    assert balls_mod._get_grower(spec).index_of == {
+        x: i for i, x in enumerate(plain[0])}
+
+    level_end = plain[4]
+    budget = (level_end[2] + level_end[3]) // 2
+    _reset_growers()
+    with pytest.raises(BudgetExceededError) as exc:
+        ball(spec, 4, budget=budget)
+    rolled = _plain_bfs(spec, 4, budget=budget)
+    assert exc.value.radius_reached == len(rolled[4]) - 1
+    assert _growth_state(spec) == rolled
+    assert balls_mod._get_grower(spec).index_of == {
+        x: i for i, x in enumerate(rolled[0])}
 
 
 def test_bs11_is_z2():
