@@ -88,7 +88,7 @@ def _cut_from_args(args):
     if fam == "bs":
         return cut_bs(args.p or 2, args.q or 3, args.n)
     if fam == "ball":
-        return cut_ball(_group_from_args(args), args.n, seed=args.seed)
+        return cut_ball(_group_from_args(args), args.n)
     raise InputError(f"unknown cut family {fam!r}")
 
 
@@ -231,7 +231,7 @@ def _run_cut(args):
 
 def _run_verify(args):
     cut = _cut_from_args(args)
-    report = verify_cut(cut, seed=args.seed)
+    report = verify_cut(cut)
     return [{"name": "verify_cut", "params": {"family": args.family, "n": args.n},
              "cut": _cut_result(cut), "report": report.to_dict(),
              "value": 1.0 if report.covers_ball else 0.0}]

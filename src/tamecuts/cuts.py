@@ -6,8 +6,11 @@ grow at most polynomially in n.  Each construction here produces its support
 together with a norm certificate assembled only from composition rules whose
 validity is structural:
 
-* extension by identity from an open subgroup is isometric for multiplier
-  norms, so the indicator of a finite subgroup has norm exactly 1;
+* extension by zero from a subgroup is isometric for completely bounded
+  multiplier norms, and for MA norms from amenable subgroups (every subgroup
+  used here), so the indicator of a finite subgroup has norm exactly 1; for
+  MA norms in general the extension map MA(H) -> MA(G) need not even be
+  continuous;
 * the indicator of a power interval in an infinite cyclic subgroup has the
   Dirichlet-kernel L^1 norm of the matching order;
 * box indicators on Z^d factor, so their norm is a product of
@@ -19,8 +22,10 @@ validity is structural:
   against the matrix-part cut for the HNN families.
 
 Verification is exhaustive: ``verify_cut`` walks the full BFS ball and
-produces a concrete witness on any coverage failure, plus an empirical
-multiplier-norm lower bound that must sit below the certified upper bound.
+produces a concrete witness on any coverage failure.  Its norm lower bound
+is the supremum of the cut over the checked ball, certified by
+||phi||_inf <= ||phi||_MA <= ||phi||_cb, and it must sit below the certified
+upper bound.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .groups import (
     t_length,
 )
 from .groups.intmat import as_int_matrix, certified_operator_norm_pair
-from .opnorm import default_probes, multiplier_lower
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +350,12 @@ def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
                subgroup_only=False)
 
 
-def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6,
-             probe_radius: int = 8, seed: int = 0) -> Cut:
+def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6) -> Cut:
     """The ball indicator itself as a cut (the rapid-decay route).
 
     On Z^d (d <= 3) the norm certificate is the exact Fourier-algebra norm
     of the indicator; elsewhere the upper bound is the l1 bound |B_n| and
-    the lower bound is an empirical multiplier bound."""
+    the lower bound is phi(e) = 1 <= ||phi||_inf <= ||phi||_MA."""
     if n < 0:
         raise InputError("index must be nonnegative")
     bn = ball(group, n)
@@ -366,12 +369,7 @@ def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6,
             poly = TrigPoly.indicator([x.data for x in members], dim=group.d)
             cert = a_norm_torus(poly, tol=tol)
     else:
-        probes = default_probes(group, min(n, 2), seed=seed)
-        lower = multiplier_lower(
-            lambda x: 1.0 if x in bn else 0.0, probes,
-            radius=probe_radius, tol=tol, seed=seed)
-        cert = NormCertificate(max(lower, 1.0), float(len(members)),
-                               "l1-bound", tol)
+        cert = NormCertificate(1.0, float(len(members)), "l1-bound", tol)
     return Cut(group, n, ExplicitSupport(members), cert,
                provenance={"construction": "ball-indicator", "n": n,
                            "ball_size": len(members),
@@ -405,25 +403,23 @@ def interval_cut_family(radii: Iterable[int], tol: float = 1e-9) -> CutFamily:
 # verification and growth fitting
 
 
-def verify_cut(cut: Cut, probes=None, probe_radius: int = 8,
-               tol: float = 1e-6, seed: int = 0) -> VerificationReport:
-    """Exhaustive coverage check against the BFS ball plus an empirical
-    norm consistency check.
+def verify_cut(cut: Cut) -> VerificationReport:
+    """Exhaustive coverage check against the BFS ball plus a norm
+    consistency check.
 
     Coverage means the cut equals 1 on every element of B_n (intersected
     with the designated subgroup for subgroup-level cuts); the first missing
-    element, if any, is returned as a witness."""
+    element, if any, is returned as a witness.  The norm lower bound is the
+    supremum of the cut over those checked elements, a certified bound since
+    ||phi||_inf <= ||phi||_MA <= ||phi||_cb: 1.0 as soon as one of them lies
+    in the support (for a covering cut, the identity, checked first), 0.0
+    only when the cut vanishes on all of them."""
     bn = ball(cut.group, cut.index)
     members = subgroup_ball(bn) if cut.subgroup_only else list(bn)
-    witness = None
-    for x in members:
-        if x not in cut.support:
-            witness = x
-            break
-    if probes is None:
-        probes = default_probes(cut.group, min(cut.index, 2), seed=seed)
-    lower = multiplier_lower(cut.indicator(), probes, radius=probe_radius,
-                             tol=tol, seed=seed)
+    support = cut.support
+    witness = next((x for x in members if x not in support), None)
+    lower = (1.0 if witness is None or any(x in support for x in members)
+             else 0.0)
     upper = cut.certificate
     return VerificationReport(
         covers_ball=witness is None,

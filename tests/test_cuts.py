@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tamecuts.errors import InputError
-from tamecuts.fourier import dirichlet_l1
+from tamecuts.fourier import NormCertificate, dirichlet_l1
 from tamecuts.groups import (
     Element,
     GroupSpec,
@@ -313,10 +313,12 @@ def test_cut_ball_z2_certificate_brackets():
 
 
 def test_cut_ball_nonabelian_uses_l1_bound():
-    cut = cut_ball(GroupSpec.lamplighter(2), 2, seed=3)
-    assert cut.certificate.method == "l1-bound"
-    assert cut.certificate.upper == float(len(ball(GroupSpec.lamplighter(2), 2)))
-    assert 1.0 - 1e-9 <= cut.certificate.lower <= cut.certificate.upper
+    for group in (GroupSpec.lamplighter(2), GroupSpec.pq(2, 3),
+                  GroupSpec.baumslag_solitar(2, 3)):
+        cut = cut_ball(group, 2)
+        assert cut.certificate.method == "l1-bound"
+        assert cut.certificate.upper == float(len(ball(group, 2)))
+        assert cut.certificate.lower == 1.0
 
 
 def test_interval_family_linear_growth():
@@ -346,6 +348,32 @@ def test_verify_adversarial_cut_produces_witness():
     report = verify_cut(bad)
     assert not report.covers_ball
     assert report.witness == removed
+
+    e = identity(group)
+    no_identity = Cut(group, 2, ExplicitSupport(x for x in bn if x != e),
+                      dirichlet_l1(2), provenance={"construction": "adversarial"})
+    report = verify_cut(no_identity)
+    assert not report.covers_ball
+    assert report.witness == e
+    assert report.norm_lower == 1.0
+
+    empty = Cut(group, 2, ExplicitSupport([]), dirichlet_l1(2),
+                provenance={"construction": "adversarial"})
+    report = verify_cut(empty)
+    assert report.witness == e
+    assert report.norm_lower == 0.0 and report.consistent
+
+
+def test_verify_flags_certificate_below_lower_bound():
+    """A certificate upper below the cut's sup norm 1 is inconsistent."""
+    cut = interval_cut_family([3]).cuts[0]
+    understated = dataclasses.replace(
+        cut, certificate=NormCertificate(0.5, 0.5, "product-rule", 0.0))
+    report = verify_cut(understated)
+    assert report.covers_ball
+    assert report.norm_lower == 1.0
+    assert not report.consistent
+    assert verify_cut(cut).consistent
 
 
 def test_cut_family_indices_strictly_increasing():

@@ -317,8 +317,9 @@ PROBE_CUTS = {
 
 
 def verify_probe_supports(family):
-    """The group of the family's probe cut and the distinct supports
-    verify_cut hands to lambda_norm_lower (cut times each default probe)."""
+    """The group of the family's probe cut and its distinct default-probe
+    supports, which multiplier_lower hands to lambda_norm_lower (cut times
+    each default probe)."""
     cut = PROBE_CUTS[family]()
     supports = {}
     for f in default_probes(cut.group, min(cut.index, 2), seed=0):
@@ -331,7 +332,7 @@ def verify_probe_supports(family):
 
 @pytest.mark.parametrize("family", sorted(PROBE_CUTS))
 def test_compression_matches_reference_on_verify_probes(family):
-    """verify_cut's probe supports at its probe radius 8."""
+    """The default-probe supports at probe radius 8."""
     group, supports = verify_probe_supports(family)
     for support in supports:
         assert_matches_reference(group, support, 8)
@@ -354,8 +355,8 @@ def test_power_iteration_bit_identical_to_reference_csr(family):
     """The power iteration on the compression returns exactly what it
     returns on the row-sorted CSR matrix assembled from the reference
     arrays, for real and complex coefficients: every matvec adds each output
-    entry's terms in the same order.  Cases: verify_cut's probe supports at
-    its radius and tolerance, and rd_test's Z^2 support B_2 at radius 8;
+    entry's terms in the same order.  Cases: the default-probe supports at
+    radius 8 and tolerance 1e-6, and rd_test's Z^2 support B_2 at radius 8;
     each as one block, and as three blocks of the block-diagonal CSC
     against the block-diagonal CSR built from the reference arrays."""
     if family == "rd_test":
@@ -503,16 +504,9 @@ def test_rd_matches_benchmark_reference(argv):
         assert abs(got - recorded[str(n)]) <= 1e-9 * recorded[str(n)]
 
 
-@pytest.mark.parametrize("family", sorted(PROBE_CUTS))
-def test_verify_cut_builds_one_compression_per_support(family, monkeypatch):
-    """Of verify_cut's four default probes, the flat and the two random ones
-    share a support once the cut is applied: two compressions are built, and
-    norm_lower equals the maximum of per-probe bounds each computed on its
-    own freshly built compression."""
-    cut = PROBE_CUTS[family]()
-    phi = cut.indicator()
-    expected = max(lambda_norm_lower(f.pointwise(phi), 8, tol=1e-6).lower / f.l1
-                   for f in default_probes(cut.group, min(cut.index, 2), seed=0))
+def count_builds(monkeypatch) -> list:
+    """Replace opnorm.CompressedConvolution by a subclass that appends to
+    the returned list on every build."""
     builds = []
 
     class CountingConvolution(CompressedConvolution):
@@ -521,9 +515,38 @@ def test_verify_cut_builds_one_compression_per_support(family, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(opnorm, "CompressedConvolution", CountingConvolution)
-    report = verify_cut(cut)
+    return builds
+
+
+@pytest.mark.parametrize("family", sorted(PROBE_CUTS))
+def test_verify_cut_builds_one_compression_per_support(family, monkeypatch):
+    """multiplier_lower on the cut's four default probes: the flat and the
+    two random ones share a support once the cut is applied, so two
+    compressions are built, and the bound equals the maximum of per-probe
+    bounds each computed on its own freshly built compression.  That bound
+    is exactly 1.0, the value verify_cut reads off the cut itself."""
+    cut = PROBE_CUTS[family]()
+    phi = cut.indicator()
+    probes = default_probes(cut.group, min(cut.index, 2), seed=0)
+    expected = max(lambda_norm_lower(f.pointwise(phi), 8, tol=1e-6).lower / f.l1
+                   for f in probes)
+    builds = count_builds(monkeypatch)
+    lower = multiplier_lower(phi, probes, radius=8, tol=1e-6)
     assert len(builds) == 2
-    assert report.norm_lower == expected
+    assert lower == expected
+    assert lower == 1.0 == verify_cut(cut).norm_lower
+
+
+def test_cuts_build_no_compression(monkeypatch):
+    """verify_cut and cut_ball take their lower bounds from the cut's own
+    values and never build a compression."""
+    builds = count_builds(monkeypatch)
+    for make in PROBE_CUTS.values():
+        assert verify_cut(make()).norm_lower == 1.0
+    for group in (GroupSpec.lamplighter(2), GroupSpec.pq(2, 3),
+                  GroupSpec.baumslag_solitar(2, 3)):
+        assert cut_ball(group, 2).certificate.lower == 1.0
+    assert builds == []
 
 
 @pytest.mark.parametrize("group", [Z2, GroupSpec.lamplighter(2)],
