@@ -6,6 +6,14 @@ format; CSV is a flat projection with the columns
 
     command,params,value,lower,upper,method,seed
 
+written by ``csv.writer``: a field holding a comma (a dict or list in
+``params``) is double-quoted, so every row has seven fields, and a missing
+value is an empty field.
+
+The group flags --d, --p and --q default to d = 1, p = 2 and q = 3 only
+when they are omitted; an explicit value, 0 included, reaches the group's
+own validation.
+
 Exit codes: 0 success, 2 argument errors (message on stderr), 3 resource
 budget exhausted (the report still carries the best partial bounds).
 
@@ -18,6 +26,8 @@ TAMECUT_CACHE_DIR environment variable, then ./.tamecut-cache.  Only
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -28,15 +38,13 @@ from .fourier import TrigPoly, a_norm_torus, dirichlet_l1, hardy_ratio
 from .groups import GroupSpec, BallCache, ball, coset_section
 from .opnorm import FinSuppFun, lambda_norm_lower, rd_fit, rd_test
 from .cuts import (
+    CutFamily,
     cut_ball,
     cut_bs,
     cut_lamplighter,
     cut_pq,
     cut_semidirect_zd,
     fit_growth,
-    lamplighter_cut_family,
-    pq_cut_family,
-    semidirect_cut_family,
     verify_cut,
 )
 
@@ -44,52 +52,41 @@ DEFAULT_CACHE_DIR = "./.tamecut-cache"
 
 
 def _cache_dir(args) -> str:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get("TAMECUT_CACHE_DIR", DEFAULT_CACHE_DIR)
+    return args.cache_dir or os.environ.get("TAMECUT_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
-def _parse_matrix(text: str):
+def _matrix(args):
+    if not args.matrix:
+        raise InputError("--matrix is required for semidirect")
     try:
-        rows = [[int(x) for x in row.split(",")] for row in text.split(";")]
+        return [[int(x) for x in row.split(",")] for row in args.matrix.split(";")]
     except ValueError as exc:
-        raise InputError(f"cannot parse matrix {text!r}; "
+        raise InputError(f"cannot parse matrix {args.matrix!r}; "
                          f"expected e.g. '1,1;0,1'") from exc
-    return rows
 
 
-def _group_from_args(args) -> GroupSpec:
-    name = args.group
-    if name == "free_abelian":
-        return GroupSpec.free_abelian(args.d or 1)
-    if name == "semidirect":
-        if not args.matrix:
-            raise InputError("--matrix is required for semidirect")
-        return GroupSpec.semidirect_zd(_parse_matrix(args.matrix))
-    if name == "pq":
-        return GroupSpec.pq(args.p or 2, args.q or 3)
-    if name == "lamplighter":
-        return GroupSpec.lamplighter(args.p or 2)
-    if name == "bs":
-        return GroupSpec.baumslag_solitar(args.p or 2, args.q or 3)
-    raise InputError(f"unknown group {name!r}")
+def _p_q(args) -> tuple[int, int]:
+    """--p and --q, defaulting to 2 and 3 only when omitted (0 stays 0)."""
+    return (2 if args.p is None else args.p, 3 if args.q is None else args.q)
 
 
-def _cut_from_args(args):
-    fam = args.family
-    if fam == "lamplighter":
-        return cut_lamplighter(args.p or 2, args.n)
-    if fam == "pq":
-        return cut_pq(args.p or 2, args.q or 3, args.n)
-    if fam == "semidirect":
-        if not args.matrix:
-            raise InputError("--matrix is required for semidirect")
-        return cut_semidirect_zd(_parse_matrix(args.matrix), args.n)
-    if fam == "bs":
-        return cut_bs(args.p or 2, args.q or 3, args.n)
-    if fam == "ball":
-        return cut_ball(_group_from_args(args), args.n)
-    raise InputError(f"unknown cut family {fam!r}")
+# one entry per --group choice: args -> GroupSpec
+_GROUPS = {
+    "free_abelian": lambda a: GroupSpec.free_abelian(1 if a.d is None else a.d),
+    "semidirect": lambda a: GroupSpec.semidirect_zd(_matrix(a)),
+    "pq": lambda a: GroupSpec.pq(*_p_q(a)),
+    "lamplighter": lambda a: GroupSpec.lamplighter(_p_q(a)[0]),
+    "bs": lambda a: GroupSpec.baumslag_solitar(*_p_q(a)),
+}
+
+# one entry per --family choice: (args, index n) -> Cut
+_CUTS = {
+    "lamplighter": lambda a, n: cut_lamplighter(_p_q(a)[0], n),
+    "pq": lambda a, n: cut_pq(*_p_q(a), n),
+    "semidirect": lambda a, n: cut_semidirect_zd(_matrix(a), n),
+    "bs": lambda a, n: cut_bs(*_p_q(a), n),
+    "ball": lambda a, n: cut_ball(_GROUPS[a.group](a), n),
+}
 
 
 def _cut_result(cut) -> dict:
@@ -130,8 +127,8 @@ def _run_anorm(args):
         poly = TrigPoly.indicator(pts, dim=1)
         params = {"support": sorted(pts)}
     else:
-        poly = TrigPoly.box(args.box, dim=args.d or 1)
-        params = {"box": args.box, "d": args.d or 1}
+        poly = TrigPoly.box(args.box, dim=args.d)
+        params = {"box": args.box, "d": args.d}
     cert = a_norm_torus(poly, tol=args.tol)
     return [{"name": "a_norm_torus", "params": params,
              "certificate": cert.to_dict(), "value": cert.value}]
@@ -170,7 +167,7 @@ def _run_hardy(args):
 
 
 def _run_ball(args):
-    group = _group_from_args(args)
+    group = _GROUPS[args.group](args)
     bn = ball(group, args.n, budget=args.budget)
     if args.write_cache:
         BallCache(_cache_dir(args)).store(group, args.n, bn)
@@ -184,7 +181,7 @@ def _run_ball(args):
 
 
 def _run_lambda(args):
-    group = _group_from_args(args)
+    group = _GROUPS[args.group](args)
     bm = ball(group, args.ball, budget=args.budget)
     f = FinSuppFun.indicator(group, bm)
     est = lambda_norm_lower(f, args.radius, tol=args.tol, seed=args.seed,
@@ -207,7 +204,7 @@ def _rd_per_n(rows) -> dict:
 
 
 def _run_rd_fit(args):
-    group = _group_from_args(args)
+    group = _GROUPS[args.group](args)
     rows = []
     for n in range(1, args.nmax + 1):
         try:
@@ -224,13 +221,13 @@ def _run_rd_fit(args):
 
 
 def _run_cut(args):
-    cut = _cut_from_args(args)
+    cut = _CUTS[args.family](args, args.n)
     return [{"name": "cut", "params": {"family": args.family, "n": args.n},
              "cut": _cut_result(cut), "value": cut.certificate.upper}]
 
 
 def _run_verify(args):
-    cut = _cut_from_args(args)
+    cut = _CUTS[args.family](args, args.n)
     report = verify_cut(cut)
     return [{"name": "verify_cut", "params": {"family": args.family, "n": args.n},
              "cut": _cut_result(cut), "report": report.to_dict(),
@@ -238,22 +235,12 @@ def _run_verify(args):
 
 
 def _run_fit_growth(args):
-    fam = args.family
-    indices = range(1, args.nmax + 1)
-    if fam == "lamplighter":
-        family = lamplighter_cut_family(args.p or 2, indices)
-    elif fam == "pq":
-        family = pq_cut_family(args.p or 2, args.q or 3, indices)
-    elif fam == "semidirect":
-        if not args.matrix:
-            raise InputError("--matrix is required for semidirect")
-        family = semidirect_cut_family(_parse_matrix(args.matrix), indices)
-    else:
-        raise InputError(f"fit-growth does not support family {fam!r}")
+    family = CutFamily(tuple(_CUTS[args.family](args, n)
+                             for n in range(1, args.nmax + 1)))
     c, a = fit_growth(family)
     uppers = {str(cut.index): cut.certificate.upper for cut in family}
     return [{"name": "fit_growth",
-             "params": {"family": fam, "nmax": args.nmax},
+             "params": {"family": args.family, "nmax": args.nmax},
              "uppers": uppers, "C": c, "a": a, "value": a}]
 
 
@@ -276,28 +263,31 @@ def _flatten_params(params: dict) -> str:
     return ";".join(f"{k}={params[k]}" for k in sorted(params))
 
 
+def _field(value) -> str:
+    return "" if value is None else repr(value)
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
-        lines = ["command,params,value,lower,upper,method,seed"]
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")
+        rows.writerow(["command", "params", "value", "lower", "upper",
+                       "method", "seed"])
         for res in report["results"]:
             cert = (res.get("certificate") or res.get("estimate")
-                    or res.get("cut", {}).get("certificate")
-                    or res.get("report", {}).get("norm_upper") or {})
-            lower = cert.get("lower", cert.get("l2_lower", ""))
-            upper = cert.get("upper", cert.get("l1_upper", ""))
-            method = cert.get("method", res.get("name", ""))
-            lines.append(",".join([
+                    or res.get("cut", {}).get("certificate") or {})
+            rows.writerow([
                 report["command"],
                 _flatten_params(res.get("params", {})),
-                repr(res.get("value", "")),
-                repr(lower) if lower != "" else "",
-                repr(upper) if upper != "" else "",
-                str(method),
+                _field(res.get("value")),
+                _field(cert.get("lower")),
+                _field(cert.get("upper", cert.get("l1_upper"))),
+                str(cert.get("method", res.get("name", ""))),
                 str(report["config"]["seed"]),
-            ]))
-        text = "\n".join(lines) + "\n"
+            ])
+        text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -319,26 +309,22 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--budget", type=int, default=5_000_000)
-    sub.add_argument("--cache-dir", default=None)
-
-
-def _add_group_flags(sub):
-    sub.add_argument("--group", default="free_abelian",
-                     choices=("free_abelian", "semidirect", "pq",
-                              "lamplighter", "bs"))
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--q", type=int, default=None)
-    sub.add_argument("--matrix", default=None, help="integer matrix, e.g. '1,1;0,1'")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", default=None, help="write the report here instead of stdout")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--tol", type=float, default=1e-6)
+    common.add_argument("--budget", type=int, default=5_000_000)
+    common.add_argument("--cache-dir", default=None)
+
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--group", default="free_abelian", choices=tuple(_GROUPS))
+    group.add_argument("--d", type=int, default=None)
+    group.add_argument("--p", type=int, default=None)
+    group.add_argument("--q", type=int, default=None)
+    group.add_argument("--matrix", default=None, help="integer matrix, e.g. '1,1;0,1'")
+
     parser = argparse.ArgumentParser(
         prog="tamecut",
         description="Word-metric balls, multiplier norm certificates, and "
@@ -346,65 +332,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("dirichlet", help="Dirichlet kernel L1 norm")
+    s = subs.add_parser("dirichlet", parents=[common], help="Dirichlet kernel L1 norm")
     s.add_argument("--n", type=int, required=True)
-    _add_common(s)
 
-    s = subs.add_parser("anorm", help="Fourier-algebra norm of an indicator")
+    s = subs.add_parser("anorm", parents=[common],
+                        help="Fourier-algebra norm of an indicator")
     s.add_argument("--support", default=None, help="comma-separated frequencies")
     s.add_argument("--box", type=int, default=1)
     s.add_argument("--d", type=int, default=1)
-    _add_common(s)
 
-    s = subs.add_parser("hardy", help="a-norm of a frequency set over log size")
+    s = subs.add_parser("hardy", parents=[common],
+                        help="a-norm of a frequency set over log size")
     s.add_argument("--set", default=None, help="comma-separated frequencies")
     s.add_argument("--random", type=int, default=0)
     s.add_argument("--span", type=int, default=4096)
     s.add_argument("--size-max", type=int, default=512)
-    _add_common(s)
 
-    s = subs.add_parser("ball", help="enumerate a word-metric ball")
-    _add_group_flags(s)
+    s = subs.add_parser("ball", parents=[group, common],
+                        help="enumerate a word-metric ball")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--write-cache", action="store_true")
-    _add_common(s)
 
-    s = subs.add_parser("lambda", help="lower bound the reduced C* norm of a flat ball function")
-    _add_group_flags(s)
+    s = subs.add_parser("lambda", parents=[group, common],
+                        help="lower bound the reduced C* norm of a flat ball function")
     s.add_argument("--ball", type=int, default=1, help="support radius of the flat function")
     s.add_argument("--radius", type=int, default=32, help="truncation radius")
-    _add_common(s)
 
-    s = subs.add_parser("rd-fit", help="rapid-decay ratio samples and exponent fit")
-    _add_group_flags(s)
+    s = subs.add_parser("rd-fit", parents=[group, common],
+                        help="rapid-decay ratio samples and exponent fit")
     s.add_argument("--nmax", type=int, default=6)
     s.add_argument("--samples", type=int, default=25)
-    _add_common(s)
 
-    s = subs.add_parser("cut", help="construct a tame cut")
-    s.add_argument("--family", required=True,
-                   choices=("lamplighter", "pq", "semidirect", "bs", "ball"))
-    _add_group_flags(s)
-    s.add_argument("--n", type=int, required=True)
-    _add_common(s)
+    for name, text in (("cut", "construct a tame cut"),
+                       ("verify", "construct a cut and verify coverage")):
+        s = subs.add_parser(name, parents=[group, common], help=text)
+        s.add_argument("--family", required=True, choices=tuple(_CUTS))
+        s.add_argument("--n", type=int, required=True)
 
-    s = subs.add_parser("verify", help="construct a cut and verify coverage")
-    s.add_argument("--family", required=True,
-                   choices=("lamplighter", "pq", "semidirect", "bs", "ball"))
-    _add_group_flags(s)
-    s.add_argument("--n", type=int, required=True)
-    _add_common(s)
-
-    s = subs.add_parser("fit-growth", help="growth exponent of a cut family")
+    s = subs.add_parser("fit-growth", parents=[group, common],
+                        help="growth exponent of a cut family")
     s.add_argument("--family", required=True,
                    choices=("lamplighter", "pq", "semidirect"))
-    _add_group_flags(s)
     s.add_argument("--nmax", type=int, default=5)
-    _add_common(s)
 
-    s = subs.add_parser("cache", help="list or clear the ball cache")
+    s = subs.add_parser("cache", parents=[common], help="list or clear the ball cache")
     s.add_argument("--clear", action="store_true")
-    _add_common(s)
 
     return parser
 
@@ -412,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
+    if args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    if getattr(args, "budget", 1) <= 0:
+    if args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return 2
     report = {
@@ -427,10 +399,7 @@ def main(argv=None) -> int:
     }
     try:
         report["results"] = _HANDLERS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ElementNotFoundError as exc:
+    except (InputError, ElementNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

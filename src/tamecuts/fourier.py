@@ -135,6 +135,8 @@ class TrigPoly:
     @classmethod
     def box(cls, radius: int, dim: int = 1) -> "TrigPoly":
         """Indicator of {-radius..radius}^dim."""
+        if dim < 1:
+            raise InputError(f"box dimension must be at least 1, got {dim}")
         if dim == 1:
             return cls({(k,): 1.0 for k in range(-radius, radius + 1)}, dim=1)
         inner = cls.box(radius, dim - 1)

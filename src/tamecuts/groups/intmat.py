@@ -45,8 +45,10 @@ def identity_matrix(d: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def det(a: IntMatrix) -> int:
-    """Cofactor expansion; the matrices here are small (d rarely above 3)."""
+def det(a):
+    """Cofactor expansion; the matrices here are small (d rarely above 3).
+
+    Exact on integer and on ``Fraction`` entries alike."""
     d = len(a)
     if d == 1:
         return a[0][0]
@@ -100,18 +102,6 @@ def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(tuple(a[j][i] for j in range(d)) for i in range(d))
 
 
-def _frac_det(sub) -> Fraction:
-    k = len(sub)
-    if k == 1:
-        return sub[0][0]
-    total = Fraction(0)
-    for j in range(k):
-        minor = tuple(tuple(row[:j] + row[j + 1:]) for row in sub[1:])
-        sign = -1 if j % 2 else 1
-        total += sign * sub[0][j] * _frac_det(minor)
-    return total
-
-
 def _is_psd(u: Fraction, b: IntMatrix) -> bool:
     """Whether u*I - b is positive semidefinite (b symmetric integer).
 
@@ -123,7 +113,7 @@ def _is_psd(u: Fraction, b: IntMatrix) -> bool:
     for size in range(1, d + 1):
         for idx in combinations(range(d), size):
             sub = tuple(tuple(m[i][j] for j in idx) for i in idx)
-            if _frac_det(sub) < 0:
+            if det(sub) < 0:
                 return False
     return True
 

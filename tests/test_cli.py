@@ -1,12 +1,19 @@
 """Command-line surface: reports, determinism, exit codes, cache flags."""
 
+import csv
+import io
 import json
 import math
 import tracemalloc
 
 import pytest
 
-from tamecuts.cli import main
+from tamecuts.cli import build_parser, main
+from tamecuts.cuts import (
+    lamplighter_cut_family,
+    pq_cut_family,
+    semidirect_cut_family,
+)
 
 
 def run_json(capsys, argv):
@@ -256,3 +263,141 @@ def test_hardy_and_fit_growth(capsys):
     assert code == 0
     res = report["results"][0]
     assert res["a"] == 0.0 and abs(res["C"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--group", "pq", "--p", "0", "--q", "3", "--n", "1"],
+    ["ball", "--group", "bs", "--p", "2", "--q", "0", "--n", "1"],
+    ["ball", "--group", "lamplighter", "--p", "0", "--n", "1"],
+    ["ball", "--group", "free_abelian", "--d", "0", "--n", "1"],
+    ["cut", "--family", "pq", "--p", "0", "--q", "3", "--n", "1"],
+    ["fit-growth", "--family", "lamplighter", "--p", "0", "--nmax", "3"],
+    ["anorm", "--box", "1", "--d", "0"],
+])
+def test_zero_valued_flags_are_rejected(capsys, argv):
+    """An explicit 0 is a value, not an omitted flag: it reaches the
+    group's (or the box's) own validation instead of a default."""
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+# every --group choice, with the flags it needs and the family it reports
+GROUP_CHOICES = {
+    "free_abelian": ([], "free_abelian"),
+    "semidirect": (["--matrix", "2,1;1,1"], "semidirect_zd"),
+    "pq": ([], "pq"),
+    "lamplighter": ([], "lamplighter"),
+    "bs": ([], "baumslag_solitar"),
+}
+
+# every --family choice, with the flags it needs and its construction tag
+CUT_CHOICES = {
+    "lamplighter": ([], "lamplighter"),
+    "pq": ([], "pq"),
+    "semidirect": (["--matrix", "2,1;1,1"], "semidirect_zd"),
+    "bs": ([], "baumslag_solitar"),
+    "ball": (["--group", "pq"], "ball-indicator"),
+}
+
+
+def _choices(command: str, flag: str) -> tuple:
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return next(a.choices for a in sub._actions if flag in a.option_strings)
+
+
+@pytest.mark.parametrize("name", GROUP_CHOICES)
+def test_every_group_choice_builds_its_group(capsys, name):
+    assert _choices("ball", "--group") == tuple(GROUP_CHOICES)
+    flags, family = GROUP_CHOICES[name]
+    code, report = run_json(capsys, ["ball", "--group", name, *flags,
+                                     "--n", "2"])
+    assert code == 0
+    res = report["results"][0]
+    assert res["params"]["group"]["family"] == family
+    assert res["level_sizes"][0] == 1 and res["size"] > res["level_sizes"][1]
+
+
+@pytest.mark.parametrize("name", CUT_CHOICES)
+def test_every_family_choice_builds_its_cut(capsys, name):
+    assert _choices("cut", "--family") == tuple(CUT_CHOICES)
+    assert _choices("verify", "--family") == tuple(CUT_CHOICES)
+    flags, construction = CUT_CHOICES[name]
+    code, report = run_json(capsys, ["cut", "--family", name, *flags,
+                                     "--n", "1"])
+    assert code == 0
+    cut = report["results"][0]["cut"]
+    assert cut["family"] == construction and cut["index"] == 1
+
+
+@pytest.mark.parametrize("name, flags, family", [
+    ("pq", ["--p", "2", "--q", "5"], lambda: pq_cut_family(2, 5, range(1, 4))),
+    ("lamplighter", ["--p", "3"], lambda: lamplighter_cut_family(3, [1, 2, 3])),
+    ("semidirect", ["--matrix", "2,1;1,1"],
+     lambda: semidirect_cut_family([[2, 1], [1, 1]], [1, 2, 3])),
+])
+def test_fit_growth_matches_library_families(capsys, name, flags, family):
+    code, report = run_json(capsys, ["fit-growth", "--family", name, *flags,
+                                     "--nmax", "3"])
+    assert code == 0
+    expected = {str(cut.index): cut.certificate.upper for cut in family()}
+    assert report["results"][0]["uppers"] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--group", "semidirect", "--n", "2"],
+    ["lambda", "--group", "semidirect"],
+    ["verify", "--family", "semidirect", "--n", "2"],
+    ["fit-growth", "--family", "semidirect", "--nmax", "3"],
+])
+def test_semidirect_without_matrix_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "--matrix is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [None, "dirichlet", "anorm", "hardy",
+                                     "ball", "lambda", "rd-fit", "cut",
+                                     "verify", "fit-growth", "cache"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if command:
+        for flag in ("--format", "--out", "--seed", "--tol", "--budget",
+                     "--cache-dir"):
+            assert flag in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dirichlet", "--n", "3"],
+    ["anorm", "--support", "0,3,5"],
+    ["anorm", "--box", "1", "--d", "2"],
+    ["hardy", "--set", "0,1,5"],
+    ["hardy", "--random", "3", "--span", "40", "--size-max", "6"],
+    ["ball", "--group", "pq", "--n", "2"],
+    ["ball", "--group", "pq", "--n", "40", "--budget", "100"],
+    ["lambda", "--group", "free_abelian", "--d", "2", "--ball", "1",
+     "--radius", "4"],
+    ["rd-fit", "--group", "lamplighter", "--nmax", "3", "--samples", "3"],
+    ["cut", "--family", "semidirect", "--matrix", "2,1;1,1", "--n", "2"],
+    ["verify", "--family", "bs", "--n", "2"],
+    ["fit-growth", "--family", "pq", "--nmax", "3"],
+    ["cache", "--cache-dir", "missing-cache"],
+])
+def test_csv_rows_have_seven_columns(tmp_path, capsys, monkeypatch, argv):
+    """Params holding dicts or lists are quoted, not split at their commas,
+    and a result without a value gets an empty field."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--format", "csv", "--seed", "4"]) in (0, 3)
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["command", "params", "value", "lower", "upper",
+                       "method", "seed"]
+    for row in rows[1:]:
+        assert len(row) == 7, row
+        assert row[0] == argv[0] and row[6] == "4"
+        assert "''" not in row
+    if argv[0] == "hardy" and "--set" in argv:
+        assert rows[1][1] == "set=[0, 1, 5]"
+    if argv[0] == "hardy" and "--random" in argv:
+        assert rows[1][2] == ""

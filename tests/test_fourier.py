@@ -114,6 +114,9 @@ def test_trigpoly_basics():
         TrigPoly({})
     with pytest.raises(InputError):
         TrigPoly({(1, 2): 1.0, 3: 1.0})
+    for dim in (0, -1):
+        with pytest.raises(InputError):
+            TrigPoly.box(1, dim=dim)
 
 
 def test_a_norm_delta_exact():

@@ -1,6 +1,7 @@
 """Exact integer matrix helpers and the certified operator-norm bound."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -40,6 +41,17 @@ def test_det_and_inverse():
     assert mat_mul(c, inverse_unimodular(c)) == identity_matrix(3)
     with pytest.raises(ValueError):
         inverse_unimodular(as_int_matrix([[2, 0], [0, 1]]))
+
+
+def test_det_exact_on_fractions():
+    """Sarrus' rule, written out here, on a 3x3 matrix of Fractions."""
+    m = ((F(1, 2), F(-3, 7), F(2, 5)),
+         (F(5, 3), F(1, 11), F(-4, 9)),
+         (F(-2, 13), F(7, 4), F(3, 8)))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    sarrus = a * e * i + b * f * g + c * d * h - c * e * g - a * f * h - b * d * i
+    assert det(m) == sarrus
+    assert isinstance(det(m), F) and sarrus != 0
 
 
 def test_mat_pow_and_vec():
