@@ -49,6 +49,7 @@ from .groups import (
     subgroup_ball,
     t_length,
 )
+from .groups.elements import j2_target
 from .groups.intmat import as_int_matrix, certified_operator_norm_pair
 
 
@@ -326,7 +327,7 @@ def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     if n < 1:
         raise InputError("cut index must be positive")
     group = GroupSpec.baumslag_solitar(p, q)
-    pq_group = GroupSpec.pq(p, q)
+    pq_group = j2_target(p, q)
     psi = extend_by_cogrowth(pq_cut_family(p, q, [2 * n], tol=tol),
                              pq_group, n)
     psi_support = psi.support

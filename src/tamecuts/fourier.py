@@ -6,15 +6,19 @@ amenable) coincides with both the multiplier norm and the completely bounded
 multiplier norm.  This module computes it two ways:
 
 * ``a_norm_torus``   adaptive FFT quadrature of the transform on T^d, with an
-  empirical bracketing certificate from successive grid doublings;
+  empirical bracketing certificate from successive grid doublings.  The
+  first axis of each grid is split into cosets, each one transform of about
+  the polynomial's degree in length (at least 2^12 points), and each doubling
+  transforms only the points the previous grid lacks;
 * ``dirichlet_l1``   the interval indicator 1_{-n..n}, i.e. the Lebesgue
   constant of the order-n Dirichlet kernel, evaluated by the exact
   alternating-sign formula, with N = 2n+1,
 
       L_n = 1/N + (2/pi) * sum_{k=1}^{n} tan(pi k / N) / k,
 
-  which agrees with quadrature to machine precision, plus a calibrated
-  asymptotic branch (4/pi^2) log(2n+1) + c0 for indices too large to sum.
+  which agrees with quadrature to machine precision, plus the asymptotic
+  branch (4/pi^2) log(2n+1) + c0 for indices too large to sum, with
+  Watson's constant c0 as a literal.
   Each term is summed as 1 / (k tan(j pi / (2N))) with j = N - 2k, since
   tan(pi k / N) = cot(j pi / (2N)).  Near pi/2 tan magnifies the rounding of
   its argument about N-fold, so the largest terms (k near n) of the plain
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -55,11 +58,18 @@ _EXACT_DIRICHLET_MAX = 1 << 25      # largest index for the exact cot sum
 # each and ran about 2.5 times slower.
 _DIRICHLET_CHUNK = 1 << 14
 _MAX_GRID_POINTS = 1 << 24          # quadrature budget, all dimensions combined
-# Grid points per quadrature slab.  While m <= 2^18 a slab holds at most this
-# many (4 MiB complex, 4 MiB more for its transform, 2 MiB for |p|); past that
-# it is one column of m points.  Slabs this small run faster than larger ones,
-# as they stay in cache.
+# Grid points per quadrature batch.  While a coset transform has at most this
+# many points (M <= 2^18), a batch holds at most this many (4 MiB complex,
+# 4 MiB more for its transform, 2 MiB for |p|); past that it is one coset
+# column of M points.  Batches this small run faster than larger ones, as
+# they stay in cache.
 _SLAB_POINTS = 1 << 18
+# Shortest first-axis coset transform, where the grid allows.  Each batch
+# costs a few Python-level numpy calls, so cosets much shorter than this
+# spend more time there than in the transforms: with 16-point cosets the 2-D
+# boxes of radius 2 and 6 took 2.7 and 5.3 times as long to reach the budget
+# (2-vCPU VM, numpy 2.4).
+_MIN_COSET = 1 << 12
 # Absolute slack for lower > upper in a certificate.  It absorbs the last-place
 # rounding of bounds computed by different routes that meet at the true value:
 # a power-iteration lower bound reaching the l1 upper bound, or the d-th powers
@@ -171,64 +181,87 @@ class TrigPoly:
         return len(self.coeffs)
 
 
-def _mean_abs_on_grid(f: TrigPoly, m: int) -> float:
-    """Mean of |sum_k c_k exp(2 pi i k.t)| over the uniform m^dim grid.
+def _grid_abs_sum(f: TrigPoly, m: int, new_only: bool = False) -> float:
+    """Sum of |sum_k c_k exp(2 pi i k.t)| over the uniform m^dim grid.
 
-    The coefficients are grouped by their first coordinate mod m, and only
-    those rows are transformed along the other axes.  The first axis is then
-    transformed slab by slab, so the whole grid is never held at once.
-    Frequencies that agree mod m add up, as on the grid itself.
+    With ``new_only`` (m even) the sum runs only over the points that the
+    grid of m/2 points per axis lacks: those with an odd index on some axis.
 
-    Real coefficients give |p(-t)| = |p(t)|, so half the grid suffices: one
-    axis (the last; in one dimension the only one) is transformed by rfft,
-    and its points other than 0 and m/2 count twice, for themselves and
-    their mirror images.  rfft has the opposite sign, which maps the grid
-    onto itself by t -> -t on that axis and leaves the sum unchanged.
+    The coefficients are grouped into rows by their first coordinate mod m
+    (at most 2*degree+1 rows), and the rows are transformed along the other
+    axes; each point of those axes is a column.  The first-axis index is
+    split as j = r + q*s with m = q*M: on coset r, a column's values are the
+    length-M transform of its rows, each times exp(2 pi i k r / m) and added
+    into bin k mod M.  M is at least max(2*degree+1, _MIN_COSET) where m
+    allows, so q transforms of M points cost m log M, not m log m.  With
+    ``new_only``, q >= 2 is even and the old points are the even cosets at
+    columns whose indices are all even.
+
+    Real coefficients give |p(-t)| = |p(t)|, and t -> -t maps coset r onto
+    coset q - r and column c onto column -c.  So only cosets r <= q/2 are
+    transformed, the others counting through their mirror images (weight
+    2).  Cosets 0 and q/2 are their own mirror images: on them only columns
+    with last index l <= m/2 are transformed, with weight 2 except l = 0 and
+    l = m/2.  Complex coefficients transform every coset and column once.
+
+    Units of (coset, column) are transformed in batches of about
+    _SLAB_POINTS points through buffers allocated once, so the grid is
+    never held.
     """
-    keys = np.array(list(f.coeffs), dtype=np.int64) % m
+    keys = np.array(list(f.coeffs), dtype=np.int64)
+    degree = int(np.abs(keys).max())
+    keys %= m
     vals = np.array(list(f.coeffs.values()))
-    half = not vals.imag.any()
-    if half:
-        vals = vals.real
-    if half and f.dim == 1:
-        line = np.zeros(m)
-        np.add.at(line, keys[:, 0], vals)
-        spec = np.fft.rfft(line)
-        mags = np.abs(spec, out=line[:len(spec)])  # the line is done with
-        # every point but 0 and m/2 stands for itself and its mirror image
-        total = 2.0 * mags.sum() - mags[0] - (0.0 if m % 2 else mags[-1])
-        return float(total) / m
+    real = not vals.imag.any()
     first, row = np.unique(keys[:, 0], return_inverse=True)
-    rows = np.zeros((len(first),) + (m,) * (f.dim - 1), dtype=vals.dtype)
+    rows = np.zeros((len(first),) + (m,) * (f.dim - 1), dtype=complex)
     np.add.at(rows, (row, *keys[:, 1:].T), vals)
-    other = tuple(range(1, f.dim))
-    if half:
-        rows = np.fft.rfftn(rows, axes=other)
-    elif f.dim > 1:
-        rows = np.fft.ifftn(rows, axes=other, norm="forward")
+    if f.dim > 1:
+        rows = np.fft.ifftn(rows, axes=tuple(range(1, f.dim)), norm="forward")
     rows = rows.reshape(len(first), -1)
-    cols = rows.shape[1]
-    if half:
-        # a column stands for itself and its mirror image, except at last-axis
-        # index 0 and m/2, which are their own
-        last = np.arange(cols) % (m // 2 + 1)
-        col_w = np.where((last == 0) | (2 * last == m), 1.0, 2.0)
+    q = 2 if new_only else 1
+    target = max(2 * degree + 1, _MIN_COSET)
+    while m % (2 * q) == 0 and m // (2 * q) >= target:
+        q *= 2
+    big_m = m // q
+    col = np.arange(rows.shape[1])
+    last = col % m
+    odd = np.zeros(len(col), dtype=bool)
+    for axis in range(f.dim - 1):
+        odd |= (col // m ** axis) % 2 == 1
+    r = np.arange(q // 2 + 1 if real else q)[:, None]
+    if real:
+        half = np.where(2 * last > m, 0.0,
+                        np.where((last == 0) | (2 * last == m), 1.0, 2.0))
+        weight = np.where(2 * r % q == 0, half, 2.0)
     else:
-        col_w = np.ones(cols)
-    width = min(cols, max(1, _SLAB_POINTS // m))
-    # one slab, columns as rows, so the transform runs along contiguous
-    # memory; only the columns in ``first`` are ever written, the rest stay 0
-    slab = np.zeros((width, m), dtype=complex)
+        weight = np.ones((len(r), len(col)))
+    if new_only:
+        weight = np.where((r % 2 == 1) | odd, weight, 0.0)
+    unit_r, unit_c = np.nonzero(weight)
+    unit_w = weight[unit_r, unit_c]
+    # rows sorted by bin; rows sharing a bin (only when M < 2*degree+1) are
+    # added by reduceat, and bins no row reaches stay 0 in the slab
+    bins = first % big_m
+    order = np.argsort(bins, kind="stable")
+    first, rows, bins = first[order], rows[order], bins[order]
+    starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
+    bins = bins[starts]
+    width = min(len(unit_r), max(1, _SLAB_POINTS // big_m))
+    slab = np.zeros((width, big_m), dtype=complex)
     spec = np.empty_like(slab)
     mags = np.empty(slab.shape)
     total = 0.0
-    for start in range(0, cols, width):
-        w = min(width, cols - start)
-        slab[:w, first] = rows[:, start:start + w].T
+    for start in range(0, len(unit_r), width):
+        rr = unit_r[start:start + width]
+        w = len(rr)
+        twiddle = np.exp((2j * np.pi / m) * ((rr[:, None] * first) % m))
+        units = rows[:, unit_c[start:start + w]].T * twiddle
+        slab[:w, bins] = np.add.reduceat(units, starts, axis=1)
         np.fft.ifft(slab[:w], norm="forward", out=spec[:w])
         np.abs(spec[:w], out=mags[:w])
-        total += float(col_w[start:start + w] @ mags[:w].sum(axis=1))
-    return total / m ** f.dim
+        total += float(unit_w[start:start + w] @ mags[:w].sum(axis=1))
+    return total
 
 
 def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
@@ -238,8 +271,10 @@ def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
     The grid per dimension starts at max(64, 16*(degree+1)) and doubles until
     the change between successive Riemann sums drops below tol/2 relative;
     the certificate interval is the intersection of all observed brackets, so
-    refining never widens it.  Raises BudgetExceededError (with the best
-    certificate attached) if the grid budget runs out first.
+    refining never widens it.  The sum of |p| is kept from grid to grid: a
+    doubled grid holds the previous one at its even indices, so each doubling
+    transforms only its new points.  Raises BudgetExceededError (with the
+    best certificate attached) if the grid budget runs out first.
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
@@ -260,8 +295,10 @@ def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
         m *= 2
     prev = None
     delta_prev = None
+    total = 0.0
     while m ** f.dim <= max_points:
-        s = _mean_abs_on_grid(f, m)
+        total += _grid_abs_sum(f, m, new_only=prev is not None)
+        s = total / m ** f.dim
         if prev is not None:
             delta = abs(s - prev)
             if delta_prev is not None:
@@ -313,21 +350,16 @@ def _lebesgue_exact(n: int) -> float:
     return 1.0 / big_n + (2.0 / math.pi) * total
 
 
-@lru_cache(maxsize=1)
-def _lebesgue_c0() -> float:
-    """Constant c0 in L_n = (4/pi^2) log(2n+1) + c0 + O(n^-2), by Richardson
-    extrapolation of two exact values (residual error ~1e-10)."""
-    n1, n2 = 1 << 20, 1 << 21
-    c1 = _lebesgue_exact(n1) - (4 / math.pi ** 2) * math.log(2 * n1 + 1)
-    c2 = _lebesgue_exact(n2) - (4 / math.pi ** 2) * math.log(2 * n2 + 1)
-    return c2 + (c2 - c1) / 3.0
+# Watson's constant c0 in L_n = (4/pi^2) log(2n+1) + c0 + O(n^-2) (Watson
+# 1930): c0 = (8/pi^2) sum_{k>=1} log(k)/(4k^2-1) + (4/pi^2)(gamma + 2 log 2).
+_LEBESGUE_C0 = 0.98943127383114695
 
 
 def dirichlet_l1(n: int, tol: float = 1e-9) -> NormCertificate:
     """Certificate for the L^1(T) norm of the Dirichlet kernel of order n.
 
     Exact summation up to n = 2^25; larger indices use the asymptotic with
-    the calibrated constant (relative error well below 1e-8).  Strictly
+    Watson's constant (relative error well below 1e-8).  Strictly
     increasing in n.
     """
     if n < 0:
@@ -336,7 +368,7 @@ def dirichlet_l1(n: int, tol: float = 1e-9) -> NormCertificate:
         val = _lebesgue_exact(n)
         w = max(1e-12 * val, 5e-13)
         return NormCertificate(val - w, val + w, "exact-dft", tol)
-    val = (4 / math.pi ** 2) * math.log(2 * n + 1) + _lebesgue_c0()
+    val = (4 / math.pi ** 2) * math.log(2 * n + 1) + _LEBESGUE_C0
     w = 1e-8 * val
     return NormCertificate(val - w, val + w, "asymptotic", tol)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import add, itemgetter, neg
 from typing import Any, Callable, Hashable, Mapping, NamedTuple
 
@@ -587,6 +587,15 @@ def coset_key(x: Element):
     return family_ops(x.group).coset_key(x.data)
 
 
+@lru_cache(maxsize=16)
+def j2_target(p: int, q: int) -> GroupSpec:
+    """The pq(p, q) group that ``embed_j2`` maps BS(p,q) into.
+
+    One spec per (p, q), so that its arithmetic record (and the ball grown
+    on it) is built once, not once per embedded element."""
+    return GroupSpec.pq(p, q)
+
+
 def embed_j2(x: Element) -> Element:
     """The matrix-group leg of the diagonal embedding of BS(p,q).
 
@@ -596,7 +605,7 @@ def embed_j2(x: Element) -> Element:
     """
     if x.group.family != BAUMSLAG_SOLITAR:
         raise InputError("embed_j2 is defined on baumslag_solitar elements")
-    target = GroupSpec.pq(x.group.p, x.group.q)
+    target = j2_target(x.group.p, x.group.q)
     a_img = Element(target, (1, 0, 0))
     t_img = Element(target, (0, 0, -1))  # diagonal entry (p/q)^-1 = q/p
     t_inv = invert(t_img)

@@ -47,34 +47,107 @@ def tan_sum_lebesgue(r):
         math.tan(math.pi * k / big_n) / k for k in range(1, r + 1))
 
 
-# (dim, grid, slab points): on the 20-point 1-D grid frequencies in -25..25
-# share residues; slabs of 5 of the 48 columns (2-D) and 7 of the 400 (3-D)
-# leave a partial last slab.  Each case draws four complex and four real
-# coefficient sets.  Real ones keep m//2+1 points of the last axis, so there
-# slabs of 7 of the 23 columns (m = 45), 120 (m = 15) and 220 (m = 20) leave
-# a partial last slab; odd m has no m/2 point.
-SLAB_CASES = [(1, 20, None), (1, 256, None), (2, 48, 5 * 48), (2, 64, None),
-              (3, 20, 7 * 20), (3, 16, None), (1, 21, None), (2, 45, 7 * 45),
-              (3, 15, 7 * 15)]
+def random_poly(rng, dim, span, real, extra=None):
+    """15 frequencies in -span..span, plus ``extra(first frequency)``."""
+    keys = {tuple(int(x) for x in rng.integers(-span, span + 1, size=dim))
+            for _ in range(15)}
+    if extra is not None:
+        keys.add(extra(next(iter(keys))))
+    return TrigPoly({k: rng.normal() if real else
+                     complex(rng.normal(), rng.normal()) for k in keys},
+                    dim=dim)
 
 
-@pytest.mark.parametrize("dim,m,slab", SLAB_CASES)
-def test_slab_mean_matches_dense_reference(dim, m, slab, monkeypatch):
+# (dim, grid, slab points, cosets q).  With q = 1 a coset is the whole first
+# axis: on the 20-point 1-D grid frequencies in -25..25 share residues, and a
+# key k - m lands on the row of k; slabs of 5 of the 48 columns (2-D) and 7
+# of the 400 (3-D) leave a partial last slab.  Each case draws four complex
+# and four real coefficient sets.  Real ones keep the columns with last index
+# at most m/2, so there slabs of 7 of the 23 columns (m = 45), 120 (m = 15)
+# and 220 (m = 20) leave a partial last slab; odd m has no m/2 point.  With
+# q >= 2 (cosets of at least 8 points here) one key at the largest span with
+# 2*span+1 <= m/q pins the degree, so cosets have m/q points; slabs of 3
+# 64-point cosets (1-D) and of 7 columns (2-D, 3-D) leave partial batches.
+SLAB_CASES = [(1, 20, None, 1), (1, 256, None, 1), (2, 48, 5 * 48, 1),
+              (2, 64, None, 1), (3, 20, 7 * 20, 1), (3, 16, None, 1),
+              (1, 21, None, 1), (2, 45, 7 * 45, 1), (3, 15, 7 * 15, 1),
+              (1, 256, None, 4), (1, 1024, 3 * 64, 16), (2, 128, 7 * 64, 2),
+              (2, 256, None, 4), (3, 32, 7 * 16, 2), (3, 64, None, 4)]
+
+
+@pytest.mark.parametrize(
+    "dim,m,slab,q", SLAB_CASES,
+    ids=[f"{d}-{m}-{s}" + (f"-q{q}" if q > 1 else "")
+         for d, m, s, q in SLAB_CASES])
+def test_slab_mean_matches_dense_reference(dim, m, slab, q, monkeypatch):
     if slab is not None:
         monkeypatch.setattr(fourier, "_SLAB_POINTS", slab)
+    monkeypatch.setattr(fourier, "_MIN_COSET", 8)
+    lengths = []
+    ifft = np.fft.ifft  # ifftn, as in dense_mean_abs, does not come here
+
+    def spy(a, *args, **kwargs):
+        lengths.append(a.shape[-1])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    if q == 1:
+        span = 25
+        # first coordinates k and k - m land on the same row
+        extra = lambda base: (base[0] - m,) + base[1:]  # noqa: E731
+    else:
+        span = (m // q - 1) // 2
+        extra = lambda base: (span,) + (0,) * (dim - 1)  # noqa: E731
     rng = np.random.default_rng(100 + dim * m)
     for real in (False,) * 4 + (True,) * 4:
-        keys = {tuple(int(x) for x in rng.integers(-25, 26, size=dim))
-                for _ in range(15)}
-        # first coordinates k and k - m land on the same row
-        base = next(iter(keys))
-        keys.add((base[0] - m,) + base[1:])
-        f = TrigPoly({k: rng.normal() if real else
-                      complex(rng.normal(), rng.normal()) for k in keys},
-                     dim=dim)
-        got = fourier._mean_abs_on_grid(f, m)
+        f = random_poly(rng, dim, span, real, extra)
+        lengths.clear()
+        got = fourier._grid_abs_sum(f, m) / m ** dim
+        assert set(lengths) == {m // q}
         want = dense_mean_abs(f, m)
         assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+# (dim, grid m, span): the m-point sum, then the new points of the 2m grid.
+# With span 25 the first three start from one coset (q = 1), and the 2m grid
+# (q = 2, cosets of m points) takes frequencies that alias mod m and mod 2m;
+# the last four split both grids into two or more cosets.
+DOUBLING_CASES = [(1, 10, 25), (2, 12, 25), (3, 8, 25), (1, 128, 25),
+                  (2, 64, 25), (2, 128, 25), (3, 32, 7)]
+
+
+@pytest.mark.parametrize("dim,m,span", DOUBLING_CASES)
+def test_doubling_adds_new_points_to_dense_reference(dim, m, span,
+                                                    monkeypatch):
+    monkeypatch.setattr(fourier, "_MIN_COSET", 8)
+    rng = np.random.default_rng(200 + dim * m)
+    for real in (False, True) * 2:
+        f = random_poly(rng, dim, span, real)
+        total = (fourier._grid_abs_sum(f, m)
+                 + fourier._grid_abs_sum(f, 2 * m, new_only=True))
+        got = total / (2 * m) ** dim
+        want = dense_mean_abs(f, 2 * m)
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+def test_doubling_transforms_fewer_points_than_its_final_grid(monkeypatch):
+    """Each doubling transforms only the points the previous grid lacks, and
+    real coefficients only one point of each mirror pair, so all the grids
+    of a 1-D quadrature together cost fewer points than its last grid."""
+    points = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
+                 "irfftn"):
+        def spy(a, *args, _func=getattr(np.fft, name), **kwargs):
+            points.append(np.asarray(a).size)
+            return _func(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    rng = np.random.default_rng(7)
+    pts = {4096, *(int(k) for k in rng.choice(np.arange(-4096, 4097), 300,
+                                              replace=False))}
+    cert = a_norm_torus(TrigPoly.indicator(pts))
+    first = 1 << 17  # the first grid of 64 * 2^j >= 16 * (4096 + 1) points
+    assert cert.grid >= 4 * first, cert.grid  # three grids or more
+    assert sum(points) < cert.grid, (sum(points), cert.grid)
 
 
 def test_quadrature_memory_at_budget():
@@ -231,6 +304,18 @@ def test_dirichlet_asymptotic_branch_consistency():
     assert abs(asym.value - exact.value) < 1e-6
     big = dirichlet_l1(10 ** 13)
     assert big.lower <= (4 / math.pi ** 2) * math.log(2e13) + 1.0 <= big.upper + 1.5
+
+
+def test_watson_constant_matches_closed_form():
+    """c0 = (8/pi^2) sum_{k>=1} ln k / (4k^2 - 1) + (4/pi^2)(gamma + 2 ln 2),
+    the constant of L_n = (4/pi^2) ln(2n+1) + c0 + O(n^-2) (Watson 1930)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        tail = mpmath.nsum(lambda k: mpmath.log(k) / (4 * k * k - 1),
+                           [1, mpmath.inf], method="euler-maclaurin")
+        c0 = (8 / mpmath.pi ** 2 * tail
+              + 4 / mpmath.pi ** 2 * (mpmath.euler + 2 * mpmath.log(2)))
+    assert math.isclose(fourier._LEBESGUE_C0, float(c0), rel_tol=1e-15)
 
 
 def test_finite_cyclic_examples():

@@ -28,7 +28,9 @@ from tamecuts.groups import (
     t_length,
     word_length,
 )
+from tamecuts.cli import main
 from tamecuts.groups import balls as balls_mod
+from tamecuts.groups import elements as elements_mod
 from tamecuts.groups.elements import family_ops, from_payload, to_payload
 
 Z1 = GroupSpec.free_abelian(1)
@@ -660,6 +662,21 @@ def test_embed_j2():
     # generators map to generators, so word length cannot increase
     for x, lx in ball(BS23, 4).items():
         assert word_length(embed_j2(x)) <= lx
+
+
+def test_embed_j2_builds_its_target_once(monkeypatch, capsys):
+    """The BS cut's matrix part and every element it checks share one pq
+    spec, whose arithmetic record is built once for the whole command."""
+    builds = []
+    build = elements_mod._OPS_BUILDERS["pq"]
+    monkeypatch.setitem(elements_mod._OPS_BUILDERS, "pq",
+                        lambda group: builds.append(group) or build(group))
+    elements_mod.j2_target.cache_clear()
+    argv = ["verify", "--family", "bs", "--p", "2", "--q", "3", "--n", "4"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"][0]["report"]["checked"] > 100
+    assert builds == [PQ23]
 
 
 def test_bs_solvable_case_isomorphism_oracle():
