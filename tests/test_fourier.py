@@ -91,13 +91,13 @@ def test_slab_mean_matches_dense_reference(dim, m, slab, q, monkeypatch):
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", spy)
-    if q == 1:
-        span = 25
-        # first coordinates k and k - m land on the same row
-        extra = lambda base: (base[0] - m,) + base[1:]  # noqa: E731
-    else:
-        span = (m // q - 1) // 2
-        extra = lambda base: (span,) + (0,) * (dim - 1)  # noqa: E731
+    span = 25 if q == 1 else (m // q - 1) // 2
+
+    def extra(base):
+        if q == 1:  # first coordinates k and k - m land on the same row
+            return (base[0] - m,) + base[1:]
+        return (span,) + (0,) * (dim - 1)  # the degree is span
+
     rng = np.random.default_rng(100 + dim * m)
     for real in (False,) * 4 + (True,) * 4:
         f = random_poly(rng, dim, span, real, extra)
@@ -108,10 +108,11 @@ def test_slab_mean_matches_dense_reference(dim, m, slab, q, monkeypatch):
         assert math.isclose(got, want, rel_tol=1e-12), (got, want)
 
 
-# (dim, grid m, span): the m-point sum, then the new points of the 2m grid.
-# With span 25 the first three start from one coset (q = 1), and the 2m grid
-# (q = 2, cosets of m points) takes frequencies that alias mod m and mod 2m;
-# the last four split both grids into two or more cosets.
+# (dim, grid m, span): the m-point sum, then the new points of the 2m grid
+# (cosets of at least 8 points).  In the first three the m grid is one coset
+# and the 2m grid two cosets of m points, so frequencies alias mod m, mod M
+# and mod 2m; (2, 64) goes from one coset to two without aliasing, and the
+# last three from two cosets to four.
 DOUBLING_CASES = [(1, 10, 25), (2, 12, 25), (3, 8, 25), (1, 128, 25),
                   (2, 64, 25), (2, 128, 25), (3, 32, 7)]
 
