@@ -12,8 +12,8 @@ The package has four computational layers:
   functions on Z^d via exact Dirichlet-kernel formulas and adaptive FFT
   quadrature, packaged as (lower, upper) certificates;
 * ``tamecuts.opnorm``   certified lower bounds on reduced-C* convolution
-  norms by power iteration on ball compressions, rapid-decay ratio tests,
-  and empirical multiplier-norm lower bounds;
+  norms by power iteration on ball compressions, and rapid-decay ratio
+  tests;
 * ``tamecuts.cuts``     the tame-cut constructions themselves, with
   exhaustive ball-coverage verification and growth-exponent fits.
 
@@ -52,8 +52,6 @@ from .opnorm import (
     FinSuppFun,
     SpectralEstimate,
     lambda_norm_lower,
-    ma_ball_norm_lower,
-    multiplier_lower,
     rd_fit,
     rd_test,
 )
@@ -83,8 +81,7 @@ __all__ = [
     "multiply", "subgroup_membership", "t_length", "word_length",
     "NormCertificate", "TrigPoly", "a_norm_torus", "dirichlet_l1",
     "finite_cyclic_a_norm", "hardy_ratio", "tensor_norm",
-    "FinSuppFun", "SpectralEstimate", "lambda_norm_lower",
-    "ma_ball_norm_lower", "multiplier_lower", "rd_fit", "rd_test",
+    "FinSuppFun", "SpectralEstimate", "lambda_norm_lower", "rd_fit", "rd_test",
     "Cut", "CutFamily", "VerificationReport",
     "cut_ball", "cut_bs", "cut_lamplighter", "cut_pq", "cut_semidirect_zd",
     "extend_by_cogrowth", "fit_growth", "interval_cut_family",

@@ -65,6 +65,14 @@ def _matrix(args):
                          f"expected e.g. '1,1;0,1'") from exc
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"cannot parse {flag} {text!r}; "
+                         f"expected comma-separated integers") from exc
+
+
 def _p_q(args) -> tuple[int, int]:
     """--p and --q, defaulting to 2 and 3 only when omitted (0 stays 0)."""
     return (2 if args.p is None else args.p, 3 if args.q is None else args.q)
@@ -123,7 +131,7 @@ def _run_dirichlet(args):
 
 def _run_anorm(args):
     if args.support:
-        pts = [int(x) for x in args.support.split(",")]
+        pts = _int_list(args.support, "--support")
         poly = TrigPoly.indicator(pts, dim=1)
         params = {"support": sorted(pts)}
     else:
@@ -137,7 +145,7 @@ def _run_anorm(args):
 def _run_hardy(args):
     out = []
     if args.set:
-        pts = [int(x) for x in args.set.split(",")]
+        pts = _int_list(args.set, "--set")
         out.append({"name": "hardy_ratio", "params": {"set": sorted(pts)},
                     "value": hardy_ratio(pts, tol=args.tol)})
         return out

@@ -102,10 +102,6 @@ class Cut:
     provenance: Mapping = field(default_factory=dict)
     subgroup_only: bool = False  # support lies in the designated subgroup H
 
-    def indicator(self) -> Callable[[Element], float]:
-        support = self.support
-        return lambda x: 1.0 if x in support else 0.0
-
 
 @dataclass
 class CutFamily:

@@ -42,9 +42,7 @@ from .errors import BudgetExceededError, InputError
 METHODS = frozenset({
     "exact-dft",
     "quadrature",
-    "power-iteration",
     "l1-bound",
-    "l2-bound",
     "product-rule",
     "translation-invariance",
     "extension-isometry",
@@ -71,9 +69,8 @@ _SLAB_POINTS = 1 << 18
 # (2-vCPU VM, numpy 2.4).
 _MIN_COSET = 1 << 12
 # Absolute slack for lower > upper in a certificate.  It absorbs the last-place
-# rounding of bounds computed by different routes that meet at the true value:
-# a power-iteration lower bound reaching the l1 upper bound, or the d-th powers
-# of a bracket in a product rule.
+# rounding of bounds computed by different routes that meet at the true value,
+# such as the d-th powers of a bracket in a product rule.
 _BRACKET_SLACK = 1e-12
 
 
@@ -382,14 +379,14 @@ def finite_cyclic_a_norm(f) -> float:
     """
     if isinstance(f, tuple) and len(f) == 2 and isinstance(f[1], int):
         mapping, m = f
-        arr = np.zeros(m, dtype=complex)
-        for k, v in mapping.items():
-            arr[int(k) % m] += v
     else:
-        arr = np.asarray(list(f), dtype=complex)
-        m = arr.size
-    if m < 1:
+        values = list(f)
+        mapping, m = dict(enumerate(values)), len(values)
+    if m < 1:  # before anything is allocated or reduced mod m
         raise InputError("modulus must be at least 1")
+    arr = np.zeros(m, dtype=complex)
+    for k, v in mapping.items():
+        arr[int(k) % m] += v
     return float(np.abs(np.fft.fft(arr)).sum() / m)
 
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceededError, InputError
 from .groups import DEFAULT_BUDGET, Element, GroupSpec, ball, identity, word_length
-from .groups.balls import Ball
 
 
 class FinSuppFun:
@@ -50,12 +49,6 @@ class FinSuppFun:
     def indicator(cls, group: GroupSpec, elements: Iterable[Element]) -> "FinSuppFun":
         return cls(group, {x: 1.0 for x in elements})
 
-    @classmethod
-    def random_nonneg(cls, bn: Ball, rng: np.random.Generator) -> "FinSuppFun":
-        elems = list(bn)
-        coeffs = rng.uniform(0.0, 1.0, size=len(elems))
-        return cls(bn.group, dict(zip(elems, coeffs)))
-
     @property
     def l1(self) -> float:
         return float(sum(abs(v) for v in self.values.values()))
@@ -66,11 +59,6 @@ class FinSuppFun:
 
     def is_real(self) -> bool:
         return all(v.imag == 0 for v in self.values.values())
-
-    def pointwise(self, phi: Callable[[Element], complex]) -> "FinSuppFun":
-        """The product phi * f, evaluated on the support of f."""
-        return FinSuppFun(self.group,
-                          {x: complex(phi(x)) * v for x, v in self.values.items()})
 
     def support(self) -> list[Element]:
         return list(self.values.keys())
@@ -270,26 +258,12 @@ def _power_iteration(L: sp.spmatrix, tol: float, max_iter: int,
     return results
 
 
-def _compression(f: FinSuppFun, radius: int,
-                 budget: int = DEFAULT_BUDGET) -> CompressedConvolution:
-    """The compression for the support of f; past ``budget`` the
-    ``BudgetExceededError`` carries the bracket described in
-    ``lambda_norm_lower``."""
-    try:
-        return CompressedConvolution(f.group, f.support(), radius,
-                                     budget=budget)
-    except BudgetExceededError as exc:
-        partial = SpectralEstimate(f.l2, f.l1, f.l2, radius, 0, 1.0, False)
-        raise BudgetExceededError(str(exc), radius_reached=exc.radius_reached,
-                                  partial=partial) from exc
-
-
 def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
                       max_iter: int = 2000, seed: int = 0,
-                      conv: CompressedConvolution | None = None,
                       budget: int = DEFAULT_BUDGET) -> SpectralEstimate:
     """Certified lower bound for ||lambda(f)|| from the radius-``radius``
-    compression.  Deterministic for fixed (f, radius, seed).
+    compression of lambda(f), built for this call over the support of f.
+    Deterministic for fixed (f, radius, seed).
 
     If building the compression exceeds ``budget`` (ball elements, or
     |supp f| * |B_radius| matrix entries), the ``BudgetExceededError``
@@ -303,11 +277,14 @@ def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
     l2 = f.l2
     if not f.values:
         return SpectralEstimate(0.0, 0.0, 0.0, radius, 0, 0.0, True)
-    if conv is None:
-        conv = _compression(f, radius, budget=budget)
-    elif conv.group != f.group or not set(f.values).issubset(conv.support):
-        raise InputError("prebuilt operator does not cover the support of f")
-    coeffs = np.array([f.values.get(y, 0.0) for y in conv.support])
+    try:
+        conv = CompressedConvolution(f.group, f.support(), radius,
+                                     budget=budget)
+    except BudgetExceededError as exc:
+        partial = SpectralEstimate(l2, l1, l2, radius, 0, 1.0, False)
+        raise BudgetExceededError(str(exc), radius_reached=exc.radius_reached,
+                                  partial=partial) from exc
+    coeffs = np.array(list(f.values.values()))
     if f.is_real():
         coeffs = coeffs.real
     L = conv.matrix(coeffs)
@@ -388,67 +365,3 @@ def rd_fit(results: Iterable[RdSample]) -> tuple[float, float]:
     y = np.log(ratios)
     a, logc = np.polyfit(x, y, 1)
     return float(math.exp(logc)), float(a)
-
-
-def _as_pointwise(phi) -> Callable[[Element], complex]:
-    if callable(phi):
-        return phi
-    if isinstance(phi, FinSuppFun):
-        return lambda x: phi.values.get(x, 0.0)
-    raise InputError("multiplier must be a FinSuppFun or a callable on elements")
-
-
-def multiplier_lower(phi, probes: Iterable[FinSuppFun], radius: int,
-                     tol: float = 1e-8, seed: int = 0) -> float:
-    """Empirical lower bound for the multiplier norm of phi.
-
-    For each probe f the ratio ||lambda(phi f)||_lower / ||f||_1 never
-    exceeds ||lambda(phi f)|| / ||lambda(f)||, hence never exceeds the true
-    multiplier norm; the maximum over probes is returned.  Probes whose
-    products phi * f have the same support, in the same order, share one
-    compression.
-    """
-    fn = _as_pointwise(phi)
-    best = 0.0
-    convs: dict[tuple, CompressedConvolution] = {}
-    for f in probes:
-        if not f.values:
-            raise InputError("probes must be nonzero")
-        g = f.pointwise(fn)
-        if not g.values:
-            continue
-        support = tuple(g.values)
-        conv = convs.get(support)
-        if conv is None:
-            conv = convs[support] = _compression(g, radius)
-        est = lambda_norm_lower(g, radius, tol=tol, seed=seed, conv=conv)
-        best = max(best, est.lower / f.l1)
-    return best
-
-
-def ma_ball_norm_lower(phi, group: GroupSpec, n: int,
-                       probes: Iterable[FinSuppFun], radius: int,
-                       tol: float = 1e-8, seed: int = 0) -> float:
-    """Empirical lower bound for the ball-restricted multiplier norm: the
-    supremum of ||lambda(phi f)|| over f supported in B_n with
-    ||lambda(f)|| <= 1.  Probes must be supported in B_n."""
-    bn = ball(group, n)
-    checked = []
-    for f in probes:
-        for x in f.support():
-            if x not in bn:
-                raise InputError(
-                    f"probe support leaves the ball of radius {n}")
-        checked.append(f)
-    return multiplier_lower(phi, checked, radius, tol=tol, seed=seed)
-
-
-def default_probes(group: GroupSpec, n: int, count: int = 2,
-                   seed: int = 0) -> list[FinSuppFun]:
-    """Point mass at the identity, the flat indicator of B_n, and ``count``
-    random nonnegative functions on B_n."""
-    bn = ball(group, n)
-    rng = np.random.default_rng(seed)
-    probes = [FinSuppFun.delta(group), FinSuppFun.indicator(group, bn)]
-    probes.extend(FinSuppFun.random_nonneg(bn, rng) for _ in range(count))
-    return probes

@@ -114,6 +114,13 @@ def test_argument_errors_exit_2(capsys):
                  "--seed", "3"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    # frequency lists that are not comma-separated integers
+    for argv in (["anorm", "--support", "1,,2"], ["anorm", "--support=1,x"],
+                 ["hardy", "--set", "1,2.5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot parse")
+        assert captured.out == ""
 
 
 def test_budget_exit_3(capsys):

@@ -327,6 +327,10 @@ def test_finite_cyclic_examples():
     val = finite_cyclic_a_norm(({0: 1.0, 1: 1.0}, 4))
     assert abs(val - (1 + math.sqrt(2)) / 2) < 1e-12
     assert abs(finite_cyclic_a_norm([1.0, 1.0, 0.0, 0.0]) - val) < 1e-12
+    # the modulus is checked before anything is allocated or reduced mod m
+    for bad in (({0: 1.0}, 0), ({}, -1), []):
+        with pytest.raises(InputError, match="modulus must be at least 1"):
+            finite_cyclic_a_norm(bad)
 
 
 def test_cyclic_torus_agreement():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tamecuts
+import tamecuts.groups
 from tamecuts.errors import BudgetExceededError, ElementNotFoundError, InputError
 from tamecuts.groups import (
     BallCache,
@@ -48,6 +50,15 @@ ALL_FAMILIES = [Z2, SD, PQ23, LAMP2, BS23]
 def random_word(spec, rng, max_len=12):
     syms = spec.symbols()
     return [rng.choice(syms) for _ in range(rng.randint(0, max_len))]
+
+
+@pytest.mark.parametrize("module", [tamecuts, tamecuts.groups],
+                         ids=lambda m: m.__name__)
+def test_export_list_resolves(module):
+    """Every name in the package's export list is defined on the module,
+    and none is listed twice."""
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
 
 
 # ---------------------------------------------------------------------------

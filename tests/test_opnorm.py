@@ -1,4 +1,5 @@
-"""Truncated convolution norms, RD ratios, and multiplier lower bounds."""
+"""Truncated convolution norms, RD ratios, and the compression against
+entry-by-entry references."""
 
 import json
 import math
@@ -20,7 +21,6 @@ from tamecuts.cuts import (
     verify_cut,
 )
 from tamecuts.errors import BudgetExceededError, InputError
-from tamecuts.fourier import TrigPoly, a_norm_torus, dirichlet_l1
 from tamecuts.groups import (
     Element,
     GroupSpec,
@@ -35,10 +35,7 @@ from tamecuts.opnorm import (
     CompressedConvolution,
     FinSuppFun,
     SpectralEstimate,
-    default_probes,
     lambda_norm_lower,
-    ma_ball_norm_lower,
-    multiplier_lower,
     rd_fit,
     rd_test,
     RdSample,
@@ -117,13 +114,11 @@ def test_abelian_oracle_agreement_band():
     """On Z, the radius-64 lower bound brackets the transform supremum from
     below within the truncation gap for random f supported in B_8."""
     rng = np.random.default_rng(12)
-    conv = CompressedConvolution(Z1, list(ball(Z1, 8)), 64)
     for _ in range(30):
         coeffs = {k: float(v) for k, v in
                   zip(range(-8, 9), rng.uniform(0.0, 1.0, 17))}
         f = z_fun(coeffs)
-        est = lambda_norm_lower(f, 64, tol=1e-10, max_iter=3000,
-                                conv=conv if len(f.values) == 17 else None)
+        est = lambda_norm_lower(f, 64, tol=1e-10, max_iter=3000)
         sup = transform_sup(coeffs)
         assert est.lower <= sup + 1e-8
         assert sup - est.lower <= 0.15
@@ -192,59 +187,6 @@ def test_rd_fit_cases():
     assert abs(a - 0.5) <= 0.05
     with pytest.raises(InputError):
         rd_fit(synth[:2])
-
-
-def test_multiplier_lower_examples():
-    bn = ball(Z1, 4)
-    probes = default_probes(Z1, 4, count=2, seed=1)
-    # phi identically 1 on a superset of every probe support
-    val = multiplier_lower(lambda x: 1.0, probes, radius=8)
-    assert abs(val - 1.0) < 1e-9
-    # phi = delta_0: m_phi f = f(0) delta_0, norm 1, attained at the delta probe
-    phi = FinSuppFun.delta(Z1)
-    val = multiplier_lower(phi, probes, radius=8)
-    assert abs(val - 1.0) < 1e-9
-    # interval cut: at least 1, at most the certified A-norm upper bound
-    n = 4
-    cut_fn = lambda x: 1.0 if abs(x.data[0]) <= n else 0.0
-    probes_wide = default_probes(Z1, 4 * n, count=3, seed=2)
-    val = multiplier_lower(cut_fn, probes_wide, radius=24)
-    assert 1.0 - 1e-9 <= val <= dirichlet_l1(n).upper + 1e-6
-
-
-def test_multiplier_lower_below_a_norm_upper():
-    """On abelian groups the multiplier norm equals the Fourier-algebra
-    norm, so the empirical lower bound must respect the certified upper."""
-    rng = np.random.default_rng(9)
-    probes = default_probes(Z1, 6, count=3, seed=4)
-    for _ in range(5):
-        keys = rng.choice(np.arange(-4, 5), size=3, replace=False)
-        coeffs = {int(k): float(rng.uniform(0.2, 1.0)) for k in keys}
-        phi = z_fun(coeffs)
-        upper = a_norm_torus(TrigPoly(coeffs), tol=1e-7).upper
-        val = multiplier_lower(phi, probes, radius=16)
-        assert val <= upper + 1e-6
-
-
-def test_ma_ball_norm_lower():
-    probes_in = [FinSuppFun.delta(Z1),
-                 FinSuppFun.indicator(Z1, ball(Z1, 3))]
-    val = ma_ball_norm_lower(lambda x: 1.0, Z1, 3, probes_in, radius=8)
-    assert abs(val - 1.0) < 1e-9
-    # 1_{B_m} with m >= n acts as the identity on admissible probes
-    for m in (3, 5):
-        fn = lambda x, mm=m: 1.0 if abs(x.data[0]) <= mm else 0.0
-        assert abs(ma_ball_norm_lower(fn, Z1, 3, probes_in, radius=8) - 1.0) < 1e-9
-    # probe support outside B_n is an input error
-    wide = [FinSuppFun.indicator(Z1, ball(Z1, 5))]
-    with pytest.raises(InputError):
-        ma_ball_norm_lower(lambda x: 1.0, Z1, 3, wide, radius=8)
-    # restricted probes never beat unrestricted ones
-    phi = lambda x: 1.0 if abs(x.data[0]) <= 2 else 0.0
-    wide_probes = probes_in + [FinSuppFun.indicator(Z1, ball(Z1, 6))]
-    v_restricted = ma_ball_norm_lower(phi, Z1, 3, probes_in, radius=10)
-    v_unrestricted = multiplier_lower(phi, wide_probes, radius=10)
-    assert v_restricted <= v_unrestricted + 1e-12
 
 
 def test_nonabelian_paths():
@@ -317,22 +259,17 @@ PROBE_CUTS = {
 
 
 def verify_probe_supports(family):
-    """The group of the family's probe cut and its distinct default-probe
-    supports, which multiplier_lower hands to lambda_norm_lower (cut times
-    each default probe)."""
+    """The group of the family's probe cut and two supports on it: the
+    identity alone, and the cut's members in B_2, in ball order."""
     cut = PROBE_CUTS[family]()
-    supports = {}
-    for f in default_probes(cut.group, min(cut.index, 2), seed=0):
-        g = f.pointwise(cut.indicator())
-        if g.values:
-            supports[tuple(g.support())] = None
-    assert supports
-    return cut.group, [list(support) for support in supports]
+    group = cut.group
+    return group, [[identity(group)],
+                   [x for x in ball(group, 2) if x in cut.support]]
 
 
 @pytest.mark.parametrize("family", sorted(PROBE_CUTS))
 def test_compression_matches_reference_on_verify_probes(family):
-    """The default-probe supports at probe radius 8."""
+    """The probe-cut supports at radius 8."""
     group, supports = verify_probe_supports(family)
     for support in supports:
         assert_matches_reference(group, support, 8)
@@ -355,7 +292,7 @@ def test_power_iteration_bit_identical_to_reference_csr(family):
     """The power iteration on the compression returns exactly what it
     returns on the row-sorted CSR matrix assembled from the reference
     arrays, for real and complex coefficients: every matvec adds each output
-    entry's terms in the same order.  Cases: the default-probe supports at
+    entry's terms in the same order.  Cases: the probe-cut supports at
     radius 8 and tolerance 1e-6, and rd_test's Z^2 support B_2 at radius 8;
     each as one block, and as three blocks of the block-diagonal CSC
     against the block-diagonal CSR built from the reference arrays."""
@@ -516,25 +453,6 @@ def count_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(opnorm, "CompressedConvolution", CountingConvolution)
     return builds
-
-
-@pytest.mark.parametrize("family", sorted(PROBE_CUTS))
-def test_verify_cut_builds_one_compression_per_support(family, monkeypatch):
-    """multiplier_lower on the cut's four default probes: the flat and the
-    two random ones share a support once the cut is applied, so two
-    compressions are built, and the bound equals the maximum of per-probe
-    bounds each computed on its own freshly built compression.  That bound
-    is exactly 1.0, the value verify_cut reads off the cut itself."""
-    cut = PROBE_CUTS[family]()
-    phi = cut.indicator()
-    probes = default_probes(cut.group, min(cut.index, 2), seed=0)
-    expected = max(lambda_norm_lower(f.pointwise(phi), 8, tol=1e-6).lower / f.l1
-                   for f in probes)
-    builds = count_builds(monkeypatch)
-    lower = multiplier_lower(phi, probes, radius=8, tol=1e-6)
-    assert len(builds) == 2
-    assert lower == expected
-    assert lower == 1.0 == verify_cut(cut).norm_lower
 
 
 def test_cuts_build_no_compression(monkeypatch):
