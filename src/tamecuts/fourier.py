@@ -11,19 +11,14 @@ multiplier norm.  This module computes it two ways:
   the polynomial's degree in length (at least 2^12 points), and each doubling
   transforms only the points the previous grid lacks;
 * ``dirichlet_l1``   the interval indicator 1_{-n..n}, i.e. the Lebesgue
-  constant of the order-n Dirichlet kernel, evaluated by the exact
-  alternating-sign formula, with N = 2n+1,
+  constant of the order-n Dirichlet kernel.  Its exact value, with N = 2n+1,
 
       L_n = 1/N + (2/pi) * sum_{k=1}^{n} tan(pi k / N) / k,
 
-  which agrees with quadrature to machine precision, plus the asymptotic
-  branch (4/pi^2) log(2n+1) + c0 for indices too large to sum, with
-  Watson's constant c0 as a literal.
-  Each term is summed as 1 / (k tan(j pi / (2N))) with j = N - 2k, since
-  tan(pi k / N) = cot(j pi / (2N)).  Near pi/2 tan magnifies the rounding of
-  its argument about N-fold, so the largest terms (k near n) of the plain
-  form are off by about 1e-16 N each.  In the cot form those terms take the
-  tangent of a small angle, and no term is off by much more than 1e-16.
+  is summed term by term below order 2^10 and, from there to 2^25, taken in
+  constant time from harmonic numbers plus an Euler-Maclaurin integral (see
+  ``_lebesgue_exact``); larger orders use the asymptotic branch
+  (4/pi^2) log(2n+1) + c0, with Watson's constant c0 as a literal.
 
 Certificates are empirical: lower <= value <= upper at the stated grid, not
 formal interval arithmetic.
@@ -31,6 +26,7 @@ formal interval arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -49,12 +45,12 @@ METHODS = frozenset({
     "asymptotic",
 })
 
-_EXACT_DIRICHLET_MAX = 1 << 25      # largest index for the exact cot sum
-# Terms per chunk of the exact Dirichlet sum.  The chunk's two float buffers
-# (128 KiB each) are reused by every chunk and stay in cache through the
-# chain of in-place ufuncs; 2^20-term chunks allocated five 8 MiB temporaries
-# each and ran about 2.5 times slower.
-_DIRICHLET_CHUNK = 1 << 14
+_EXACT_DIRICHLET_MAX = 1 << 25      # largest index for the exact value
+# Smallest order at which the exact value comes from the Euler-Maclaurin
+# route rather than term by term (see _lebesgue_exact), and the size of its
+# Gauss-Legendre rule.
+_EM_MIN_ORDER = 1 << 10
+_GAUSS_NODES = 12
 _MAX_GRID_POINTS = 1 << 24          # quadrature budget, all dimensions combined
 # Grid points per quadrature batch.  While a coset transform has at most this
 # many points (M <= 2^18), a batch holds at most this many (4 MiB complex,
@@ -322,31 +318,115 @@ def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
 # Dirichlet kernel Lebesgue constants
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the _GAUSS_NODES-point Gauss-Legendre rule on
+    [-1, 1], positive nodes only (the rule is symmetric), by Newton's method
+    on the Legendre polynomial from Tricomi's initial guesses."""
+    m = _GAUSS_NODES
+    rule = []
+    for i in range(1, m // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(6):
+            p0, p1 = 1.0, x
+            for k in range(2, m + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = m * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+def _cot_remainder(x: float) -> float:
+    """q(x) = (cot x - 1/x + 2/pi) / (1 - 2x/pi) for 0 < x < pi/2.
+
+    Numerator and denominator both vanish at pi/2, so on the upper half q is
+    evaluated as (pi/2) tan(t)/t - 1/x with t = pi/2 - x, where nothing
+    cancels.
+    """
+    if x <= 0.25 * math.pi:
+        return (1 / math.tan(x) - 1 / x + 2 / math.pi) / (1 - 2 * x / math.pi)
+    t = 0.5 * math.pi - x
+    return 0.5 * math.pi * math.tan(t) / t - 1 / x
+
+
 def _lebesgue_exact(n: int) -> float:
-    """L^1 norm of the order-n Dirichlet kernel by the exact cot sum."""
+    """L^1 norm of the order-n Dirichlet kernel, from its exact tangent sum.
+
+    With N = 2n+1 and h = pi/N, L_n = 1/N + (2/pi) sum_{k=1}^{n} tan(pi k/N)/k.
+    Put j = N - 2k = 2i + 1: tan(pi k/N) = cot(x_i) at x_i = (i + 1/2) h,
+    and 1/k = (2h/pi) / (1 - 2 x_i/pi).  Splitting cot x = 1/x + (cot x - 1/x)
+    and adding and removing 2/pi gives, exactly,
+
+        L_n = 1/N + (4/pi^2) (2 H_{2n} - H_n + sum_{i=0}^{n-1} h q(x_i)),
+        q(x) = (cot x - 1/x + 2/pi) / (1 - 2x/pi),
+
+    H_m the m-th harmonic number.  q has a removable point at pi/2 and is
+    analytic on |x| < pi.  Its Taylor coefficients at 0 are all positive:
+    the m-th is (2/pi)^m times minus the tail past x^m of the numerator's
+    series, whose coefficients past the constant are negative and whose sum
+    at pi/2 is 0.  So q and every derivative of q are positive and
+    increasing on [0, pi), and |q(z)| <= q(|z|) for |z| < pi.
+
+    Below order _EM_MIN_ORDER = 2^10 the terms 1/(k tan(x_i)) are summed one
+    by one; they take the tangent of the small angle x_i, since tan near
+    pi/2 magnifies the rounding of its argument about N-fold.  From 2^10 on
+    the value takes constant time (about 10 microseconds):
+
+    * 2 H_{2n} - H_n = ln(4n) + gamma + 1/(24 n^2) - 7/(960 n^4) + e_H;
+    * the midpoint sum over [0, b], b = n h = pi/2 - h/2, is
+      int_0^b q - (h^2/24) (q'(b) - q'(0)) + R_EM, with q'(0) = 4/pi^2 - 1/3
+      and q'(b) from the Taylor series of tan(t)/t at t = h/2;
+    * int_0^b q by the 12-point Gauss-Legendre rule, with error e_GL.
+
+    Error budget on L_n, where each term enters times 4/pi^2 < 0.41, for
+    every n >= 2^10 (h <= pi/2049):
+
+    * R_EM: the midpoint Euler-Maclaurin remainder after the h^2 term is
+      (h^4/24) int_0^b (B_4(1/2) - B~_4(x/h)) q^(4)(x) dx, with B~_4 the
+      periodic Bernoulli function and 0 <= B_4(1/2) - B~_4 <= 1/16, so
+      0 <= R_EM <= (h^4/384) (q'''(pi/2) - q'''(0)) = (h^4/384) 0.9439:
+      below 1.0e-3 h^4 on L_n, that is 5.6e-15 (1.4e-15 relative) at
+      n = 2^10, falling as n^-4;
+    * e_GL: the Bernstein ellipse rho = 5 of [0, b] reaches out to
+      3.6 b/2 <= 0.9 pi, where |q| <= q(0.9 pi) < 3.5, so the 12-point
+      bound (b/2) (64/15) M rho^-24 / (rho^2 - 1) (Trefethen, Approximation
+      Theory and Approximation Practice, Thm 19.3) is below 1e-17;
+    * e_H: each H_m series is enveloped by its first omitted term,
+      1/(252 m^6), so |e_H| <= 1/(252 n^6) < 4e-21; cutting the tan(t)/t
+      series after t^4 moves q'(b) by under 0.6 t^5, below 1e-22 after
+      the h^2/24;
+    * rounding: about 30 operations on values below 20, plus the cot - 1/x
+      cancellation at the smallest node (x near 0.0145: about 4e-14 in q,
+      at weight 0.037): below 2e-14.
+
+    The sum, below 3e-14, is under 1% of the certificate's half-width
+    max(1e-12 L_n, 5e-13) > 4e-12 (L_n > 4.07 for n >= 2^10).
+    """
     if n == 0:
         return 1.0
     big_n = 2 * n + 1
-    chunk = min(n, _DIRICHLET_CHUNK)
-    step = np.arange(chunk, dtype=float)
-    twice_step = 2.0 * step
-    k_buf = np.empty(chunk)
-    term_buf = np.empty(chunk)
-    total = 0.0
-    for start in range(1, n + 1, chunk):
-        size = min(chunk, n + 1 - start)
-        k, term = k_buf[:size], term_buf[:size]
-        # j = N - 2k, odd; tan(pi k / N) = cot(j pi / (2N))
-        np.subtract(big_n - 2 * start, twice_step[:size], out=term)
-        np.multiply(term, math.pi / (2 * big_n), out=term)
-        np.tan(term, out=term)
-        np.add(step[:size], start, out=k)
-        np.multiply(term, k, out=term)
-        np.reciprocal(term, out=term)
-        total += float(term.sum())
-    return 1.0 / big_n + (2.0 / math.pi) * total
+    if n < _EM_MIN_ORDER:
+        k = np.arange(1, n + 1, dtype=float)
+        term = k * np.tan((big_n - 2 * k) * (math.pi / (2 * big_n)))
+        return 1.0 / big_n + (2.0 / math.pi) * float((1.0 / term).sum())
+    h = math.pi / big_n
+    harmonic = (math.log(4 * n) + _EULER_GAMMA
+                + (1 / 24 - 7 / (960 * n * n)) / (n * n))
+    half = 0.25 * (math.pi - h)  # b/2
+    integral = half * sum(w * (_cot_remainder(half * (1 - x))
+                               + _cot_remainder(half * (1 + x)))
+                          for x, w in _gauss_legendre())
+    # q'(b) = 1/(pi/2 - t)^2 - (pi/2) d/dt(tan t / t) at t = h/2
+    t = 0.5 * h
+    slope_b = 1 / (0.5 * math.pi - t) ** 2 - math.pi * t * (1 / 3 + 4 * t * t / 15)
+    slope_0 = 4 / math.pi ** 2 - 1 / 3
+    midpoint = integral - h * h / 24 * (slope_b - slope_0)
+    return 1.0 / big_n + (4 / math.pi ** 2) * (harmonic + midpoint)
 
 
+# Euler's constant: H_m = ln m + gamma + O(1/m), and it enters c0 below.
+_EULER_GAMMA = 0.57721566490153286
 # Watson's constant c0 in L_n = (4/pi^2) log(2n+1) + c0 + O(n^-2) (Watson
 # 1930): c0 = (8/pi^2) sum_{k>=1} log(k)/(4k^2-1) + (4/pi^2)(gamma + 2 log 2).
 _LEBESGUE_C0 = 0.98943127383114695
@@ -355,9 +435,15 @@ _LEBESGUE_C0 = 0.98943127383114695
 def dirichlet_l1(n: int, tol: float = 1e-9) -> NormCertificate:
     """Certificate for the L^1(T) norm of the Dirichlet kernel of order n.
 
-    Exact summation up to n = 2^25; larger indices use the asymptotic with
-    Watson's constant (relative error well below 1e-8).  Strictly
-    increasing in n.
+    Up to n = 2^25 the value is the exact sum ``_lebesgue_exact``: term by
+    term below n0 = 2^10, and from n0 on in constant time as
+    (4/pi^2)(2 H_{2n} - H_n + midpoint sum of q), with the harmonic numbers
+    from their asymptotic series and the midpoint sum as a Gauss-Legendre
+    integral plus its h^2 Euler-Maclaurin term.  Its error budget (below
+    3e-14 in all) is stated there; the half-width max(1e-12 L_n, 5e-13)
+    covers it more than a hundredfold.  Larger orders use the asymptotic
+    with Watson's constant (relative error well below 1e-8).  Strictly
+    increasing in n.  ``tol`` is recorded on the certificate, not used.
     """
     if n < 0:
         raise InputError("order must be nonnegative")
@@ -377,7 +463,7 @@ def finite_cyclic_a_norm(f) -> float:
     as a dict whose keys lie in range(m) via ``finite_cyclic_a_norm((f, m))``,
     or directly as a sequence of m values.
     """
-    if isinstance(f, tuple) and len(f) == 2 and isinstance(f[1], int):
+    if isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], Mapping):
         mapping, m = f
     else:
         values = list(f)

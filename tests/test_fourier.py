@@ -1,5 +1,6 @@
 """Fourier-algebra norms: closed forms, certificates, and invariants."""
 
+import functools
 import math
 import tracemalloc
 
@@ -307,16 +308,100 @@ def test_dirichlet_asymptotic_branch_consistency():
     assert big.lower <= (4 / math.pi ** 2) * math.log(2e13) + 1.0 <= big.upper + 1.5
 
 
-def test_watson_constant_matches_closed_form():
+@functools.cache
+def watson_c0(mpmath):
     """c0 = (8/pi^2) sum_{k>=1} ln k / (4k^2 - 1) + (4/pi^2)(gamma + 2 ln 2),
-    the constant of L_n = (4/pi^2) ln(2n+1) + c0 + O(n^-2) (Watson 1930)."""
-    mpmath = pytest.importorskip("mpmath")
+    the constant of L_n = (4/pi^2) ln(2n+1) + c0 + O(n^-2) (Watson 1930),
+    to 30 digits."""
     with mpmath.workdps(30):
         tail = mpmath.nsum(lambda k: mpmath.log(k) / (4 * k * k - 1),
                            [1, mpmath.inf], method="euler-maclaurin")
-        c0 = (8 / mpmath.pi ** 2 * tail
-              + 4 / mpmath.pi ** 2 * (mpmath.euler + 2 * mpmath.log(2)))
-    assert math.isclose(fourier._LEBESGUE_C0, float(c0), rel_tol=1e-15)
+        return float(8 / mpmath.pi ** 2 * tail
+                     + 4 / mpmath.pi ** 2 * (mpmath.euler + 2 * mpmath.log(2)))
+
+
+def test_watson_constant_matches_closed_form():
+    mpmath = pytest.importorskip("mpmath")
+    assert math.isclose(fourier._LEBESGUE_C0, watson_c0(mpmath), rel_tol=1e-15)
+
+
+N0 = fourier._EM_MIN_ORDER
+
+
+@pytest.mark.parametrize("n", [N0 - 1, N0, N0 + 1, N0 + 7, 2 * N0])
+def test_dirichlet_switch_orders_match_high_precision_sum(n):
+    """Around the switch from the term-by-term sum to the Euler-Maclaurin
+    route, the value is the tangent sum taken to 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        big_n = 2 * n + 1
+        tan_sum = mpmath.fsum(mpmath.tan(mpmath.pi * k / big_n) / k
+                              for k in range(1, n + 1))
+        want = float(1 / mpmath.mpf(big_n) + 2 / mpmath.pi * tan_sum)
+    cert = dirichlet_l1(n)
+    assert cert.method == "exact-dft"
+    assert cert.lower <= want <= cert.upper, (cert, want)
+    assert math.isclose(cert.value, want, rel_tol=1e-14), (cert.value, want)
+
+
+@pytest.mark.parametrize("n", [1 << 25, (1 << 25) - 1, (1 << 25) - 7,
+                               (1 << 25) - 12345, 6718464])
+def test_dirichlet_bench_orders_match_watson(n):
+    """At these orders Watson's O(n^-2) term is below 1e-13, so the exact
+    value is (4/pi^2) ln(2n+1) + c0 within 1e-12 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    want = 4 / math.pi ** 2 * math.log(2 * n + 1) + watson_c0(mpmath)
+    cert = dirichlet_l1(n)
+    assert cert.method == "exact-dft"
+    assert math.isclose(cert.value, want, rel_tol=1e-12), (cert.value, want)
+
+
+def test_dirichlet_increasing_across_switch():
+    vals = [dirichlet_l1(n).value for n in range(N0 - 3, N0 + 4)]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("n", [(1 << 25) + 1, 1 << 26, 10 ** 13])
+def test_dirichlet_asymptotic_contains_exact_value(n):
+    """The asymptotic branch's 1e-8 half-width holds the exact value, which
+    the Euler-Maclaurin route gives at any order."""
+    cert = dirichlet_l1(n)
+    assert cert.method == "asymptotic"
+    assert cert.lower <= fourier._lebesgue_exact(n) <= cert.upper
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    xs, ws = np.polynomial.legendre.leggauss(fourier._GAUSS_NODES)
+    want = sorted((x, w) for x, w in zip(xs, ws) if x > 0)
+    got = sorted(fourier._gauss_legendre())
+    assert len(got) == len(want)
+    for (x, w), (x_ref, w_ref) in zip(got, want):
+        assert abs(x - x_ref) < 1e-15 and abs(w - w_ref) < 1e-14
+
+
+def test_dirichlet_error_budget_constants():
+    """The constants of _lebesgue_exact's error budget, to 30 digits: q's
+    Taylor coefficients at 0 are positive (checked to x^40), the third
+    derivatives in the Euler-Maclaurin bound differ by less than 0.944, and
+    q(0.9 pi) in the Gauss-Legendre bound is below 3.5."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        # numerator 2/pi + (cot x - 1/x): x^(2j-1) has -2^(2j)|B_2j|/(2j)!
+        num = [2 / pi] + [mpmath.mpf(0)] * 40
+        for j in range(1, 21):
+            num[2 * j - 1] = -(2 ** (2 * j) * abs(mpmath.bernoulli(2 * j))
+                               / mpmath.factorial(2 * j))
+        coeffs = [sum(num[i] * (2 / pi) ** (m - i) for i in range(m + 1))
+                  for m in range(41)]
+        assert all(c > 0 for c in coeffs)
+
+        def q_at(t):  # q(pi/2 - t)
+            return pi / 2 * mpmath.tan(t) / t - 1 / (pi / 2 - t)
+        third_at_half = -mpmath.diff(q_at, mpmath.mpf("1e-12"), 3)
+        assert third_at_half - 6 * coeffs[3] < 0.944
+        x = 0.9 * pi
+        assert (mpmath.cot(x) - 1 / x + 2 / pi) / (1 - 2 * x / pi) < 3.5
 
 
 def test_finite_cyclic_examples():
@@ -327,6 +412,9 @@ def test_finite_cyclic_examples():
     val = finite_cyclic_a_norm(({0: 1.0, 1: 1.0}, 4))
     assert abs(val - (1 + math.sqrt(2)) / 2) < 1e-12
     assert abs(finite_cyclic_a_norm([1.0, 1.0, 0.0, 0.0]) - val) < 1e-12
+    # a 2-tuple of values is a sequence, like a list; only (mapping, m) is not
+    assert finite_cyclic_a_norm((1.0, 2)) == 2.0
+    assert finite_cyclic_a_norm((1, 2)) == 2.0
     # the modulus is checked before anything is allocated or reduced mod m
     for bad in (({0: 1.0}, 0), ({}, -1), []):
         with pytest.raises(InputError, match="modulus must be at least 1"):
