@@ -29,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -130,7 +131,7 @@ def _run_dirichlet(args):
 
 
 def _run_anorm(args):
-    if args.support:
+    if args.support is not None:
         pts = _int_list(args.support, "--support")
         poly = TrigPoly.indicator(pts, dim=1)
         params = {"support": sorted(pts)}
@@ -275,7 +276,8 @@ def _field(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, code: int) -> int:
+    """Write the report; ``code`` on success, 2 if --out cannot be written."""
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
@@ -296,104 +298,139 @@ def _emit(report: dict, args) -> None:
                 str(report["config"]["seed"]),
             ])
         text = buf.getvalue()
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
-_HANDLERS = {
-    "dirichlet": _run_dirichlet,
-    "anorm": _run_anorm,
-    "hardy": _run_hardy,
-    "ball": _run_ball,
-    "lambda": _run_lambda,
-    "rd-fit": _run_rd_fit,
-    "cut": _run_cut,
-    "verify": _run_verify,
-    "fit-growth": _run_fit_growth,
-    "cache": _run_cache,
+def _common_flags(p) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--cache-dir", default=None)
+
+
+def _group_flags(p) -> None:
+    p.add_argument("--group", default="free_abelian", choices=tuple(_GROUPS))
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--p", type=int, default=None)
+    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--matrix", default=None, help="integer matrix, e.g. '1,1;0,1'")
+
+
+def _dirichlet_flags(p) -> None:
+    _common_flags(p)
+    p.add_argument("--n", type=int, required=True)
+
+
+def _anorm_flags(p) -> None:
+    _common_flags(p)
+    p.add_argument("--support", default=None, help="comma-separated frequencies")
+    p.add_argument("--box", type=int, default=1)
+    p.add_argument("--d", type=int, default=1)
+
+
+def _hardy_flags(p) -> None:
+    _common_flags(p)
+    p.add_argument("--set", default=None, help="comma-separated frequencies")
+    p.add_argument("--random", type=int, default=0)
+    p.add_argument("--span", type=int, default=4096)
+    p.add_argument("--size-max", type=int, default=512)
+
+
+def _ball_flags(p) -> None:
+    _group_flags(p)
+    _common_flags(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--write-cache", action="store_true")
+
+
+def _lambda_flags(p) -> None:
+    _group_flags(p)
+    _common_flags(p)
+    p.add_argument("--ball", type=int, default=1, help="support radius of the flat function")
+    p.add_argument("--radius", type=int, default=32, help="truncation radius")
+
+
+def _rd_fit_flags(p) -> None:
+    _group_flags(p)
+    _common_flags(p)
+    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--samples", type=int, default=25)
+
+
+def _cut_flags(p) -> None:
+    _group_flags(p)
+    _common_flags(p)
+    p.add_argument("--family", required=True, choices=tuple(_CUTS))
+    p.add_argument("--n", type=int, required=True)
+
+
+def _fit_growth_flags(p) -> None:
+    _group_flags(p)
+    _common_flags(p)
+    p.add_argument("--family", required=True,
+                   choices=("lamplighter", "pq", "semidirect"))
+    p.add_argument("--nmax", type=int, default=5)
+
+
+def _cache_flags(p) -> None:
+    _common_flags(p)
+    p.add_argument("--clear", action="store_true")
+
+
+# one entry per command: name -> (help text, flag-adder, handler)
+_COMMANDS = {
+    "dirichlet": ("Dirichlet kernel L1 norm", _dirichlet_flags, _run_dirichlet),
+    "anorm": ("Fourier-algebra norm of an indicator", _anorm_flags, _run_anorm),
+    "hardy": ("a-norm of a frequency set over log size", _hardy_flags, _run_hardy),
+    "ball": ("enumerate a word-metric ball", _ball_flags, _run_ball),
+    "lambda": ("lower bound the reduced C* norm of a flat ball function",
+               _lambda_flags, _run_lambda),
+    "rd-fit": ("rapid-decay ratio samples and exponent fit", _rd_fit_flags, _run_rd_fit),
+    "cut": ("construct a tame cut", _cut_flags, _run_cut),
+    "verify": ("construct a cut and verify coverage", _cut_flags, _run_verify),
+    "fit-growth": ("growth exponent of a cut family", _fit_growth_flags,
+                   _run_fit_growth),
+    "cache": ("list or clear the ball cache", _cache_flags, _run_cache),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="write the report here instead of stdout")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--budget", type=int, default=5_000_000)
-    common.add_argument("--cache-dir", default=None)
-
-    group = argparse.ArgumentParser(add_help=False)
-    group.add_argument("--group", default="free_abelian", choices=tuple(_GROUPS))
-    group.add_argument("--d", type=int, default=None)
-    group.add_argument("--p", type=int, default=None)
-    group.add_argument("--q", type=int, default=None)
-    group.add_argument("--matrix", default=None, help="integer matrix, e.g. '1,1;0,1'")
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The tamecut parser with the subparser of ``command`` only, or of
+    every command when ``command`` is None (root --help, --version and an
+    argv that names no command)."""
     parser = argparse.ArgumentParser(
         prog="tamecut",
         description="Word-metric balls, multiplier norm certificates, and "
                     "tame-cut families on concrete groups.")
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("dirichlet", parents=[common], help="Dirichlet kernel L1 norm")
-    s.add_argument("--n", type=int, required=True)
-
-    s = subs.add_parser("anorm", parents=[common],
-                        help="Fourier-algebra norm of an indicator")
-    s.add_argument("--support", default=None, help="comma-separated frequencies")
-    s.add_argument("--box", type=int, default=1)
-    s.add_argument("--d", type=int, default=1)
-
-    s = subs.add_parser("hardy", parents=[common],
-                        help="a-norm of a frequency set over log size")
-    s.add_argument("--set", default=None, help="comma-separated frequencies")
-    s.add_argument("--random", type=int, default=0)
-    s.add_argument("--span", type=int, default=4096)
-    s.add_argument("--size-max", type=int, default=512)
-
-    s = subs.add_parser("ball", parents=[group, common],
-                        help="enumerate a word-metric ball")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--write-cache", action="store_true")
-
-    s = subs.add_parser("lambda", parents=[group, common],
-                        help="lower bound the reduced C* norm of a flat ball function")
-    s.add_argument("--ball", type=int, default=1, help="support radius of the flat function")
-    s.add_argument("--radius", type=int, default=32, help="truncation radius")
-
-    s = subs.add_parser("rd-fit", parents=[group, common],
-                        help="rapid-decay ratio samples and exponent fit")
-    s.add_argument("--nmax", type=int, default=6)
-    s.add_argument("--samples", type=int, default=25)
-
-    for name, text in (("cut", "construct a tame cut"),
-                       ("verify", "construct a cut and verify coverage")):
-        s = subs.add_parser(name, parents=[group, common], help=text)
-        s.add_argument("--family", required=True, choices=tuple(_CUTS))
-        s.add_argument("--n", type=int, required=True)
-
-    s = subs.add_parser("fit-growth", parents=[group, common],
-                        help="growth exponent of a cut family")
-    s.add_argument("--family", required=True,
-                   choices=("lamplighter", "pq", "semidirect"))
-    s.add_argument("--nmax", type=int, default=5)
-
-    s = subs.add_parser("cache", parents=[common], help="list or clear the ball cache")
-    s.add_argument("--clear", action="store_true")
-
+    # the metavar keeps the root usage line, which argparse prints with
+    # "unrecognized arguments", listing every command
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name in _COMMANDS if command is None else (command,):
+        text, flags, _ = _COMMANDS[name]
+        flags(subs.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
+    if not 0 < args.tol < math.inf:  # also rejects nan
+        print("error: --tol must be finite and positive", file=sys.stderr)
         return 2
     if args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
@@ -406,7 +443,7 @@ def main(argv=None) -> int:
                    if k not in ("out",)},
     }
     try:
-        report["results"] = _HANDLERS[args.command](args)
+        report["results"] = _COMMANDS[args.command][2](args)
     except (InputError, ElementNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -419,10 +456,8 @@ def main(argv=None) -> int:
         if isinstance(partial, dict):
             report["error"]["partial"] = partial
         report["results"] = []
-        _emit(report, args)
-        return 3
-    _emit(report, args)
-    return 0
+        return _emit(report, args, 3)
+    return _emit(report, args, 0)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Command-line surface: reports, determinism, exit codes, cache flags."""
 
+import argparse
 import csv
 import io
 import json
@@ -107,6 +108,10 @@ def test_argument_errors_exit_2(capsys):
     assert main(["cut", "--family", "semidirect", "--n", "2",
                  "--matrix", "1,1;0"]) == 2  # not square
     assert main(["dirichlet", "--n", "1", "--tol", "-1"]) == 2
+    # a tolerance that is not finite would print NaN (not JSON) or never stop
+    assert main(["dirichlet", "--n", "5", "--tol", "nan"]) == 2
+    assert main(["dirichlet", "--n", "5", "--tol", "inf"]) == 2
+    assert main(["anorm", "--box", "1", "--tol", "nan"]) == 2
     assert main(["hardy"]) == 2  # neither --set nor --random
     assert main(["hardy", "--random", "1", "--size-max", "1"]) == 2
     # more frequencies than the 5 in -2..2
@@ -116,11 +121,20 @@ def test_argument_errors_exit_2(capsys):
     assert "error" in err
     # frequency lists that are not comma-separated integers
     for argv in (["anorm", "--support", "1,,2"], ["anorm", "--support=1,x"],
-                 ["hardy", "--set", "1,2.5"]):
+                 ["anorm", "--support="], ["hardy", "--set", "1,2.5"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot parse")
         assert captured.out == ""
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["dirichlet", "--n", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write report to {out}: ")
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_budget_exit_3(capsys):
@@ -408,3 +422,49 @@ def test_csv_rows_have_seven_columns(tmp_path, capsys, monkeypatch, argv):
         assert rows[1][1] == "set=[0, 1, 5]"
     if argv[0] == "hardy" and "--random" in argv:
         assert rows[1][2] == ""
+
+
+# one representative argv per command
+COMMAND_ARGV = {
+    "dirichlet": ["--n", "3", "--tol", "1e-8"],
+    "anorm": ["--support", "0,3", "--d", "2"],
+    "hardy": ["--random", "3", "--size-max", "6", "--seed", "2"],
+    "ball": ["--group", "pq", "--p", "2", "--n", "2", "--write-cache"],
+    "lambda": ["--ball", "2", "--radius", "8", "--format", "csv"],
+    "rd-fit": ["--group", "lamplighter", "--nmax", "3", "--samples", "3"],
+    "cut": ["--family", "semidirect", "--matrix", "2,1;1,1", "--n", "2"],
+    "verify": ["--fam", "bs", "--n", "2", "--out", "r.json"],
+    "fit-growth": ["--family", "pq", "--nmax", "3", "--budget", "9"],
+    "cache": ["--clear", "--cache-dir", "c"],
+}
+
+
+def _subparser(parser, command):
+    return parser._subparsers._group_actions[0].choices[command]
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_single_command_parser_matches_full(command):
+    """build_parser(command) holds only that command's subparser, with the
+    same help, the same root usage line and the same parse as the full one."""
+    full, single = build_parser(), build_parser(command)
+    assert list(single._subparsers._group_actions[0].choices) == [command]
+    assert (_subparser(single, command).format_help()
+            == _subparser(full, command).format_help())
+    assert single.format_usage() == full.format_usage()
+    argv = [command, *COMMAND_ARGV[command]]
+    assert single.parse_args(argv) == full.parse_args(argv)
+
+
+def test_verify_builds_two_parsers(monkeypatch, capsys):
+    """A command call builds the root parser and its own subparser only."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["verify", "--family", "pq", "--n", "2"]) == 0
+    assert len(built) == 2, built
