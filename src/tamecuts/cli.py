@@ -145,7 +145,7 @@ def _run_anorm(args):
 
 def _run_hardy(args):
     out = []
-    if args.set:
+    if args.set is not None:
         pts = _int_list(args.set, "--set")
         out.append({"name": "hardy_ratio", "params": {"set": sorted(pts)},
                     "value": hardy_ratio(pts, tol=args.tol)})

@@ -6,13 +6,14 @@ lengths are exact word lengths.  Growth state is memoized per group so that
 repeated queries (and queries at increasing radii) reuse earlier levels; a
 ``Ball`` is a cheap immutable view onto a prefix of that shared state.
 
-The state is the canonical ``data`` tuple of each element with its index
-(its BFS discovery position), plus the right Cayley table and BFS parent
-pointers, all recorded as the ball grows; lengths are read off the level
-boundaries.  Growth only ever multiplies on the right by a generator, so it
-calls the closed-form ``right_steps`` of the group's ``FamilyOps`` record
-on data tuples, never the general ``mul``; ``Element``s are made only when
-a caller asks for members.
+Growth records only the canonical ``data`` tuple of each element, its index
+(its BFS discovery position) and the level boundaries, off which lengths
+are read.  The right Cayley table is built on demand, for
+``Ball.translate_indices`` alone, and the BFS parent pointers are read off
+it.  Growth only ever multiplies on the right by a generator, so it calls
+the closed-form ``right_steps`` of the group's ``FamilyOps`` record on data
+tuples, never the general ``mul``; ``Element``s are made only when a caller
+asks for members.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ class _BallGrower:
 
     ``elements`` holds canonical data tuples, and ``index_of`` maps data to
     index.  Element ``i`` (in discovery order) has word length r exactly when
-    ``level_end[r-1] <= i < level_end[r]``.  ``steps[j]`` right-multiplies by
-    the j-th generator of ``generators(group)``, and there are k of them.
-    Every product computed while growing is kept: ``right[k*i + j]`` is the
-    index of ``steps[j](elements[i])`` for each expanded element (all of
-    B_{radius-1}), and ``parent[i]``, ``gen[i]`` name the expanded element
-    and generator that first reached element ``i``, so ``elements[i] ==
-    steps[gen[i]](elements[parent[i]])`` spells out a geodesic word.
+    ``level_end[r-1] <= i < level_end[r]``.  Growth keeps only these three.
+    ``steps[j]`` right-multiplies by the j-th generator of
+    ``generators(group)``, and there are k of them.  The right Cayley table
+    ``right[k*i + j]`` = index of ``steps[j](elements[i])`` is built only
+    when ``table`` asks for it, and then only over the levels not yet
+    covered.
     """
 
     def __init__(self, group: GroupSpec):
@@ -56,8 +56,6 @@ class _BallGrower:
         self.index_of: dict[tuple, int] = {ops.identity: 0}
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
         self.right = array("i")
-        self.parent = array("i", [-1])
-        self.gen = array("b", [-1])
         self.lock = threading.Lock()
 
     @property
@@ -77,36 +75,46 @@ class _BallGrower:
         start = self.level_end[-2] if len(self.level_end) >= 2 else 0
         stop = self.level_end[-1]
         elements, index_of = self.elements, self.index_of
-        claim, record = index_of.setdefault, self.right.append
-        add_element, add_parent, add_gen = (
-            elements.append, self.parent.append, self.gen.append)
-        steps = tuple(enumerate(self.steps))
+        claim, add = index_of.setdefault, elements.append
+        steps = self.steps
         n = stop
         try:
-            for i in range(start, stop):
-                x = elements[i]
-                for j, step in steps:
+            for x in elements[start:stop]:
+                for step in steps:
                     y = step(x)
-                    idx = claim(y, n)
-                    if idx == n:  # y is new
+                    if claim(y, n) == n:  # y is new
                         if n >= budget:  # fail before memory does
                             del index_of[y]
                             raise BudgetExceededError(
                                 f"ball budget {budget} exceeded at radius "
                                 f"{self.radius + 1} of {self.group.label()}",
                                 radius_reached=self.radius)
-                        add_element(y)
-                        add_parent(i)
-                        add_gen(j)
+                        add(y)
                         n += 1
-                    record(idx)
         except BudgetExceededError:
             for y in elements[stop:]:
                 del index_of[y]
-            del elements[stop:], self.parent[stop:], self.gen[stop:]
-            del self.right[len(self.steps) * start:]
+            del elements[stop:]
             raise
         self.level_end.append(len(elements))
+
+    def table(self, radius: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """A copy of the right Cayley table over B_radius: entry ``k*i + j``
+        is the index of ``steps[j](elements[i])``.  Grows to ``radius + 1``
+        first, and extends the cached table over the levels it lacks."""
+        k = len(self.steps)
+        with self.lock:
+            while self.radius <= radius:
+                self._grow_level(budget)
+            covered = self.level_end[radius] if radius >= 0 else 0
+            have = len(self.right) // k
+            if covered > have:
+                index, steps = self.index_of.__getitem__, self.steps
+                self.right.fromlist([index(step(x))
+                                     for x in self.elements[have:covered]
+                                     for step in steps])
+            return np.frombuffer(self.right, dtype=np.intc,
+                                 count=k * covered).copy()
 
 
 _growers: dict[GroupSpec, _BallGrower] = {}
@@ -185,26 +193,41 @@ class Ball:
         word, y*x = (y*parent(x)) * gen(x) is one lookup in the right
         multiplication table, and the parent lies one level lower, so each
         level is one gather over the level below.  The table must cover
-        B_{radius + max|y| - 1}, so the shared state grows to
-        ``radius + max|y|`` first.
+        B_{radius + max|y| - 1}, so it is extended that far (growing the
+        shared state to ``radius + max|y|``), and the parents are read off
+        its part over B_{radius - 1}.
         """
         g = self._grower
         deg = max((word_length(y, self.group, budget=budget) for y in support),
                   default=0)
-        g.grow_to(self.radius + deg, budget)
+        right = g.table(self.radius + deg - 1, budget)
         k, n = len(g.steps), len(self)
-        with g.lock:
-            covered = g.level_end[self.radius + deg - 1] if self.radius + deg else 0
-            right = np.frombuffer(g.right, dtype=np.intc, count=k * covered).copy()
-            parent = np.frombuffer(g.parent, dtype=np.intc, count=n).copy()
-            gen = np.frombuffer(g.gen, dtype=np.int8, count=n).copy()
-            first = [g.index_of[y.data] for y in support]
+        below = g.level_end[self.radius - 1] if self.radius else 0
+        parent, gen = _bfs_predecessors(right[:k * below], k)
         out = np.empty((len(support), n), dtype=np.int64)
-        out[:, 0] = first
+        out[:, 0] = [g.index_of[y.data] for y in support]
         for r in range(1, self.radius + 1):
             lo, hi = g.level_end[r - 1], g.level_end[r]
             out[:, lo:hi] = right[k * out[:, parent[lo:hi]] + gen[lo:hi]]
         return out
+
+
+def _bfs_predecessors(right: np.ndarray,
+                      k: int) -> tuple[np.ndarray, np.ndarray]:
+    """BFS parent pointers of the elements of B_r, read off the right
+    Cayley table over B_{r-1}: ``elements[i] ==
+    steps[gen[i]](elements[parent[i]])`` spells out a geodesic word, and
+    entry 0, the identity, is -1.
+
+    Growth expands the elements in index order, each by the steps in order,
+    and numbers each new element one past the last, so the element that
+    first reached i sits at the first occurrence of i in the table, and
+    that is where the running maximum of the table first reaches i.
+    """
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(right), prepend=0))
+    parent, gen = np.full((2, len(first) + 1), -1, dtype=np.int64)
+    parent[1:], gen[1:] = np.divmod(first, k)
+    return parent, gen
 
 
 def ball(group: GroupSpec, n: int, budget: int = DEFAULT_BUDGET) -> Ball:

@@ -121,7 +121,8 @@ def test_argument_errors_exit_2(capsys):
     assert "error" in err
     # frequency lists that are not comma-separated integers
     for argv in (["anorm", "--support", "1,,2"], ["anorm", "--support=1,x"],
-                 ["anorm", "--support="], ["hardy", "--set", "1,2.5"]):
+                 ["anorm", "--support="], ["hardy", "--set", "1,2.5"],
+                 ["hardy", "--set="]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot parse")

@@ -395,25 +395,29 @@ def test_ball_oracle_independent_bfs():
 
 
 def _table(spec, n):
-    """The recorded Cayley table of the shared state, grown to radius n."""
+    """Ball of radius n with the Cayley table of the shared state built
+    over B_{n-1} on demand, and the BFS parent pointers read off it."""
     bn = ball(spec, n)
-    return bn, balls_mod._get_grower(spec)
+    g = balls_mod._get_grower(spec)
+    right = g.table(n - 1)
+    parent, gen = balls_mod._bfs_predecessors(right, len(g.steps))
+    return bn, right, parent, gen
 
 
 def assert_table_matches_multiply(spec, n):
-    """Every recorded right product and every parent pointer of the shared
-    state, grown to radius n, agrees with ``multiply`` on the elements."""
-    bn, g = _table(spec, n)
+    """Every right product and every parent pointer of the shared state,
+    grown to radius n, agrees with ``multiply`` on the elements."""
+    bn, right, parent, gen = _table(spec, n)
     gens = [elem for _, elem in generators(spec)]
     elems, k = list(bn), len(gens)
     expanded = bn.level_sizes()[-2]
-    assert len(g.right) >= k * expanded
+    assert len(right) >= k * expanded
     for i in range(expanded):
         for j in range(k):
-            assert elems[g.right[k * i + j]] == multiply(elems[i], gens[j])
+            assert elems[right[k * i + j]] == multiply(elems[i], gens[j])
     for i in range(1, len(bn)):
-        assert elems[i] == multiply(elems[g.parent[i]], gens[g.gen[i]])
-        assert bn.length(elems[i]) == bn.length(elems[g.parent[i]]) + 1
+        assert elems[i] == multiply(elems[parent[i]], gens[gen[i]])
+        assert bn.length(elems[i]) == bn.length(elems[parent[i]]) + 1
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
@@ -428,14 +432,48 @@ def test_cayley_table_walk_matches_multiply(family, word):
     """Walking a random word of length <= 4 through the table of B_4 lands on
     the index of the word's product."""
     spec = ALL_FAMILIES[family]
-    bn, g = _table(spec, 4)
+    bn, right, _, _ = _table(spec, 4)
     gens = [elem for _, elem in generators(spec)]
     k = len(gens)
     i, x = 0, identity(spec)
     for letter in word:
-        i = g.right[k * i + letter % k]
+        i = right[k * i + letter % k]
         x = multiply(x, gens[letter % k])
     assert list(bn)[i] == x
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_cayley_table_is_built_on_demand(spec):
+    """Growth builds no table; ``translate_indices`` at radii 2, 4, 6
+    extends it over the new levels only (one step per new entry, earlier
+    entries kept), and every row is the index of a ``multiply`` product."""
+    _reset_growers()
+    ball(spec, 6)
+    g = balls_mod._get_grower(spec)
+    assert len(g.right) == 0
+    support = list(ball(spec, 1))
+    k, calls = len(g.steps), [0]
+
+    def counted(step):
+        def call(x):
+            calls[0] += 1
+            return step(x)
+        return call
+
+    for radius in (2, 4, 6):
+        ball(spec, radius + 1)  # the growth the table needs is not counted
+        g.steps, plain = tuple(map(counted, g.steps)), g.steps
+        before, calls[0] = list(g.right), 0
+        bn = ball(spec, radius)
+        rows = bn.translate_indices(support)
+        g.steps = plain
+        assert calls[0] == len(g.right) - len(before)
+        assert len(g.right) == k * bn.level_sizes()[-1]
+        assert list(g.right[:len(before)]) == before
+        elems = list(bn)
+        index = {x: i for i, x in enumerate(ball(spec, radius + 1))}
+        assert rows.tolist() == [[index[multiply(y, x)] for x in elems]
+                                 for y in support]
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +616,14 @@ def _plain_bfs(spec, radius, budget=None):
 
 
 def _growth_state(spec):
+    """(elements, right, parent, gen, level_end) of the shared state, the
+    table and parent pointers built on demand over the grown levels."""
     g = balls_mod._get_grower(spec)
-    return (list(g.elements), list(g.right), list(g.parent), list(g.gen),
-            list(g.level_end))
+    radius, grown = g.radius, list(g.elements)
+    right = g.table(radius - 1)
+    assert g.radius == radius  # the table needs no growth
+    parent, gen = balls_mod._bfs_predecessors(right, len(g.steps))
+    return (grown, list(right), list(parent), list(gen), list(g.level_end))
 
 
 @pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
@@ -855,25 +898,48 @@ def test_cache_entries_and_clear(tmp_path):
 
 
 def test_concurrent_ball_queries():
-    """Growth state is shared; concurrent readers at mixed radii agree with
-    a fresh single-threaded enumeration."""
+    """Growth state and the Cayley table are shared; concurrent queries and
+    translations at mixed radii, on an empty state and on a grown one
+    (where only the table is extended), agree with a single-threaded run."""
+    import sys
     import threading
 
     spec = GroupSpec.lamplighter(3)
-    _reset_growers()
-    results = {}
+    radii = [3, 6, 2, 5, 6, 4, 3, 5]
+    support = list(ball(spec, 1))
 
-    def worker(i, n):
+    def query(n):
         bn = ball(spec, n)
-        results[i] = (len(bn), tuple(x.data for x in bn))
+        return (len(bn), tuple(x.data for x in bn),
+                bn.translate_indices(support).tolist())
 
-    threads = [threading.Thread(target=worker, args=(i, n))
-               for i, n in enumerate([3, 5, 2, 5, 4, 3])]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def race():
+        results = {}
+        start = threading.Barrier(len(radii))
+
+        def worker(i, n):
+            start.wait(timeout=60)
+            results[i] = query(n)
+
+        threads = [threading.Thread(target=worker, args=(i, n))
+                   for i, n in enumerate(radii)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        return [results.get(i) for i in range(len(radii))]
+
     _reset_growers()
-    for i, n in enumerate([3, 5, 2, 5, 4, 3]):
-        bn = ball(spec, n)
-        assert results[i] == (len(bn), tuple(x.data for x in bn))
+    expected = [query(n) for n in radii]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(50):
+            _reset_growers()
+            assert race() == expected
+            _reset_growers()
+            ball(spec, max(radii) + 1)
+            assert race() == expected
+    finally:
+        sys.setswitchinterval(interval)
