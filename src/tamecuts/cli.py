@@ -15,7 +15,9 @@ when they are omitted; an explicit value, 0 included, reaches the group's
 own validation.
 
 Exit codes: 0 success, 2 argument errors (message on stderr), 3 resource
-budget exhausted (the report still carries the best partial bounds).
+budget exhausted (the report still carries the best partial bounds: under
+``error`` in JSON; in CSV the message goes to stderr and a partial bracket,
+if any, is the one row, with empty params).
 
 The ball cache directory resolves from --cache-dir, then the
 TAMECUT_CACHE_DIR environment variable, then ./.tamecut-cache.  Only
@@ -136,6 +138,8 @@ def _run_anorm(args):
         poly = TrigPoly.indicator(pts, dim=1)
         params = {"support": sorted(pts)}
     else:
+        if args.box < 0:
+            raise InputError(f"--box must be nonnegative, got {args.box}")
         poly = TrigPoly.box(args.box, dim=args.d)
         params = {"box": args.box, "d": args.d}
     cert = a_norm_torus(poly, tol=args.tol)
@@ -281,11 +285,18 @@ def _emit(report: dict, args, code: int) -> int:
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
+        results = report["results"]
+        if "error" in report:
+            print(f"error: {report['error']['message']}", file=sys.stderr)
+            partial = report["error"].get("partial", {})
+            if "lower" in partial:  # the partial bracket becomes the row
+                results = [{"value": partial.get("value"),
+                            "certificate": partial}]
         buf = io.StringIO()
         rows = csv.writer(buf, lineterminator="\n")
         rows.writerow(["command", "params", "value", "lower", "upper",
                        "method", "seed"])
-        for res in report["results"]:
+        for res in results:
             cert = (res.get("certificate") or res.get("estimate")
                     or res.get("cut", {}).get("certificate") or {})
             rows.writerow([

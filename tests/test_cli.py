@@ -119,6 +119,8 @@ def test_argument_errors_exit_2(capsys):
                  "--seed", "3"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    assert main(["anorm", "--box", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --box must be nonnegative, got -1\n"
     # frequency lists that are not comma-separated integers
     for argv in (["anorm", "--support", "1,,2"], ["anorm", "--support=1,x"],
                  ["anorm", "--support="], ["hardy", "--set", "1,2.5"],
@@ -405,14 +407,30 @@ def test_help_exits_0(capsys, command):
     ["verify", "--family", "bs", "--n", "2"],
     ["fit-growth", "--family", "pq", "--nmax", "3"],
     ["cache", "--cache-dir", "missing-cache"],
+    ["anorm", "--box", "2", "--d", "2"],
 ])
 def test_csv_rows_have_seven_columns(tmp_path, capsys, monkeypatch, argv):
     """Params holding dicts or lists are quoted, not split at their commas,
-    and a result without a value gets an empty field."""
+    and a result without a value gets an empty field.  On exit 3 the budget
+    message goes to stderr, and a partial bracket is the one row."""
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--format", "csv", "--seed", "4"]) in (0, 3)
-    out = capsys.readouterr().out
+    code = main(argv + ["--format", "csv", "--seed", "4"])
+    assert code in (0, 3)
+    captured = capsys.readouterr()
+    out = captured.out
     rows = list(csv.reader(io.StringIO(out)))
+    if code == 3:
+        assert main(argv + ["--seed", "4"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert captured.err == f"error: {error['message']}\n"
+        partial = error.get("partial", {})
+        if "lower" in partial:
+            assert rows[1:] == [[argv[0], "", repr(partial["value"]),
+                                 repr(partial["lower"]),
+                                 repr(partial["upper"]), partial["method"],
+                                 "4"]]
+    else:
+        assert captured.err == ""
     assert rows[0] == ["command", "params", "value", "lower", "upper",
                        "method", "seed"]
     for row in rows[1:]:

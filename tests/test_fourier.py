@@ -1,6 +1,7 @@
 """Fourier-algebra norms: closed forms, certificates, and invariants."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -132,6 +133,103 @@ def test_doubling_adds_new_points_to_dense_reference(dim, m, span,
         assert math.isclose(got, want, rel_tol=1e-12), (got, want)
 
 
+def rank_one(*lines):
+    """The polynomial with coefficient lines[0][k_0] * lines[1][k_1] * ...
+    at k, each line a {frequency: value} dict."""
+    coeffs = {}
+    for combo in itertools.product(*(line.items() for line in lines)):
+        keys, vals = zip(*combo)
+        coeffs[keys] = math.prod(vals)
+    return TrigPoly(coeffs, dim=len(lines))
+
+
+def bumped_square():
+    """1 on {-2..2}^2 but 2 at the centre: a product support whose
+    coefficients have rank 2."""
+    box = TrigPoly.box(2, dim=2)
+    return TrigPoly({**box.coeffs, (0, 0): 2.0}, dim=2)
+
+
+# (polynomial, grid m, whether its coefficients factor).  The weights are
+# dyadic multiples of small integers, so their products are exact.
+PRODUCT_CASES = {
+    "box-2d": (TrigPoly.box(3, dim=2), 32, True),
+    "box-3d": (TrigPoly.box(2, dim=3), 16, True),
+    "rectangle": (rank_one(dict(zip(range(-2, 4),
+                                    (1, 0.5, 2, 3, 0.25, 1.5))),
+                           {-1: 2, 0: 1, 1: -0.75}), 32, True),
+    "complex-3d": (rank_one({-1: 1 + 1j, 0: 2, 2: -1j},
+                            {0: 0.5, 1: 1j, 3: 1 - 1j, 4: 2},
+                            {-2: 1, 1: -2 + 1j}), 16, True),
+    "rank-2": (bumped_square(), 32, False),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_product_sum_matches_dense_reference(name, monkeypatch):
+    """Coefficients that factor bit for bit are summed as a product of 1-D
+    sums, on a full grid and on a doubling's new points, and agree with the
+    whole grid transformed at once; the rank-2 square takes the general
+    path.  A 1-D sum over m points transforms at most m of them, so the
+    factored sums at m and at the new points of 2m (which also takes the
+    m-point sums) transform at most 4*dim*m, the general path over half of
+    the m^dim grid."""
+    f, m, factored = PRODUCT_CASES[name]
+    points = []
+    ifft = np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        points.append(np.asarray(a).size)
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    full = fourier._grid_abs_sum(f, m)
+    assert math.isclose(full / m ** f.dim, dense_mean_abs(f, m),
+                        rel_tol=1e-12)
+    total = full + fourier._grid_abs_sum(f, 2 * m, new_only=True)
+    assert math.isclose(total / (2 * m) ** f.dim, dense_mean_abs(f, 2 * m),
+                        rel_tol=1e-12)
+    assert (fourier._product_factors(f) is not None) == factored
+    assert (sum(points) <= 4 * f.dim * m) == factored, sum(points)
+
+
+def test_product_check_allocates_by_support_size():
+    """Supports spanning -2048..2048 on both axes are factored, or refused,
+    without allocating anything of the 4097^2 span."""
+    corners = {(a, b): 1.0 for a in (-2048, 2048) for b in (-2048, 2048)}
+    cross = {(a, b): 1.0 for a, b in ((-2048, 0), (2048, 0), (0, -2048),
+                                      (0, 2048), (0, 0))}
+    tracemalloc.start()
+    try:
+        factors = fourier._product_factors(TrigPoly(corners, dim=2))
+        refused = fourier._product_factors(TrigPoly(cross, dim=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [g.coeffs for g in factors] == [{(-2048,): 1, (2048,): 1}] * 2
+    assert refused is None
+    assert peak < 1e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_box_grids_are_summed_as_products(monkeypatch):
+    """The square of radius 6 reaches the 4096^2 budget grid through 1-D
+    sums only: fewer than 10^5 points transformed in all, where its 2-D
+    grids hold 2.2e7."""
+    points = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
+                 "irfftn"):
+        def spy(a, *args, _func=getattr(np.fft, name), **kwargs):
+            points.append(np.asarray(a).size)
+            return _func(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    with pytest.raises(BudgetExceededError) as exc:
+        a_norm_torus(TrigPoly.box(6, dim=2))
+    part = exc.value.partial
+    assert part.grid == 4096
+    assert part.lower <= tan_sum_lebesgue(6) ** 2 <= part.upper
+    assert sum(points) < 1e5, sum(points)
+
+
 def test_doubling_transforms_fewer_points_than_its_final_grid(monkeypatch):
     """Each doubling transforms only the points the previous grid lacks, and
     real coefficients only one point of each mirror pair, so all the grids
@@ -153,7 +251,9 @@ def test_doubling_transforms_fewer_points_than_its_final_grid(monkeypatch):
 
 
 def test_quadrature_memory_at_budget():
-    """The 4096^2 grid of the r = 2 square is summed without being held."""
+    """The 4096^2 grid of the r = 2 square is summed without being held, and
+    so is that of the same square with a centre coefficient 2, whose rank-2
+    coefficients take the general 2-D path and converge on that grid."""
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError) as exc:
@@ -164,6 +264,18 @@ def test_quadrature_memory_at_budget():
     part = exc.value.partial
     assert part.grid == 4096
     assert part.lower <= tan_sum_lebesgue(2) ** 2 <= part.upper
+    assert peak < 96e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    f = bumped_square()
+    assert fourier._product_factors(f) is None
+    tracemalloc.start()
+    try:
+        cert = a_norm_torus(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.grid == 4096
+    assert f.linf <= cert.lower <= cert.upper <= f.l1
     assert peak < 96e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
