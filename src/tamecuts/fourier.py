@@ -183,14 +183,15 @@ def _product_factors(f: TrigPoly) -> list[TrigPoly] | None:
     """One-dimensional a_1..a_d with c(k) = a_1(k_1)*...*a_d(k_d), or None.
 
     The support must be the product of its projections on the axes, which
-    is checked by counting (prod |axis keys| == |keys|) before anything is
-    allocated.  The factors are the axis lines through the first point of
-    that product set, all but the first divided by its coefficient, and
-    their floating-point outer product must equal the coefficients bit for
-    bit; otherwise (and in one dimension) the answer is None.  So the exact
-    product of the factors is within half an ulp of every coefficient, and
-    equal to it where the products are exact (boxes, dyadic weights): far
-    below the rounding of the transforms themselves.
+    is checked by counting (prod |axis keys| == |keys|) before the
+    coefficients are laid out on that product set.  The factors are the
+    axis lines through its first point, all but the first divided by that
+    point's coefficient, and their floating-point outer product must equal
+    the coefficients bit for bit; otherwise (and in one dimension) the
+    answer is None.  So the exact product of the factors is within half an
+    ulp of every coefficient, and equal to it where the products are exact
+    (boxes, dyadic weights): far below the rounding of the transforms
+    themselves.
     """
     if f.dim < 2:
         return None
