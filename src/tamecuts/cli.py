@@ -101,11 +101,10 @@ _CUTS = {
 
 
 def _cut_result(cut) -> dict:
-    size = cut.support.size if hasattr(cut.support, "size") else None
     return {
         "family": cut.provenance.get("construction"),
         "index": cut.index,
-        "support_size": size,
+        "support_size": cut.support.size,
         "subgroup_level": cut.subgroup_only,
         "certificate": cut.certificate.to_dict(),
         "provenance": _jsonable(cut.provenance),

@@ -21,11 +21,13 @@ validity is structural:
   completely bounded multiplier of norm at most 2n+1, which multiplies
   against the matrix-part cut for the HNN families.
 
-Verification is exhaustive: ``verify_cut`` walks the full BFS ball and
-produces a concrete witness on any coverage failure.  Its norm lower bound
-is the supremum of the cut over the checked ball, certified by
-||phi||_inf <= ||phi||_MA <= ||phi||_cb, and it must sit below the certified
-upper bound.
+Supports are predicates on canonical ``data`` tuples, composed with the
+group's ``FamilyOps`` arithmetic, so no membership query builds an
+``Element``.  Verification is exhaustive: ``verify_cut`` walks the full BFS
+ball's data and produces a concrete witness on any coverage failure.  Its
+norm lower bound is the supremum of the cut over the checked ball, certified
+by ||phi||_inf <= ||phi||_MA <= ||phi||_cb, and it must sit below the
+certified upper bound.
 """
 
 from __future__ import annotations
@@ -38,18 +40,8 @@ import numpy as np
 
 from .errors import InputError
 from .fourier import NormCertificate, TrigPoly, a_norm_torus, dirichlet_l1
-from .groups import (
-    Element,
-    GroupSpec,
-    ball,
-    coset_section,
-    embed_j2,
-    invert,
-    multiply,
-    subgroup_ball,
-    t_length,
-)
-from .groups.elements import j2_target
+from .groups import Element, GroupSpec, ball, coset_section
+from .groups.elements import family_ops, j2_data, j2_target
 from .groups.intmat import as_int_matrix, certified_operator_norm_pair
 
 
@@ -57,38 +49,40 @@ from .groups.intmat import as_int_matrix, certified_operator_norm_pair
 # supports
 
 
-class ExplicitSupport:
-    """Support given by an explicit finite member set."""
-
-    def __init__(self, members: Iterable[Element]):
-        self.members = frozenset(members)
-
-    def __contains__(self, x: Element) -> bool:
-        return x in self.members
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 class PredicateSupport:
-    """Support given by a decidable membership predicate.
+    """Support given by a decidable membership predicate on canonical data.
 
-    ``size`` is the exact cardinality when it is known analytically; the
-    member set itself may be far too large to enumerate.
+    ``test`` takes an element's canonical ``data`` tuple, and ``x in
+    support`` is ``test(x.data)``.  ``size`` is the exact cardinality when
+    it is known analytically, else None; the member set itself may be far
+    too large to enumerate.
     """
 
-    def __init__(self, contains: Callable[[Element], bool],
+    def __init__(self, test: Callable[[tuple], bool],
                  size: int | None = None, description: str = ""):
-        self._contains = contains
+        self.test = test
         self.size = size
         self.description = description
 
     def __contains__(self, x: Element) -> bool:
-        return bool(self._contains(x))
+        return bool(self.test(x.data))
+
+
+class ExplicitSupport(PredicateSupport):
+    """Support given by an explicit finite member set, all of one group.
+    ``x in support`` compares whole ``Element``s, so a member of another
+    group is never in it; ``test`` looks up the members' data."""
+
+    def __init__(self, members: Iterable[Element]):
+        self.members = frozenset(members)
+        super().__init__(frozenset(x.data for x in self.members).__contains__,
+                         len(self.members))
+
+    def __contains__(self, x: Element) -> bool:
+        return x in self.members
+
+    def __iter__(self):
+        return iter(self.members)
 
 
 @dataclass
@@ -97,7 +91,7 @@ class Cut:
 
     group: GroupSpec
     index: int
-    support: ExplicitSupport | PredicateSupport
+    support: PredicateSupport
     certificate: NormCertificate
     provenance: Mapping = field(default_factory=dict)
     subgroup_only: bool = False  # support lies in the designated subgroup H
@@ -165,8 +159,8 @@ def cut_lamplighter(p: int, n: int) -> Cut:
     w = (n - 1) // 2
     order = p ** (2 * w + 1)
 
-    def contains(x: Element) -> bool:
-        lamps, shift = x.data
+    def contains(x: tuple) -> bool:
+        lamps, shift = x
         return shift == 0 and all(abs(j) <= w for j, _ in lamps)
 
     cert = NormCertificate(1.0, 1.0, "extension-isometry", 0.0)
@@ -196,8 +190,8 @@ def cut_pq(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     bound = n * q ** (2 * n) * p ** (2 * n)
     pq = p * q
 
-    def contains(x: Element) -> bool:
-        m, e, k = x.data
+    def contains(x: tuple) -> bool:
+        m, e, k = x
         if k != 0 or e > n:
             return False
         power = m * pq ** (n - e)
@@ -233,8 +227,8 @@ def cut_semidirect_zd(matrix, n: int, tol: float = 1e-9) -> Cut:
     c = certified_operator_norm_pair(mat)
     radius = math.ceil(n * c ** n - 1e-12)
 
-    def contains(x: Element) -> bool:
-        v, k = x.data
+    def contains(x: tuple) -> bool:
+        v, k = x
         return k == 0 and all(abs(t) <= radius for t in v)
 
     one_dim = dirichlet_l1(radius, tol=tol)
@@ -272,15 +266,15 @@ def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int) -> Cut:
     if not sub.subgroup_only or sub.group != group:
         raise InputError("subgroup cuts must live on the designated subgroup "
                          "of the same group")
-    section = coset_section(group, n)
-    reps = list(section)
-    inv_reps = [invert(y) for y in reps]
-    subsupport = sub.support
+    ops = family_ops(group)
+    reps = list(coset_section(group, n))
+    inv_reps = [ops.inv(y.data) for y in reps]
+    mul, test = ops.mul, sub.support.test
 
-    def contains(x: Element) -> bool:
-        return any(multiply(yi, x) in subsupport for yi in inv_reps)
+    def contains(x: tuple) -> bool:
+        return any(test(mul(yi, x)) for yi in inv_reps)
 
-    size = None if subsupport.size is None else len(reps) * subsupport.size
+    size = None if sub.support.size is None else len(reps) * sub.support.size
     support = PredicateSupport(
         contains, size=size,
         description=f"{len(reps)} coset translates of a subgroup cut")
@@ -326,10 +320,10 @@ def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     pq_group = j2_target(p, q)
     psi = extend_by_cogrowth(pq_cut_family(p, q, [2 * n], tol=tol),
                              pq_group, n)
-    psi_support = psi.support
+    psi_test = psi.support.test
 
-    def contains(x: Element) -> bool:
-        return t_length(x) <= n and embed_j2(x) in psi_support
+    def contains(x: tuple) -> bool:
+        return len(x[1]) <= n and psi_test(j2_data(pq_group, x))
 
     tree_bound = 2 * n + 1
     cert = NormCertificate(1.0, tree_bound * psi.certificate.upper,
@@ -384,8 +378,8 @@ def interval_cut_family(radii: Iterable[int], tol: float = 1e-9) -> CutFamily:
     cuts = []
     for i, r in enumerate(radii, start=1):
         cert = dirichlet_l1(r, tol=tol)
-        def contains(x: Element, rr=int(r)) -> bool:
-            return abs(x.data[0]) <= rr
+        def contains(x: tuple, rr=int(r)) -> bool:
+            return abs(x[0]) <= rr
         cuts.append(Cut(group, i,
                         PredicateSupport(contains, size=2 * int(r) + 1,
                                          description=f"|k| <= {r} in Z"),
@@ -411,16 +405,16 @@ def verify_cut(cut: Cut) -> VerificationReport:
     ||phi||_inf <= ||phi||_MA <= ||phi||_cb: 1.0 as soon as one of them lies
     in the support (for a covering cut, the identity, checked first), 0.0
     only when the cut vanishes on all of them."""
-    bn = ball(cut.group, cut.index)
-    members = subgroup_ball(bn) if cut.subgroup_only else list(bn)
-    support = cut.support
-    witness = next((x for x in members if x not in support), None)
-    lower = (1.0 if witness is None or any(x in support for x in members)
-             else 0.0)
+    members = list(ball(cut.group, cut.index).data())
+    if cut.subgroup_only:
+        members = list(filter(family_ops(cut.group).in_subgroup, members))
+    test = cut.support.test
+    witness = next((x for x in members if not test(x)), None)
+    lower = 1.0 if witness is None or any(map(test, members)) else 0.0
     upper = cut.certificate
     return VerificationReport(
         covers_ball=witness is None,
-        witness=witness,
+        witness=None if witness is None else Element(cut.group, witness),
         norm_upper=upper,
         norm_lower=lower,
         consistent=lower <= upper.upper + 1e-9,

@@ -272,7 +272,6 @@ class CosetSection:
     group: GroupSpec
     radius: int
     representatives: tuple[Element, ...]
-    subgroup: str = "kernel"
 
     def __len__(self) -> int:
         return len(self.representatives)

@@ -23,7 +23,9 @@ in the group exactly when their canonical forms coincide.
 Each family's arithmetic on the bare ``data`` tuples lives in one
 ``FamilyOps`` record per group (``family_ops``); the public functions below
 wrap and unwrap ``Element``s around it, and the ball search calls its
-closed-form right steps by generators directly.
+closed-form right steps by generators directly.  Baumslag-Solitar has one
+Britton reduction, those right steps: its ``mul`` folds them over the
+right factor's word and its ``inv`` over the reversed, inverted word.
 """
 
 from __future__ import annotations
@@ -147,68 +149,6 @@ def _lamps_mul(f: tuple, g: tuple, k: int, p: int) -> tuple:
         else:
             acc.pop(key, None)
     return tuple(sorted(acc.items()))
-
-
-# ---------------------------------------------------------------------------
-# Baumslag-Solitar: Britton reduction by right multiplication
-#
-# A word under reduction is ``head`` plus a list of (eps, c) syllable tuples;
-# reduction only replaces, removes or appends syllables at the end of the
-# list, so the syllables before them are shared with the input unchanged.
-
-
-def _bs_push_a(head: int, tail: list, c: int) -> int:
-    if tail:
-        eps, last = tail[-1]
-        tail[-1] = (eps, last + c)
-    else:
-        head += c
-    return head
-
-
-def _bs_push_t(p: int, q: int, head: int, tail: list, eps: int) -> int:
-    """Right-multiply the canonical word (head, tail) by t^eps, in place."""
-    last_eps, c = tail[-1] if tail else (0, head)
-    if eps == 1:
-        m, r = divmod(c, q)
-        if r == 0 and last_eps == -1:  # pinch t^-1 a^{qm} t = a^{pm}
-            tail.pop()
-            return _bs_push_a(head, tail, p * m)
-        if tail:
-            tail[-1] = (last_eps, r)
-        else:
-            head = r
-        tail.append((1, p * m))  # a^{qm} t = t a^{pm}
-    else:
-        m, r = divmod(c, p)
-        if r == 0 and last_eps == 1:  # pinch t a^{pm} t^-1 = a^{qm}
-            tail.pop()
-            return _bs_push_a(head, tail, q * m)
-        if tail:
-            tail[-1] = (last_eps, r)
-        else:
-            head = r
-        tail.append((-1, q * m))  # a^{pm} t^-1 = t^-1 a^{qm}
-    return head
-
-
-def _bs_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
-    head, tail = x[0], list(x[1])
-    head = _bs_push_a(head, tail, y[0])
-    for eps, c in y[1]:
-        head = _bs_push_t(p, q, head, tail, eps)
-        head = _bs_push_a(head, tail, c)
-    return head, tuple(tail)
-
-
-def _bs_inv(p: int, q: int, x: tuple) -> tuple:
-    c0, pairs = x
-    exps = [c0] + [c for _, c in pairs]
-    head, tail = -exps[-1], []
-    for i in range(len(pairs) - 1, -1, -1):
-        head = _bs_push_t(p, q, head, tail, -pairs[i][0])
-        head = _bs_push_a(head, tail, -exps[i])
-    return head, tuple(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +391,7 @@ def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
 
 
 def _bs_a_step(s: int, x: tuple) -> tuple:
+    """x * a^s for any integer s: the rightmost exponent is unconstrained."""
     head, tail = x
     if tail:
         eps, c = tail[-1]
@@ -458,17 +399,42 @@ def _bs_a_step(s: int, x: tuple) -> tuple:
     return head + s, tail
 
 
-def _bs_t_step(eps: int, div: int, mul: int, x: tuple) -> tuple:
-    """x * t^eps, as ``_bs_push_t`` computes it, with (div, mul) = (q, p)
-    for eps = 1 and (p, q) for eps = -1."""
+def _bs_t_step(eps: int, div: int, mul: int, x: tuple, c: int = 0) -> tuple:
+    """x * t^eps a^c for eps = +-1, with (div, mul) = (q, p) for eps = 1
+    and (p, q) for eps = -1.  The last exponent b = div m + r of x leaves r
+    before t^eps and a^{mul m} after it (a^{div m} t^eps = t^eps a^{mul m}),
+    or pinches when r = 0 after a t^-eps; a^c joins the last exponent."""
     head, tail = x
-    last_eps, c = tail[-1] if tail else (0, head)
-    m, r = divmod(c, div)
+    last_eps, b = tail[-1] if tail else (0, head)
+    m, r = divmod(b, div)
     if r == 0 and last_eps == -eps:  # pinch t^-eps a^{div m} t^eps = a^{mul m}
-        return _bs_a_step(mul * m, (head, tail[:-1]))
+        return _bs_a_step(mul * m + c, (head, tail[:-1]))
     if tail:
-        return head, tail[:-1] + ((last_eps, r), (eps, mul * m))
-    return r, ((eps, mul * m),)
+        return head, tail[:-1] + ((last_eps, r), (eps, mul * m + c))
+    return r, ((eps, mul * m + c),)
+
+
+def _bs_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
+    """x * y: the right steps folded over y's word a^c0 t^eps1 a^c1 ..."""
+    c0, tail = y
+    if c0:
+        x = _bs_a_step(c0, x)
+    for eps, c in tail:
+        x = (_bs_t_step(1, q, p, x, c) if eps == 1
+             else _bs_t_step(-1, p, q, x, c))
+    return x
+
+
+def _bs_inv(p: int, q: int, x: tuple) -> tuple:
+    """x^-1: the right steps folded over a^-cn t^-epsn ... t^-eps1 a^-c0."""
+    c0, tail = x
+    exps = [c0] + [c for _, c in tail]
+    out = (-exps.pop(), ())
+    for eps, _ in reversed(tail):
+        c = -exps.pop()
+        out = (_bs_t_step(1, q, p, out, c) if eps == -1
+               else _bs_t_step(-1, p, q, out, c))
+    return out
 
 
 def _bs_in_subgroup(x: tuple) -> bool:
@@ -596,6 +562,17 @@ def j2_target(p: int, q: int) -> GroupSpec:
     return GroupSpec.pq(p, q)
 
 
+def j2_data(target: GroupSpec, x: tuple) -> tuple:
+    """``embed_j2`` on canonical data, with ``target`` the ``j2_target``:
+    the target's ``mul`` folded over a^c -> (c, 0, 0), t^eps -> (0, 0, -eps)."""
+    mul = family_ops(target).mul
+    c0, tail = x
+    out = (c0, 0, 0)
+    for eps, c in tail:
+        out = mul(mul(out, (0, 0, -eps)), (c, 0, 0))
+    return out
+
+
 def embed_j2(x: Element) -> Element:
     """The matrix-group leg of the diagonal embedding of BS(p,q).
 
@@ -606,19 +583,7 @@ def embed_j2(x: Element) -> Element:
     if x.group.family != BAUMSLAG_SOLITAR:
         raise InputError("embed_j2 is defined on baumslag_solitar elements")
     target = j2_target(x.group.p, x.group.q)
-    a_img = Element(target, (1, 0, 0))
-    t_img = Element(target, (0, 0, -1))  # diagonal entry (p/q)^-1 = q/p
-    t_inv = invert(t_img)
-
-    def a_pow(c: int) -> Element:
-        return Element(target, _pq_normalize(c, 0, target.p * target.q) + (0,))
-
-    c0, tail = x.data
-    out = a_pow(c0)
-    for eps, c in tail:
-        out = multiply(out, t_img if eps == 1 else t_inv)
-        out = multiply(out, a_pow(c))
-    return out
+    return Element(target, j2_data(target, x.data))
 
 
 # ---------------------------------------------------------------------------

@@ -312,21 +312,22 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def rd_test(group: GroupSpec, n: int, samples: int, seed: int = 0,
-            radius: int | None = None, tol: float = 1e-8,
-            max_iter: int = 600, budget: int = DEFAULT_BUDGET) -> list[RdSample]:
+            tol: float = 1e-8, max_iter: int = 600,
+            budget: int = DEFAULT_BUDGET) -> list[RdSample]:
     """Ratios ||lambda(f)||_lower / ||f||_2 for random nonnegative f on B_n.
 
     Deterministic under a fixed seed: the coefficients of sample s are the
     s-th draw of |B_n| uniforms from ``default_rng(seed)``, and its power
     iteration starts from seed ``seed + 1 + s``, whatever the block width.
-    Rapid decay with exponent a bounds these ratios by C (1+n)^a;
-    Cauchy-Schwarz always bounds them by |B_n|^0.5.  More than ``budget``
-    coefficients (samples x |B_n|) raise ``BudgetExceededError`` before
-    any is drawn.
+    Each sample's lower bound comes from the compression to B_radius with
+    radius = max(2n, 8).  Rapid decay with exponent a bounds these ratios
+    by C (1+n)^a; Cauchy-Schwarz always bounds them by |B_n|^0.5.  More
+    than ``budget`` coefficients (samples x |B_n|) raise
+    ``BudgetExceededError`` before any is drawn.
     """
     if n < 0 or samples < 1:
         raise InputError("need n >= 0 and at least one sample")
-    radius = radius if radius is not None else max(2 * n, 8)
+    radius = max(2 * n, 8)
     bn = ball(group, n, budget=budget)
     if samples * len(bn) > budget:
         raise BudgetExceededError(

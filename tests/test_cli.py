@@ -2,10 +2,12 @@
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -487,3 +489,31 @@ def test_verify_builds_two_parsers(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["verify", "--family", "pq", "--n", "2"]) == 0
     assert len(built) == 2, built
+
+
+def _load_benchmark_check():
+    """``check`` of perfbench/check.py, loaded from its file without
+    importing the benchmark package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.check
+
+
+def test_verify_cuts_match_benchmark_reference(capsys):
+    """Every argv of the verify-cuts benchmark exits and reports as its
+    recorded reference, by the benchmark's own output check."""
+    check = _load_benchmark_check()
+    refs_path = (Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+                 / "verify-cuts.json")
+    refs = json.loads(refs_path.read_text())
+    assert len(refs) == 72
+    faults = {}
+    for key, ref in refs.items():
+        argv = key.split()
+        code = main(argv)
+        fault = check(argv, code, capsys.readouterr().out, ref)
+        if fault is not None:
+            faults[key] = fault
+    assert faults == {}

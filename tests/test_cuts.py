@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tamecuts import cuts as cuts_mod
 from tamecuts.errors import InputError
 from tamecuts.fourier import NormCertificate, dirichlet_l1
 from tamecuts.groups import (
@@ -17,6 +18,7 @@ from tamecuts.groups import (
     multiply,
     subgroup_ball,
 )
+from tamecuts.groups import elements as elements_mod
 from tamecuts.cuts import (
     Cut,
     CutFamily,
@@ -362,6 +364,30 @@ def test_verify_adversarial_cut_produces_witness():
     report = verify_cut(empty)
     assert report.witness == e
     assert report.norm_lower == 0.0 and report.consistent
+
+
+def test_explicit_support_excludes_other_groups():
+    """An explicit support compares whole elements: s of pq(2,3) is in the
+    ball cut, the element of Z^3 with the same data is not."""
+    support = cut_ball(GroupSpec.pq(2, 3), 2).support
+    assert Element(GroupSpec.pq(2, 3), (0, 0, 1)) in support
+    assert support.test((0, 0, 1))
+    assert Element(GroupSpec.free_abelian(3), (0, 0, 1)) not in support
+
+
+def test_cuts_query_canonical_data(monkeypatch):
+    """Constructing and verifying the composed cuts multiplies, inverts and
+    embeds no ``Element``: the public element operations may all raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Element operation called")
+
+    for module in (elements_mod, cuts_mod):
+        for name in ("multiply", "invert", "embed_j2", "t_length"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for make in (lambda: cut_bs(2, 3, 3), lambda: cut_pq(2, 3, 3),
+                 lambda: cut_lamplighter(2, 3),
+                 lambda: cut_semidirect_zd([[2, 1], [1, 1]], 3)):
+        assert verify_cut(make()).covers_ball
 
 
 def test_verify_flags_certificate_below_lower_bound():

@@ -342,23 +342,26 @@ def test_canonical_form_soundness():
             assert canonicalize(w2, spec) == canonicalize(w, spec)
 
 
+def _assert_britton_form(spec, x):
+    """Interior exponents of the BS data ``x`` lie in their coset ranges,
+    and no pinch is left."""
+    c0, tail = x
+    exps = [c0] + [c for _, c in tail]
+    for i, (eps, _) in enumerate(tail):
+        before = exps[i]
+        # in {0..q-1} before a t, in {0..p-1} before a t^-1
+        assert 0 <= before < (spec.q if eps == 1 else spec.p), x
+        # no pinch: at a t^{+-1} t^{-+1} site the exponent between them,
+        # already reduced to its coset range, must be nonzero
+        if i > 0 and tail[i - 1][0] == -eps:
+            assert before != 0, x
+
+
 def test_bs_canonical_invariants():
     """Britton form: interior exponents in coset ranges, no pinches."""
     rng = random.Random(7)
     for _ in range(1000):
-        x = canonicalize(random_word(BS23, rng), BS23)
-        c0, tail = x.data
-        exps = [c0] + [c for _, c in tail]
-        for i, (eps, _) in enumerate(tail):
-            before = exps[i]
-            if eps == 1:
-                assert 0 <= before < 3  # in {0..q-1} before a t
-            else:
-                assert 0 <= before < 2  # in {0..p-1} before a t^-1
-            # no pinch: at a t^{+-1} t^{-+1} site the exponent between them,
-            # already reduced to its coset range, must be nonzero
-            if i > 0 and tail[i - 1][0] == -eps:
-                assert before != 0
+        _assert_britton_form(BS23, canonicalize(random_word(BS23, rng), BS23).data)
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +737,13 @@ def test_embed_j2_builds_its_target_once(monkeypatch, capsys):
 
 
 def test_bs_solvable_case_isomorphism_oracle():
-    """For p = 1 the matrix-group embedding is injective, so Britton-form
-    equality must coincide with matrix equality; the generator bijection
-    also forces identical ball sizes."""
+    """For BS(1,q) and BS(p,1) the matrix-group embedding is injective, so
+    Britton-form equality must coincide with matrix equality, and products
+    and inverses computed in Britton form must map to the products and
+    inverses computed in the pq group: an oracle for the BS arithmetic that
+    shares no step with it.  The generator bijection also forces identical
+    ball sizes for BS(1,3).  Products of BS(2,3), where the embedding is
+    not injective, are checked for Britton form."""
     bs13 = GroupSpec.baumslag_solitar(1, 3)
     pq13 = GroupSpec.pq(1, 3)
     rng = random.Random(4)
@@ -749,6 +756,21 @@ def test_bs_solvable_case_isomorphism_oracle():
         assert same == (embed_j2(x1) == embed_j2(x2))
     assert equal_pairs > 10  # the positive case is actually exercised
     assert ball(bs13, 5).level_sizes() == ball(pq13, 5).level_sizes()
+    for spec in (bs13, GroupSpec.baumslag_solitar(3, 1),
+                 GroupSpec.baumslag_solitar(2, 1), BS23):
+        far = [Element(spec, x)
+               for x in _far_elements(spec, random.Random(f"j2-{spec.label()}"))]
+        pairs = [(canonicalize(random_word(spec, rng, 30), spec),
+                  canonicalize(random_word(spec, rng, 30), spec))
+                 for _ in range(1000)]
+        pairs += [(x, y) for x in far for y in far]
+        for x, y in pairs:
+            xy, x_inv = multiply(x, y), invert(x)
+            _assert_britton_form(spec, xy.data)
+            _assert_britton_form(spec, x_inv.data)
+            if spec.p == 1 or spec.q == 1:
+                assert embed_j2(xy) == multiply(embed_j2(x), embed_j2(y))
+                assert embed_j2(x_inv) == invert(embed_j2(x))
 
 
 def test_lamplighter_length_closed_form_oracle():
