@@ -53,19 +53,23 @@ class PredicateSupport:
     """Support given by a decidable membership predicate on canonical data.
 
     ``test`` takes an element's canonical ``data`` tuple, and ``x in
-    support`` is ``test(x.data)``.  ``size`` is the exact cardinality when
-    it is known analytically, else None; the member set itself may be far
-    too large to enumerate.
+    support`` is ``test(x.data)`` for an element of the support's
+    ``group``; an element of another group is never in it.  A support made
+    without a group takes its cut's.  ``size`` is the exact cardinality
+    when it is known analytically, else None; the member set itself may be
+    far too large to enumerate.
     """
 
     def __init__(self, test: Callable[[tuple], bool],
-                 size: int | None = None, description: str = ""):
+                 size: int | None = None, description: str = "",
+                 group: GroupSpec | None = None):
         self.test = test
         self.size = size
         self.description = description
+        self.group = group
 
     def __contains__(self, x: Element) -> bool:
-        return bool(self.test(x.data))
+        return x.group == self.group and bool(self.test(x.data))
 
 
 class ExplicitSupport(PredicateSupport):
@@ -95,6 +99,12 @@ class Cut:
     certificate: NormCertificate
     provenance: Mapping = field(default_factory=dict)
     subgroup_only: bool = False  # support lies in the designated subgroup H
+
+    def __post_init__(self):
+        if self.support.group is None:
+            self.support.group = self.group
+        elif self.support.group != self.group:
+            raise InputError("the support belongs to another group")
 
 
 @dataclass
@@ -166,7 +176,8 @@ def cut_lamplighter(p: int, n: int) -> Cut:
     cert = NormCertificate(1.0, 1.0, "extension-isometry", 0.0)
     return Cut(group, n,
                PredicateSupport(contains, size=order,
-                                description=f"lamps at |j| <= {w}, cursor 0"),
+                                description=f"lamps at |j| <= {w}, cursor 0",
+                                group=group),
                cert,
                provenance={"construction": "lamplighter", "p": p, "n": n,
                            "subgroup_order": order,
@@ -201,7 +212,8 @@ def cut_pq(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     return Cut(group, n,
                PredicateSupport(contains, size=2 * bound + 1,
                                 description=f"powers |j| <= {bound} of the "
-                                            f"translation by 1/{pq}^{n}"),
+                                            f"translation by 1/{pq}^{n}",
+                                group=group),
                cert,
                provenance={"construction": "pq", "p": p, "q": q, "n": n,
                            "power_bound": bound,
@@ -236,7 +248,8 @@ def cut_semidirect_zd(matrix, n: int, tol: float = 1e-9) -> Cut:
                            "product-rule", tol)
     return Cut(group, n,
                PredicateSupport(contains, size=(2 * radius + 1) ** d,
-                                description=f"box sup-norm <= {radius} in Z^{d}"),
+                                description=f"box sup-norm <= {radius} in Z^{d}",
+                                group=group),
                cert,
                provenance={"construction": "semidirect_zd",
                            "matrix": [list(r) for r in mat], "n": n,
@@ -277,7 +290,8 @@ def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int) -> Cut:
     size = None if sub.support.size is None else len(reps) * sub.support.size
     support = PredicateSupport(
         contains, size=size,
-        description=f"{len(reps)} coset translates of a subgroup cut")
+        description=f"{len(reps)} coset translates of a subgroup cut",
+        group=group)
 
     cert = NormCertificate(1.0, len(reps) * sub.certificate.upper,
                            "translation-invariance",
@@ -330,7 +344,8 @@ def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
                            "product-rule", tol)
     return Cut(group, n,
                PredicateSupport(contains,
-                                description=f"tree ball {n} x matrix-part cut"),
+                                description=f"tree ball {n} x matrix-part cut",
+                                group=group),
                cert,
                provenance={"construction": "baumslag_solitar", "p": p, "q": q,
                            "n": n, "tree_bound": tree_bound,
@@ -382,7 +397,8 @@ def interval_cut_family(radii: Iterable[int], tol: float = 1e-9) -> CutFamily:
             return abs(x[0]) <= rr
         cuts.append(Cut(group, i,
                         PredicateSupport(contains, size=2 * int(r) + 1,
-                                         description=f"|k| <= {r} in Z"),
+                                         description=f"|k| <= {r} in Z",
+                                         group=group),
                         cert,
                         provenance={"construction": "interval", "radius": int(r),
                                     "norm_chain": ["abelian-transform"]},

@@ -6,14 +6,35 @@ lengths are exact word lengths.  Growth state is memoized per group so that
 repeated queries (and queries at increasing radii) reuse earlier levels; a
 ``Ball`` is a cheap immutable view onto a prefix of that shared state.
 
-Growth records only the canonical ``data`` tuple of each element, its index
-(its BFS discovery position) and the level boundaries, off which lengths
-are read.  The right Cayley table is built on demand, for
-``Ball.translate_indices`` alone, and the BFS parent pointers are read off
-it.  Growth only ever multiplies on the right by a generator, so it calls
-the closed-form ``right_steps`` of the group's ``FamilyOps`` record on data
-tuples, never the general ``mul``; ``Element``s are made only when a caller
-asks for members.
+Growth is level-synchronous on integer rows (``elements.Rows``): each
+element is one fixed-width row of exact integers, and the sphere S_r is one
+array of rows.  One batch step gives the k|S_r| candidate rows x*g_j,
+x-major.  In a Cayley graph with a symmetric generating set every
+neighbour of S_r lies in S_{r-1}, S_r or S_{r+1}, so the candidates are
+compared with those two spheres only: each row of the three arrays is
+packed into one integer key (mixed radix over each field's range), one
+argsort groups equal keys, the least position in a group is its first
+occurrence, and the new elements are the groups first met among the
+candidates, kept in candidate order, which is the discovery order of a
+plain BFS.  BS(p,q) rows are ids that its step interns in that order, so
+its new elements are the ids past the ball, with no comparison.  The
+budget is checked before a level is kept.  Rows are int64 while the step
+can prove every entry fits and widen to dtype=object (Python ints) when
+not, so nothing wraps; a key whose mixed radix would leave int64 is a
+Python int as well.
+
+Growth keeps the rows of each level and the level boundaries, off which
+lengths are read: 8 bytes a field (16-32 an element; for BS 8 plus its
+interned word and dict entry), where a data tuple and a dict entry took
+about 229.  Canonical ``data`` tuples are decoded only when a caller asks
+for members; the ``ball`` command decodes none (coset sections outside BS
+are in closed form, and BS decodes its representatives only on access).
+Lookups encode the data and ``searchsorted`` a sorted key array over the
+grown ball, built on demand; data that cannot be encoded, or lies outside
+the grown rows' ranges, is not a member.  The right Cayley table is built
+on demand, for ``Ball.translate_indices`` alone, from one batch step over
+the levels it lacks plus those lookups, and the BFS parent pointers are
+read off it.
 """
 
 from __future__ import annotations
@@ -21,10 +42,11 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
-from typing import Iterator, Sequence
+from functools import cached_property, partial
+from itertools import chain, islice
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,38 +55,138 @@ from .elements import Element, family_ops
 from .spec import GroupSpec
 
 DEFAULT_BUDGET = 5_000_000
+_INT64 = 2 ** 63
+_OBJECT = np.dtype(object)
+
+
+class _Packing(NamedTuple):
+    """A mixed-radix key over rows whose column i lies in [lo[i], hi[i]]:
+    the row's offsets from ``lo`` read as the digits of one integer, an
+    int64 unless ``wide``."""
+
+    lo: list
+    hi: list
+    wide: bool
+
+
+def _packing(*parts: np.ndarray) -> _Packing:
+    """The packing over the rows of all ``parts`` (not all empty)."""
+    parts = [rows for rows in parts if rows.shape[1]]
+    lo = list(map(min, *(np.minimum.reduce(rows, axis=1).tolist()
+                         for rows in parts + parts[:1])))
+    hi = list(map(max, *(np.maximum.reduce(rows, axis=1).tolist()
+                         for rows in parts + parts[:1])))
+    total = 1
+    for a, b in zip(lo, hi):
+        total *= b - a + 1
+    return _Packing(lo, hi, total > _INT64)
+
+
+def _keys(rows: np.ndarray, packing: _Packing) -> np.ndarray:
+    """The packed key of each row, whose fields lie in the packing's
+    ranges: Horner's rule over the fields, in place, every partial key
+    below the product of the ranges."""
+    lo, hi, wide = packing
+    fields = rows.astype(object) if wide else rows
+    key = fields[0] - lo[0]
+    for field, a, b in zip(fields[1:], lo[1:], hi[1:]):
+        key *= b - a + 1
+        key += field
+        key -= a
+    return key.astype(np.int64) if key.dtype is _OBJECT and not wide else key
+
+
+def _first_new(prev: np.ndarray, cur: np.ndarray,
+               cand: np.ndarray) -> np.ndarray:
+    """The rows of ``cand`` found neither in ``prev`` nor in ``cur``, each
+    at its first occurrence, in candidate order: one argsort of the packed
+    keys groups equal rows, and a group's least position is its first
+    occurrence.  The three arrays' keys are packed side by side into one
+    array, without a joined copy of the rows."""
+    packing = _packing(prev, cur, cand)
+    base = prev.shape[1] + cur.shape[1]
+    keys = np.empty(base + cand.shape[1],
+                    dtype=object if packing.wide else np.int64)
+    keys[:prev.shape[1]] = _keys(prev, packing)
+    keys[prev.shape[1]:base] = _keys(cur, packing)
+    keys[base:] = _keys(cand, packing)
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    lead = np.minimum.reduceat(order, first.nonzero()[0])
+    first[:] = False
+    first[lead] = True
+    return cand[:, first[base:].nonzero()[0]]
+
+
+class _Lookup(NamedTuple):
+    """Sorted packed keys of the first ``count`` elements, and their
+    indices."""
+
+    count: int
+    packing: _Packing
+    keys: np.ndarray
+    order: np.ndarray
 
 
 class _BallGrower:
     """Append-only BFS state for one group; safe to snapshot while growing.
 
-    ``elements`` holds canonical data tuples, and ``index_of`` maps data to
-    index.  Element ``i`` (in discovery order) has word length r exactly when
-    ``level_end[r-1] <= i < level_end[r]``.  Growth keeps only these three.
-    ``steps[j]`` right-multiplies by the j-th generator of
-    ``generators(group)``, and there are k of them.  The right Cayley table
-    ``right[k*i + j]`` = index of ``steps[j](elements[i])`` is built only
-    when ``table`` asks for it, and then only over the levels not yet
-    covered.
+    ``levels[r]`` holds the rows of the sphere S_r in discovery order, and
+    element ``i`` (its index) has word length r exactly when
+    ``level_end[r-1] <= i < level_end[r]``.  Growth keeps only these two.
+    ``rows`` is the family's codec (``elements.Rows``) and ``steps`` its
+    per-element right steps, one per generator of ``generators(group)``
+    (k of them).  The right Cayley table ``right[k*i + j]`` = index of
+    x_i * g_j is built only when ``table`` asks for it, and then only over
+    the levels not yet covered.  ``elements`` and ``index_of`` decode and
+    look up on demand.
     """
 
     def __init__(self, group: GroupSpec):
         self.group = group
         ops = family_ops(group)
         self.steps = ops.right_steps
-        self.elements: list[tuple] = [ops.identity]
-        self.index_of: dict[tuple, int] = {ops.identity: 0}
+        self.rows = ops.rows()
+        self.levels = [np.array([[v] for v in self.rows.encode(ops.identity)],
+                                dtype=np.int64)]
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
         self.right = array("i")
-        self.lock = threading.Lock()
+        self.lock = threading.RLock()
+        self._lookup: _Lookup | None = None
 
     @property
     def radius(self) -> int:
         return len(self.level_end) - 1
 
+    @property
+    def elements(self) -> "_Members":
+        """Canonical data of the grown elements, in index order."""
+        return _Members(self, self.level_end[-1])
+
+    @property
+    def index_of(self) -> "_IndexOf":
+        """Canonical data -> index, over the grown elements."""
+        return _IndexOf(self)
+
     def length(self, i: int) -> int:
         """Word length of the element with index ``i``."""
         return bisect_right(self.level_end, i)
+
+    def decoded(self, radius: int) -> Iterator[tuple]:
+        """Canonical data of B_radius in index order, a level at a time."""
+        return chain.from_iterable(map(self.rows.decode,
+                                       self.levels[:radius + 1]))
+
+    def rows_of(self, start: int, stop: int) -> np.ndarray:
+        """The rows of the elements with indices in [start, stop)."""
+        first, last = self.length(start), self.length(max(start, stop - 1))
+        base = self.level_end[first - 1] if first else 0
+        rows = (self.levels[first] if first == last
+                else np.concatenate(self.levels[first:last + 1], axis=1))
+        return rows[:, start - base:stop - base]
 
     def grow_to(self, n: int, budget: int = DEFAULT_BUDGET) -> None:
         with self.lock:
@@ -72,36 +194,68 @@ class _BallGrower:
                 self._grow_level(budget)
 
     def _grow_level(self, budget: int) -> None:
-        start = self.level_end[-2] if len(self.level_end) >= 2 else 0
-        stop = self.level_end[-1]
-        elements, index_of = self.elements, self.index_of
-        claim, add = index_of.setdefault, elements.append
-        steps = self.steps
-        n = stop
+        r, stop = self.radius, self.level_end[-1]
+        cur = self.levels[r]
+        prev = self.levels[r - 1] if r else cur[:, :0]
         try:
-            for x in elements[start:stop]:
-                for step in steps:
-                    y = step(x)
-                    if claim(y, n) == n:  # y is new
-                        if n >= budget:  # fail before memory does
-                            del index_of[y]
-                            raise BudgetExceededError(
-                                f"ball budget {budget} exceeded at radius "
-                                f"{self.radius + 1} of {self.group.label()}",
-                                radius_reached=self.radius)
-                        add(y)
-                        n += 1
-        except BudgetExceededError:
-            for y in elements[stop:]:
-                del index_of[y]
-            del elements[stop:]
-            raise
-        self.level_end.append(len(elements))
+            cand = self.rows.step(cur, r, budget - stop)
+        except BudgetExceededError:  # an interning step past the budget
+            raise self._over(budget) from None
+        if self.rows.interned is not None:  # new ids follow the ball's
+            new = np.array([range(stop, self.rows.interned())],
+                           dtype=np.int64)
+        else:
+            new = _first_new(prev, cur, cand)
+        if stop + new.shape[1] > budget:  # fail before memory does
+            raise self._over(budget)
+        self.levels.append(new)
+        self.level_end.append(stop + new.shape[1])
+
+    def _over(self, budget: int) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"ball budget {budget} exceeded at radius {self.radius + 1} of "
+            f"{self.group.label()}", radius_reached=self.radius)
+
+    def _lookup_over(self, count: int) -> _Lookup:
+        """The sorted keys over at least the first ``count`` elements."""
+        lookup = self._lookup
+        if lookup is None or lookup.count < count:
+            with self.lock:
+                rows = self.rows_of(0, self.level_end[-1])
+                packing = _packing(rows)
+                keys = _keys(rows, packing)
+                order = keys.argsort()
+                lookup = self._lookup = _Lookup(rows.shape[1], packing,
+                                                keys[order], order)
+        return lookup
+
+    def find(self, x: tuple) -> int | None:
+        """Index of the grown element with canonical data ``x``, or None."""
+        try:
+            row = self.rows.encode(x)
+        except (TypeError, ValueError):
+            return None
+        if row is None:
+            return None
+        lookup = self._lookup_over(self.level_end[-1])
+        lo, hi, _ = lookup.packing
+        if len(row) != len(lo) or not all(
+                a <= v <= b for v, a, b in zip(row, lo, hi)):
+            return None
+        key = 0
+        for v, a, b in zip(row, lo, hi):
+            key = key * (b - a + 1) + (v - a)
+        i = int(np.searchsorted(lookup.keys, key))
+        if i < lookup.count and lookup.keys[i] == key:
+            return int(lookup.order[i])
+        return None
 
     def table(self, radius: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """A copy of the right Cayley table over B_radius: entry ``k*i + j``
-        is the index of ``steps[j](elements[i])``.  Grows to ``radius + 1``
-        first, and extends the cached table over the levels it lacks."""
+        is the index of x_i * g_j.  Grows to ``radius + 1`` first, and
+        extends the cached table over the levels it lacks: one batch step
+        over their rows, and a ``searchsorted`` of the products in
+        B_{radius+1}."""
         k = len(self.steps)
         with self.lock:
             while self.radius <= radius:
@@ -109,12 +263,53 @@ class _BallGrower:
             covered = self.level_end[radius] if radius >= 0 else 0
             have = len(self.right) // k
             if covered > have:
-                index, steps = self.index_of.__getitem__, self.steps
-                self.right.fromlist([index(step(x))
-                                     for x in self.elements[have:covered]
-                                     for step in steps])
+                products = self.rows.step(self.rows_of(have, covered),
+                                          radius, 0)
+                lookup = self._lookup_over(self.level_end[radius + 1])
+                keys = _keys(products, lookup.packing)
+                at = np.searchsorted(lookup.keys, keys)
+                self.right.frombytes(lookup.order[at].astype(np.intc).tobytes())
             return np.frombuffer(self.right, dtype=np.intc,
                                  count=k * covered).copy()
+
+
+class _Members(Sequence):
+    """The first ``count`` elements' canonical data, decoded on access."""
+
+    def __init__(self, grower: _BallGrower, count: int):
+        self._grower, self._count = grower, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> tuple:
+        if not -self._count <= i < self._count:
+            raise IndexError(i)
+        i %= self._count
+        return self._grower.rows.decode(self._grower.rows_of(i, i + 1))[0]
+
+    def __iter__(self) -> Iterator[tuple]:
+        g = self._grower
+        return islice(g.decoded(g.length(self._count - 1)), self._count)
+
+
+class _IndexOf(Mapping):
+    """Canonical data -> index over the grown elements, by lookup."""
+
+    def __init__(self, grower: _BallGrower):
+        self._grower = grower
+
+    def __getitem__(self, x: tuple) -> int:
+        i = self._grower.find(x)
+        if i is None:
+            raise KeyError(x)
+        return i
+
+    def __len__(self) -> int:
+        return self._grower.level_end[-1]
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._grower.elements)
 
 
 _growers: dict[GroupSpec, _BallGrower] = {}
@@ -145,7 +340,7 @@ class Ball:
         """Index of ``x`` if it is a member, else None."""
         if x.group is not self.group and x.group != self.group:
             return None
-        i = self._grower.index_of.get(x.data)
+        i = self._grower.find(x.data)
         return i if i is not None and i < len(self) else None
 
     def __contains__(self, x: Element) -> bool:
@@ -156,7 +351,7 @@ class Ball:
 
     def data(self) -> Iterator[tuple]:
         """Canonical data tuples of the members, in BFS discovery order."""
-        return islice(iter(self._grower.elements), len(self))
+        return self._grower.decoded(self.radius)
 
     def length(self, x: Element) -> int:
         i = self._index(x)
@@ -172,12 +367,10 @@ class Ball:
 
     def data_items(self) -> Iterator[tuple[tuple, int]]:
         """(canonical data, word length) pairs in BFS discovery order."""
-        elements, level_end = self._grower.elements, self._grower.level_end
-        start = 0
+        g = self._grower
         for r in range(self.radius + 1):
-            for x in elements[start:level_end[r]]:
+            for x in g.rows.decode(g.levels[r]):
                 yield x, r
-            start = level_end[r]
 
     def items(self) -> Iterator[tuple[Element, int]]:
         group = self.group
@@ -248,7 +441,7 @@ def word_length(x: Element, group: GroupSpec | None = None,
         raise InputError("element does not belong to the given group")
     grower = _get_grower(group)
     while True:
-        i = grower.index_of.get(x.data)
+        i = grower.find(x.data)
         if i is not None:
             return grower.length(i)
         try:
@@ -260,21 +453,26 @@ def word_length(x: Element, group: GroupSpec | None = None,
                 radius_searched=exc.radius_reached) from exc
 
 
-@dataclass(frozen=True)
 class CosetSection:
     """Minimal-length coset representatives for the designated subgroup H.
 
     One representative per coset of H meeting the ball of radius ``radius``;
     each has the minimum word length over its entire coset, ties broken by
-    BFS discovery order.
+    BFS discovery order.  The representatives are made on first access;
+    their number needs none.
     """
 
-    group: GroupSpec
-    radius: int
-    representatives: tuple[Element, ...]
+    def __init__(self, group: GroupSpec, radius: int, count: int,
+                 members: Callable[[], list]):
+        self.group, self.radius = group, radius
+        self._count, self._members = count, members
+
+    @cached_property
+    def representatives(self) -> tuple[Element, ...]:
+        return tuple(map(partial(Element, self.group), self._members()))
 
     def __len__(self) -> int:
-        return len(self.representatives)
+        return self._count
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.representatives)
@@ -282,16 +480,20 @@ class CosetSection:
 
 def coset_section(group: GroupSpec, n: int,
                   budget: int = DEFAULT_BUDGET) -> CosetSection:
+    """The first element of each coset met in BFS order.  Outside BS the
+    family gives it in closed form (``FamilyOps.section``), with no ball
+    grown; for BS it is read off the ball by its codec, and decoded on
+    access."""
+    if n < 0:
+        raise InputError("radius must be nonnegative")
+    section = family_ops(group).section
+    if section is not None:
+        data = section(n)
+        return CosetSection(group, n, len(data), data.copy)
     bn = ball(group, n, budget=budget)
-    key = family_ops(group).coset_key
-    seen: set = set()
-    reps: list[Element] = []
-    for x in bn.data():
-        k = key(x)
-        if k not in seen:
-            seen.add(k)
-            reps.append(Element(group, x))
-    return CosetSection(group, n, tuple(reps))
+    g = bn._grower
+    rows = g.rows_of(0, len(bn))[:, g.rows.coset_firsts(len(bn))]
+    return CosetSection(group, n, rows.shape[1], partial(g.rows.decode, rows))
 
 
 def subgroup_ball(bn: Ball) -> list[Element]:

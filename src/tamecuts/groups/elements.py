@@ -22,21 +22,27 @@ in the group exactly when their canonical forms coincide.
 
 Each family's arithmetic on the bare ``data`` tuples lives in one
 ``FamilyOps`` record per group (``family_ops``); the public functions below
-wrap and unwrap ``Element``s around it, and the ball search calls its
-closed-form right steps by generators directly.  Baumslag-Solitar has one
-Britton reduction, those right steps: its ``mul`` folds them over the
-right factor's word and its ``inv`` over the reversed, inverted word.
+wrap and unwrap ``Element``s around it.  Ball growth runs on the record's
+``Rows`` codec instead: each element as a fixed-width row of integers, and
+the right steps by the generators as array operations on whole spheres.
+Baumslag-Solitar has one Britton reduction, its right steps on flat words
+(c0, eps1, c1, ..., epsn, cn): its ``mul`` folds them over the right
+factor's word, its ``inv`` over the reversed, inverted word, and its codec
+interns their products.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add, itemgetter, neg
-from typing import Any, Callable, Hashable, Mapping, NamedTuple
+from itertools import chain, count, islice
+from operator import add, index, itemgetter, neg
+from typing import Any, Callable, Hashable, Iterator, Mapping, NamedTuple
 
-from ..errors import InputError
+import numpy as np
+
+from ..errors import BudgetExceededError, InputError
 from . import intmat
 from .spec import (
     BAUMSLAG_SOLITAR,
@@ -155,6 +161,49 @@ def _lamps_mul(f: tuple, g: tuple, k: int, p: int) -> tuple:
 # one arithmetic record per group
 
 
+class Rows(NamedTuple):
+    """One growth state's integer rows: the elements of a family as rows of
+    exact integers, and the right steps by the generators on whole arrays
+    of rows, which is what ball growth runs on.
+
+    A row is fixed-width: v for Z^d; (v, k) for the semidirect product;
+    (m, e, k) for pq; (L, k) for the lamplighter, with the lamps packed as
+    the base-p number L whose digit z(j) (z = 0, 1, 2, ... for j = 0, -1,
+    1, -2, ...) is the lamp at j; and for BS(p,q), whose normal forms vary
+    in length, the element's id in an interning table that the codec owns
+    (ids are handed out in discovery order, so an id is a ball index).
+    An array of n rows is stored field-major, with shape (width, n): each
+    field is one contiguous array, and column i is the row of element i.
+    Arrays of rows are int64 while every entry a step can produce provably
+    fits, and otherwise dtype=object holding Python ints, on which the same
+    array code runs exactly: a row widens, it never wraps.
+
+    ``encode(x)`` is the row of canonical data x as a tuple of Python ints,
+    or None when x is not canonical data of the family, or for BS not
+    interned yet (malformed tuples may raise TypeError or ValueError).
+    ``decode(rows)`` lists the canonical data tuples.  ``step(rows, radius,
+    limit)`` gives the rows of x*g_j for every row x and every symbol j of
+    ``GroupSpec.symbols``, x-major, for rows of word length at most
+    ``radius`` (None: unknown, computed in Python ints); an interning step
+    adds at most ``limit`` new elements (None: no bound) and raises
+    ``BudgetExceededError`` past it, keeping none of them.
+
+    Only the BS codec interns.  Its ``interned()`` counts the elements
+    interned so far, so the new elements of a step are the ids from the
+    ball's size on, in order, with no comparison of rows; and its
+    ``coset_firsts(n)`` lists, ascending, the index of the first element of
+    each left coset xH among the first n.  Both are None for the other
+    codecs, whose candidate rows ball growth deduplicates and whose coset
+    sections are in closed form (``FamilyOps.section``).
+    """
+
+    encode: Callable[[tuple], tuple | None]
+    decode: Callable[[np.ndarray], list]
+    step: Callable[[np.ndarray, int | None, int | None], np.ndarray]
+    interned: Callable[[], int] | None = None
+    coset_firsts: Callable[[int], list] | None = None
+
+
 class FamilyOps(NamedTuple):
     """One group's arithmetic on canonical ``data`` tuples.
 
@@ -162,11 +211,16 @@ class FamilyOps(NamedTuple):
     fixed order that ``GroupSpec.base_symbols`` reports and that BFS order
     follows.  ``mul`` and ``inv`` take and return canonical forms.
     ``right_steps`` holds one function per symbol of ``GroupSpec.symbols``,
-    in that order: ``right_steps[j](x)`` is the canonical form of x*g_j,
-    computed in closed form for that one generator (ball growth multiplies
-    by nothing else).  ``in_subgroup`` and ``coset_key`` describe the
-    designated subgroup H (see ``subgroup_membership``);
-    ``to_payload``/``from_payload`` convert to and from the JSON form that
+    in that order: ``right_steps[j](x)`` is the canonical form of x*g_j.
+    For BS(p,q) these are the closed-form Britton steps; elsewhere they run
+    the batch step of the family's ``Rows`` on the one row of x, in Python
+    ints.  ``rows()`` makes the ``Rows`` codec of one growth state (a fresh
+    interning table for BS; one shared codec elsewhere).  ``in_subgroup``
+    and ``coset_key`` describe the designated subgroup H (see
+    ``subgroup_membership``), and ``section(n)`` is the data of the coset
+    section of B_n (see ``balls.coset_section``) in closed form, or None
+    for BS, whose section is read off the ball.  ``to_payload`` and
+    ``from_payload`` convert to and from the JSON form that
     ``BallCache.store`` writes and ``BallCache.load`` reads."""
 
     identity: tuple
@@ -176,8 +230,14 @@ class FamilyOps(NamedTuple):
     right_steps: tuple[Callable[[tuple], tuple], ...]
     in_subgroup: Callable[[tuple], bool]
     coset_key: Callable[[tuple], Hashable]
+    section: Callable[[int], list] | None
+    rows: Callable[[], Rows]
     to_payload: Callable[[tuple], Any]
     from_payload: Callable[[Any], tuple]
+
+
+_INT64 = 2 ** 63  # an int64 entry lies in [-_INT64, _INT64)
+_OBJECT = np.dtype(object)  # the dtype of widened rows
 
 
 def _always(x: tuple) -> bool:
@@ -193,6 +253,80 @@ def _last_is_zero(x: tuple) -> bool:
 
 
 _last = itemgetter(-1)  # the Z-coordinate: k, shift, or the diagonal exponent
+
+
+def _one_coset(identity: tuple, n: int) -> list:
+    """H is the whole group: one coset, whose first element is e."""
+    return [identity]
+
+
+def _z_section(identity: tuple, n: int) -> list:
+    """H is the kernel of the last coordinate k, which only the powers of
+    one generator g move, by one per letter: the cosets meeting B_n are
+    those of |k| <= n, g^k (the identity's data with k last) is the only
+    element of length |k| in its coset, and BFS meets g^j before g^-j."""
+    head = identity[:-1]
+    return [identity] + [head + (k,) for j in range(1, n + 1) for k in (j, -j)]
+
+
+def _tuples(rows: np.ndarray) -> list:
+    return list(zip(*rows.tolist()))
+
+
+def _table(values, wide: bool) -> np.ndarray:
+    """``values`` (nested lists of Python ints) as an int64 array, or as
+    an object array when ``wide``."""
+    return np.array(values, dtype=object if wide else np.int64)
+
+
+def _index(values: np.ndarray) -> np.ndarray:
+    """Small nonnegative integers as an index array."""
+    return values.astype(np.intp) if values.dtype is _OBJECT else values
+
+
+def _offsets(field: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The least and greatest entries of a field of small integers (k or
+    the cursor), and each entry's offset from the least, as an index."""
+    lo = int(np.minimum.reduce(field))
+    return lo, int(np.maximum.reduce(field)), _index(field - lo)
+
+
+def _int64_radius(bound: Callable[[int], int]) -> int:
+    """The largest radius r with bound(r) < 2^63 (-1 if none), for a
+    nondecreasing bound on every entry a step forms from rows of length at
+    most r: doubling, then bisection."""
+    if bound(0) >= _INT64:
+        return -1
+    lo, hi = 0, 1
+    while bound(hi) < _INT64:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) < _INT64 else (lo, mid)
+    return lo
+
+
+def _shared(rows: Rows) -> Rows:
+    """The ``FamilyOps.rows`` of a family whose rows need no interning
+    table: every growth state uses the same codec."""
+    return rows
+
+
+def _row_step(rows: Rows, j: int, x: tuple) -> tuple:
+    """x * g_j through the batch step, on the one row of x, in Python ints."""
+    one = np.array(rows.encode(x), dtype=object).reshape(-1, 1)
+    return rows.decode(rows.step(one, None, None)[:, j:j + 1])[0]
+
+
+def _fixed_ops(identity: tuple, gens: Mapping[str, tuple], mul, inv,
+               rows: Rows, in_subgroup, coset_key, section, to_payload,
+               from_payload) -> FamilyOps:
+    """The record of a family with a shared codec, whose right steps are
+    the codec's batch step."""
+    steps = tuple(partial(_row_step, rows, j) for j in range(2 * len(gens)))
+    return FamilyOps(identity, gens, mul, inv, steps, in_subgroup, coset_key,
+                     partial(section, identity), partial(_shared, rows),
+                     to_payload, from_payload)
 
 
 def _fa_mul(x: tuple, y: tuple) -> tuple:
@@ -211,31 +345,25 @@ def _unit(d: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(d))
 
 
-# x * e_i^s adds s to coordinate i.  For d = 3 (the Z^3 ball of the
-# ball-enum benchmark) the tuple is unpacked and rebuilt explicitly: that
-# raised ball-enum's ops_per_s by about 4% over the generic list edit.
+def _fa_encode(d: int, x: tuple) -> tuple | None:
+    return tuple(map(index, x)) if len(x) == d else None
 
 
-def _fa_step(i: int, s: int, x: tuple) -> tuple:
-    y = list(x)
-    y[i] += s
-    return tuple(y)
-
-
-def _fa_step3(i: int, s: int, x: tuple) -> tuple:
-    a, b, c = x
-    if i == 0:
-        return a + s, b, c
-    return (a, b + s, c) if i == 1 else (a, b, c + s)
+def _fa_step(deltas: np.ndarray, rows: np.ndarray, radius, limit) -> np.ndarray:
+    """x * e_i^s adds s to coordinate i.  Coordinates on B_radius are at
+    most radius in absolute value, far inside int64."""
+    return (rows[:, :, None] + deltas).reshape(len(rows), -1)
 
 
 def _free_abelian_ops(group: GroupSpec) -> FamilyOps:
     d = group.d
     gens = {f"e{i + 1}": _unit(d, i) for i in range(d)}
-    step = _fa_step3 if d == 3 else _fa_step
-    steps = tuple(partial(step, i, s) for i in range(d) for s in (1, -1))
-    return FamilyOps((0,) * d, gens, _fa_mul, _fa_inv, steps, _always,
-                     _zero_key, list, _fa_from_payload)
+    deltas = np.array([[s * u for u in _unit(d, i)]  # (field, 1, symbol)
+                       for i in range(d) for s in (1, -1)],
+                      dtype=np.int64).T[:, None, :]
+    rows = Rows(partial(_fa_encode, d), _tuples, partial(_fa_step, deltas))
+    return _fixed_ops((0,) * d, gens, _fa_mul, _fa_inv, rows, _always,
+                      _zero_key, _one_coset, list, _fa_from_payload)
 
 
 class _ByK(dict):
@@ -250,22 +378,13 @@ class _ByK(dict):
         return out
 
 
-def _signed_columns(powers: _ByK, k: int) -> tuple:
-    """The columns of A^k each followed by its negative: the translation
-    parts of (0, k) * e_i^{+-1}, in symbol order."""
-    return tuple(signed for col in intmat.transpose(powers[k])
-                 for signed in (col, tuple(map(neg, col))))
-
-
-def _sd_step(columns: _ByK, j: int, x: tuple) -> tuple:
-    v, k = x
-    return tuple(map(add, v, columns[k][j])), k
-
-
-def _shift_step(s: int, x: tuple) -> tuple:
-    """x * t^s for a pair x = (a, k) whose t-letters only move k."""
-    a, k = x
-    return a, k + s
+def _sd_deltas(powers: _ByK, k: int) -> tuple:
+    """The row increments of (v, k) * g_j in symbol order: each column of
+    A^k and its negative (k unchanged), then t and t^-1 (k +- 1)."""
+    d = len(powers[0])
+    out = [col + (0,) for c in intmat.transpose(powers[k])
+           for col in (tuple(c), tuple(map(neg, c)))]
+    return tuple(out) + ((0,) * d + (1,), (0,) * d + (-1,))
 
 
 def _sd_mul(powers: _ByK, x: tuple, y: tuple) -> tuple:
@@ -276,6 +395,31 @@ def _sd_mul(powers: _ByK, x: tuple, y: tuple) -> tuple:
 def _sd_inv(powers: _ByK, x: tuple) -> tuple:
     v, k = x
     return tuple(map(neg, intmat.mat_vec(powers[-k], v))), -k
+
+
+def _sd_encode(d: int, x: tuple) -> tuple | None:
+    v, k = x
+    return tuple(map(index, v)) + (index(k),) if len(v) == d else None
+
+
+def _sd_decode(rows: np.ndarray) -> list:
+    fields = rows.tolist()
+    return list(zip(zip(*fields[:-1]), fields[-1]))
+
+
+def _sd_step(deltas: _ByK, rows: np.ndarray, radius, limit) -> np.ndarray:
+    """(v, k) * g_j adds ``deltas[k][j]``.  The rows stay int64 while the
+    largest entry plus the largest increment fits."""
+    lows = np.minimum.reduce(rows, axis=1).tolist()
+    highs = np.maximum.reduce(rows, axis=1).tolist()
+    table = [deltas[k] for k in range(lows[-1], highs[-1] + 1)]
+    top = max(abs(t) for block in table for row in block for t in row)
+    wide = (rows.dtype is _OBJECT
+            or max(map(abs, lows + highs)) + top >= _INT64)
+    at = _index(rows[-1] - lows[-1])
+    out = _table(table, wide).transpose(2, 0, 1)[:, at]  # (field, x, symbol)
+    out += rows[:, :, None]
+    return out.reshape(len(rows), -1)
 
 
 def _sd_to_payload(x: tuple) -> list:
@@ -293,12 +437,11 @@ def _semidirect_ops(group: GroupSpec) -> FamilyOps:
     gens = {f"e{i + 1}": (_unit(d, i), 0) for i in range(d)}
     gens["t"] = ((0,) * d, 1)
     powers = _ByK(partial(intmat.mat_pow, group.matrix))  # A is unimodular
-    columns = _ByK(partial(_signed_columns, powers))
-    steps = tuple(partial(_sd_step, columns, j) for j in range(2 * d))
-    steps += (partial(_shift_step, 1), partial(_shift_step, -1))
-    return FamilyOps(((0,) * d, 0), gens, partial(_sd_mul, powers),
-                     partial(_sd_inv, powers), steps, _last_is_zero, _last,
-                     _sd_to_payload, _sd_from_payload)
+    rows = Rows(partial(_sd_encode, d), _sd_decode,
+                partial(_sd_step, _ByK(partial(_sd_deltas, powers))))
+    return _fixed_ops(((0,) * d, 0), gens, partial(_sd_mul, powers),
+                      partial(_sd_inv, powers), rows, _last_is_zero, _last,
+                      _z_section, _sd_to_payload, _sd_from_payload)
 
 
 def _pq_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
@@ -307,25 +450,6 @@ def _pq_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
         return m1, e1, k1 + k2
     m, e = _pq_add((m1, e1), _pq_scale(m2, e2, k1, p, q), p * q)
     return m, e, k1 + k2
-
-
-def _pq_s_step(s: int, x: tuple) -> tuple:
-    m, e, k = x
-    return m, e, k + s
-
-
-def _pq_t_step(powers: _ByK, pq: int, x: tuple) -> tuple:
-    """x * t^s adds s * (p/q)^k, which ``powers[k]`` holds normalized, to the
-    translation part.  When the two exponents differ, the term with the
-    larger one (> 0, so canonical and not divisible by pq) is added to a
-    multiple of pq: the sum is canonical."""
-    m, e, k = x
-    mk, ek = powers[k]
-    if e > ek:
-        return m + mk * pq ** (e - ek), e, k
-    if e < ek:
-        return m * pq ** (ek - e) + mk, ek, k
-    return _pq_normalize(m + mk, e, pq) + (k,)
 
 
 def _pq_inv(p: int, q: int, x: tuple) -> tuple:
@@ -338,15 +462,75 @@ def _pq_from_payload(payload) -> tuple:
     return int(m), int(e), int(k)
 
 
+def _pq_encode(pq: int, x: tuple) -> tuple | None:
+    m, e, k = map(index, x)
+    if e < 0 or (e > 0 and (m % pq == 0 or pq == 1)) or (m == 0 and e):
+        return None
+    return m, e, k
+
+
+def _pq_t_terms(p: int, q: int, e: int, k: int) -> tuple:
+    """How (m, e, k) * t^+-1 is formed: m/(pq)^e +- mk/(pq)^ek, with
+    mk/(pq)^ek = (p/q)^k normalized, is (m a +- b)/(pq)^E for E = max(e, ek),
+    a = (pq)^(E-e) and b = mk (pq)^(E-ek).  When the exponents differ the
+    term with the larger one is not divisible by pq and the other is, so
+    the sum is canonical; only e = ek > 0 may need dividing down (flag 1)."""
+    mk, ek = _pq_scale(1, 0, k, p, q)
+    top = max(e, ek)
+    pq = p * q
+    return pq ** (top - e), mk * pq ** (top - ek), top, int(e == ek > 0)
+
+
+# the increments of (m, e, k) under s, s^-1, t, t^-1 that do not depend on x
+_PQ_SHIFTS = np.array([[[0, 0, 0, 0]], [[0, 0, 0, 0]], [[1, -1, 0, 0]]],
+                      dtype=np.int64)
+
+
+def _pq_step(p: int, q: int, top: int, rows: np.ndarray, radius,
+             limit) -> np.ndarray:
+    """s^+-1 moves k; t^+-1 adds +-(p/q)^k to m/(pq)^e, through one table
+    of ``_pq_t_terms`` per cell (e, k).
+
+    On B_radius the translation is a sum of at most radius terms
+    +-(p/q)^k with |k| <= radius, so |m/(pq)^e| <= radius (hi/lo)^radius
+    and e <= radius, with lo <= hi the two of p and q; every numerator
+    formed here is at most (radius + 1) hi^(2 radius) in absolute value,
+    and the rows stay int64 while that fits (radius <= ``top``)."""
+    pq = p * q
+    wide = radius is None or radius > top or rows.dtype is _OBJECT
+    rows = rows.astype(object) if wide else rows
+    lo, hi, at = _offsets(rows[2])
+    cells = [_pq_t_terms(p, q, e, k)
+             for e in range(int(np.maximum.reduce(rows[1])) + 1)
+             for k in range(lo, hi + 1)]
+    terms = _table(list(zip(*cells)), wide)  # scale, term, exp, flag
+    cell = _index(rows[1]) * (hi - lo + 1) + at
+    num = rows[0] * terms[0][cell]
+    term = terms[1][cell]
+    num = np.concatenate((num + term, num - term))
+    exp = np.concatenate((terms[2][cell], terms[2][cell]))
+    todo = np.concatenate((terms[3][cell], terms[3][cell])).nonzero()[0]
+    while len(todo):  # divide by pq while it divides and e > 0
+        todo = todo[num[todo] % pq == 0]
+        num[todo] //= pq
+        exp[todo] -= 1
+        todo = todo[exp[todo] != 0]
+    n = rows.shape[1]
+    out = rows[:, :, None] + _PQ_SHIFTS
+    out[0, :, 2], out[0, :, 3] = num[:n], num[n:]
+    out[1, :, 2], out[1, :, 3] = exp[:n], exp[n:]
+    return out.reshape(3, -1)
+
+
 def _pq_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
-    steps = (partial(_pq_s_step, 1), partial(_pq_s_step, -1))
-    for s in (1, -1):
-        powers = _ByK(partial(_pq_scale, s, 0, p=p, q=q))  # s * (p/q)^k
-        steps += (partial(_pq_t_step, powers, p * q),)
-    return FamilyOps((0, 0, 0), {"s": (0, 0, 1), "t": (1, 0, 0)},
-                     partial(_pq_mul, p, q), partial(_pq_inv, p, q), steps,
-                     _last_is_zero, _last, list, _pq_from_payload)
+    top = _int64_radius(lambda r: (r + 1) * max(p, q) ** (2 * r))
+    rows = Rows(partial(_pq_encode, p * q), _tuples,
+                partial(_pq_step, p, q, top))
+    return _fixed_ops((0, 0, 0), {"s": (0, 0, 1), "t": (1, 0, 0)},
+                      partial(_pq_mul, p, q), partial(_pq_inv, p, q), rows,
+                      _last_is_zero, _last, _z_section, list,
+                      _pq_from_payload)
 
 
 def _lamp_mul(p: int, x: tuple, y: tuple) -> tuple:
@@ -354,20 +538,67 @@ def _lamp_mul(p: int, x: tuple, y: tuple) -> tuple:
     return _lamps_mul(f, g, k, p), k + l
 
 
-def _lamp_step(p: int, s: int, x: tuple) -> tuple:
-    """x * a^{+-1} adds s (1 or p - 1) to the lamp at the cursor."""
-    lamps, k = x
-    i = bisect_left(lamps, (k,))
-    if i < len(lamps) and lamps[i][0] == k:
-        val = (lamps[i][1] + s) % p
-        rest = lamps[i + 1:]
-        return (lamps[:i] + ((k, val),) + rest if val else lamps[:i] + rest), k
-    return lamps[:i] + ((k, s),) + lamps[i:], k
-
-
 def _lamp_inv(p: int, x: tuple) -> tuple:
     f, k = x
     return tuple(sorted((pos - k, (-val) % p) for pos, val in f)), -k
+
+
+def _zigzag(j: int) -> int:
+    """The digit of the lamp at j: 0, 1, 2, 3, ... for j = 0, -1, 1, -2, ..."""
+    return 2 * j if j >= 0 else -2 * j - 1
+
+
+def _unzigzag(z: int) -> int:
+    return z // 2 if z % 2 == 0 else -(z + 1) // 2
+
+
+def _lamp_encode(p: int, x: tuple) -> tuple | None:
+    lamps, k = x
+    packed, last = 0, None
+    for j, val in lamps:
+        j, val = index(j), index(val)
+        if not 0 < val < p or (last is not None and j <= last):
+            return None
+        packed += val * p ** _zigzag(j)
+        last = j
+    return packed, index(k)
+
+
+def _lamp_decode(p: int, rows: np.ndarray) -> list:
+    packed, cursors = rows[0], rows[1].tolist()
+    digits, top = 0, int(np.maximum.reduce(packed))
+    while p ** digits <= top:
+        digits += 1
+    where = sorted(range(digits), key=_unzigzag)  # digits by lamp position
+    at = [_unzigzag(z) for z in where]
+    lit = packed[:, None] // _table([p ** z for z in where],
+                                    packed.dtype is _OBJECT) % p
+    lamps: list[list] = [[] for _ in cursors]
+    row, col = lit.nonzero()
+    for i, j, val in zip(row.tolist(), col.tolist(), lit[row, col].tolist()):
+        lamps[i].append((at[j], val))
+    return [(tuple(f), k) for f, k in zip(lamps, cursors)]
+
+
+# the increments of (L, k) under a, a^-1, t, t^-1 that do not depend on x
+_LAMP_SHIFTS = np.array([[[0, 0, 0, 0]], [[0, 0, 1, -1]]], dtype=np.int64)
+
+
+def _lamp_step(p: int, top: int, rows: np.ndarray, radius,
+               limit) -> np.ndarray:
+    """a^+-1 changes the digit d of the lamp at the cursor k (of weight
+    p^z(k)) to (d +- 1) mod p; t^+-1 moves k.  Lamps on B_(radius+1) lie at
+    |j| <= radius, so every packed L formed here is below p^(2 radius + 2),
+    and the rows stay int64 while that fits (radius <= ``top``)."""
+    wide = radius is None or radius > top or rows.dtype is _OBJECT
+    rows = rows.astype(object) if wide else rows
+    lo, hi, at = _offsets(rows[1])
+    weight = _table([p ** _zigzag(j) for j in range(lo, hi + 1)], wide)[at]
+    digit = rows[0] // weight % p
+    out = rows[:, :, None] + _LAMP_SHIFTS
+    out[0, :, 0] += ((digit + 1) % p - digit) * weight
+    out[0, :, 1] += ((digit - 1) % p - digit) * weight
+    return out.reshape(2, -1)
 
 
 def _lamp_to_payload(x: tuple) -> list:
@@ -382,71 +613,80 @@ def _lamp_from_payload(payload) -> tuple:
 
 def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
     p = group.p
-    steps = (partial(_lamp_step, p, 1), partial(_lamp_step, p, p - 1),
-             partial(_shift_step, 1), partial(_shift_step, -1))
-    return FamilyOps(((), 0), {"a": (((0, 1),), 0), "t": ((), 1)},
-                     partial(_lamp_mul, p), partial(_lamp_inv, p), steps,
-                     _last_is_zero, _last, _lamp_to_payload,
-                     _lamp_from_payload)
+    top = _int64_radius(lambda r: p ** (2 * r + 2))
+    rows = Rows(partial(_lamp_encode, p), partial(_lamp_decode, p),
+                partial(_lamp_step, p, top))
+    return _fixed_ops(((), 0), {"a": (((0, 1),), 0), "t": ((), 1)},
+                      partial(_lamp_mul, p), partial(_lamp_inv, p), rows,
+                      _last_is_zero, _last, _z_section, _lamp_to_payload,
+                      _lamp_from_payload)
 
 
-def _bs_a_step(s: int, x: tuple) -> tuple:
-    """x * a^s for any integer s: the rightmost exponent is unconstrained."""
-    head, tail = x
-    if tail:
-        eps, c = tail[-1]
-        return head, tail[:-1] + ((eps, c + s),)
-    return head + s, tail
+# BS(p,q) arithmetic runs on flat words w = (c0, eps1, c1, ..., epsn, cn),
+# the canonical data (c0, ((eps1, c1), ..., (epsn, cn))) spelled out: the
+# unconstrained rightmost exponent is always w[-1], a step is one slice and
+# one concatenation, and a flat tuple hashes without nested calls.
 
 
-def _bs_t_step(eps: int, div: int, mul: int, x: tuple, c: int = 0) -> tuple:
-    """x * t^eps a^c for eps = +-1, with (div, mul) = (q, p) for eps = 1
-    and (p, q) for eps = -1.  The last exponent b = div m + r of x leaves r
+def _bs_flat(x: tuple) -> tuple:
+    c0, tail = x
+    return (c0,) + tuple(chain.from_iterable(tail))
+
+
+def _bs_nested(w: tuple) -> tuple:
+    return w[0], tuple(zip(w[1::2], w[2::2]))
+
+
+def _bs_a_step(s: int, w: tuple) -> tuple:
+    """w * a^s for any integer s: the rightmost exponent is unconstrained."""
+    return w[:-1] + (w[-1] + s,)
+
+
+def _bs_t_step(eps: int, div: int, mul: int, w: tuple, c: int = 0) -> tuple:
+    """w * t^eps a^c for eps = +-1, with (div, mul) = (q, p) for eps = 1
+    and (p, q) for eps = -1.  The last exponent b = div m + r of w leaves r
     before t^eps and a^{mul m} after it (a^{div m} t^eps = t^eps a^{mul m}),
     or pinches when r = 0 after a t^-eps; a^c joins the last exponent."""
-    head, tail = x
-    last_eps, b = tail[-1] if tail else (0, head)
-    m, r = divmod(b, div)
-    if r == 0 and last_eps == -eps:  # pinch t^-eps a^{div m} t^eps = a^{mul m}
-        return _bs_a_step(mul * m + c, (head, tail[:-1]))
-    if tail:
-        return head, tail[:-1] + ((last_eps, r), (eps, mul * m + c))
-    return r, ((eps, mul * m + c),)
+    m, r = divmod(w[-1], div)
+    if r == 0 and len(w) > 1 and w[-2] == -eps:
+        # pinch t^-eps a^{div m} t^eps = a^{mul m}
+        return w[:-3] + (w[-3] + mul * m + c,)
+    return w[:-1] + (r, eps, mul * m + c)
 
 
 def _bs_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
     """x * y: the right steps folded over y's word a^c0 t^eps1 a^c1 ..."""
     c0, tail = y
-    if c0:
-        x = _bs_a_step(c0, x)
+    w = _bs_a_step(c0, _bs_flat(x))
     for eps, c in tail:
-        x = (_bs_t_step(1, q, p, x, c) if eps == 1
-             else _bs_t_step(-1, p, q, x, c))
-    return x
+        w = (_bs_t_step(1, q, p, w, c) if eps == 1
+             else _bs_t_step(-1, p, q, w, c))
+    return _bs_nested(w)
 
 
 def _bs_inv(p: int, q: int, x: tuple) -> tuple:
     """x^-1: the right steps folded over a^-cn t^-epsn ... t^-eps1 a^-c0."""
     c0, tail = x
     exps = [c0] + [c for _, c in tail]
-    out = (-exps.pop(), ())
+    w = (-exps.pop(),)
     for eps, _ in reversed(tail):
         c = -exps.pop()
-        out = (_bs_t_step(1, q, p, out, c) if eps == -1
-               else _bs_t_step(-1, p, q, out, c))
-    return out
+        w = (_bs_t_step(1, q, p, w, c) if eps == -1
+             else _bs_t_step(-1, p, q, w, c))
+    return _bs_nested(w)
 
 
 def _bs_in_subgroup(x: tuple) -> bool:
     return not x[1]
 
 
-def _bs_coset_key(x: tuple):
-    c0, tail = x
-    if not tail:
-        return ("H",)
-    # right-multiplying by a^j changes only the final exponent
-    return (c0, tail[:-1], tail[-1][0])
+_all_but_last = itemgetter(slice(None, -1))
+
+
+def _bs_coset_key(x: tuple) -> tuple:
+    """The flat word without its last exponent: right-multiplying by a^j
+    changes only that exponent, and every t-free word gives ()."""
+    return _all_but_last(_bs_flat(x))
 
 
 def _bs_to_payload(x: tuple) -> list:
@@ -459,13 +699,77 @@ def _bs_from_payload(payload) -> tuple:
     return int(c0), tuple((int(e), int(c)) for e, c in tail)
 
 
+def _bs_steps(p: int, q: int) -> tuple:
+    """The right steps on flat words, in symbol order a, a^-1, t, t^-1."""
+    return (partial(_bs_a_step, 1), partial(_bs_a_step, -1),
+            partial(_bs_t_step, 1, q, p), partial(_bs_t_step, -1, p, q))
+
+
+def _bs_data_step(step: Callable[[tuple], tuple], x: tuple) -> tuple:
+    return _bs_nested(step(_bs_flat(x)))
+
+
+def _bs_rows(p: int, q: int) -> Rows:
+    """Rows of ids in a fresh interning table of flat words: ``words[id]``
+    is the word and ``ids[word]`` the id.  The step runs the Britton steps
+    on the words and interns each product, handing out new ids in
+    candidate order, which is discovery order."""
+    steps = _bs_steps(p, q)
+    words: list[tuple] = [(0,)]
+    ids: dict[tuple, int] = {(0,): 0}
+    claim, add = ids.setdefault, words.append
+
+    def encode(x: tuple) -> tuple | None:
+        i = ids.get(_bs_flat(x))
+        return None if i is None else (i,)
+
+    def decode(rows: np.ndarray) -> list:
+        return [_bs_nested(words[i]) for i in rows[0].tolist()]
+
+    def products(rows: np.ndarray, top: int) -> Iterator[int]:
+        n = len(words)
+        for w in map(words.__getitem__, rows[0].tolist()):
+            for s in steps:
+                y = s(w)
+                i = claim(y, n)
+                if i == n:  # y is new
+                    if n >= top:  # fail before memory does
+                        del ids[y]
+                        raise BudgetExceededError(f"more than {top} elements")
+                    add(y)
+                    n += 1
+                yield i
+
+    def step(rows: np.ndarray, radius, limit) -> np.ndarray:
+        start, size = len(words), rows.shape[1] * len(steps)
+        top = start + (size if limit is None else limit)
+        try:
+            return np.fromiter(products(rows, top), dtype=np.int64,
+                               count=size)[None]
+        except BudgetExceededError:
+            for y in words[start:]:
+                del ids[y]
+            del words[start:]
+            raise
+
+    def coset_firsts(n: int) -> list:
+        # a word without its last exponent names its coset xH: right
+        # multiplication by a^j changes only that exponent
+        first: dict = {}
+        deque(map(first.setdefault, map(_all_but_last, islice(words, n)),
+                  count()), maxlen=0)
+        return list(first.values())
+
+    return Rows(encode, decode, step, words.__len__, coset_firsts)
+
+
 def _baumslag_solitar_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
-    steps = (partial(_bs_a_step, 1), partial(_bs_a_step, -1),
-             partial(_bs_t_step, 1, q, p), partial(_bs_t_step, -1, p, q))
+    steps = tuple(partial(_bs_data_step, s) for s in _bs_steps(p, q))
     return FamilyOps((0, ()), {"a": (1, ()), "t": (0, ((1, 0),))},
                      partial(_bs_mul, p, q), partial(_bs_inv, p, q), steps,
-                     _bs_in_subgroup, _bs_coset_key, _bs_to_payload,
+                     _bs_in_subgroup, _bs_coset_key, None,
+                     partial(_bs_rows, p, q), _bs_to_payload,
                      _bs_from_payload)
 
 

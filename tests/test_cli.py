@@ -501,6 +501,28 @@ def _load_benchmark_check():
     return module.check
 
 
+def test_ball_enum_match_benchmark_reference(capsys):
+    """Every argv of the ball-enum benchmark exits and reports as its
+    recorded reference, by the benchmark's own output check, each on a
+    cold growth state."""
+    from tamecuts.groups import balls
+    check = _load_benchmark_check()
+    refs_path = (Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+                 / "ball-enum.json")
+    refs = json.loads(refs_path.read_text())
+    assert len(refs) == 5
+    faults = {}
+    for key, ref in refs.items():
+        balls._growers.clear()
+        argv = key.split()
+        code = main(argv)
+        fault = check(argv, code, capsys.readouterr().out, ref)
+        if fault is not None:
+            faults[key] = fault
+    balls._growers.clear()
+    assert faults == {}
+
+
 def test_verify_cuts_match_benchmark_reference(capsys):
     """Every argv of the verify-cuts benchmark exits and reports as its
     recorded reference, by the benchmark's own output check."""

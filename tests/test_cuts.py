@@ -375,6 +375,31 @@ def test_explicit_support_excludes_other_groups():
     assert Element(GroupSpec.free_abelian(3), (0, 0, 1)) not in support
 
 
+def test_predicate_supports_exclude_other_groups():
+    """A predicate support knows its cut's group: an element of another
+    group whose data the predicate would accept is not in it."""
+    z3 = Element(GroupSpec.free_abelian(3), (0, 0, 0))
+    assert cut_pq(2, 3, 1).support.test(z3.data)
+    assert z3 not in cut_pq(2, 3, 1).support
+    assert Element(GroupSpec.pq(2, 3), (0, 0, 0)) in cut_pq(2, 3, 1).support
+    semidirect = Element(GroupSpec.semidirect_zd([[2, 1], [1, 1]]), ((), 0))
+    assert cut_lamplighter(2, 1).support.test(semidirect.data)
+    assert semidirect not in cut_lamplighter(2, 1).support
+    for cut in (cut_bs(2, 3, 1), cut_semidirect_zd([[1, 1], [0, 1]], 1),
+                extend_by_cogrowth(pq_cut_family(2, 3, [2]),
+                                   GroupSpec.pq(2, 3), 1),
+                *interval_cut_family([1, 3])):
+        assert cut.support.group == cut.group
+        assert identity(cut.group) in cut.support
+    # a support made without a group takes its cut's, and no other
+    bare = PredicateSupport(lambda x: True)
+    cut = Cut(GroupSpec.free_abelian(1), 1, bare, dirichlet_l1(1))
+    assert cut.support.group == GroupSpec.free_abelian(1)
+    assert Element(GroupSpec.free_abelian(2), (0, 0)) not in bare
+    with pytest.raises(InputError):
+        Cut(GroupSpec.free_abelian(2), 1, bare, dirichlet_l1(1))
+
+
 def test_cuts_query_canonical_data(monkeypatch):
     """Constructing and verifying the composed cuts multiplies, inverts and
     embeds no ``Element``: the public element operations may all raise."""

@@ -4,7 +4,9 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -448,8 +450,9 @@ def test_cayley_table_walk_matches_multiply(family, word):
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
 def test_cayley_table_is_built_on_demand(spec):
     """Growth builds no table; ``translate_indices`` at radii 2, 4, 6
-    extends it over the new levels only (one step per new entry, earlier
-    entries kept), and every row is the index of a ``multiply`` product."""
+    extends it over the new levels only (one stepped row per new entry,
+    earlier entries kept), and every row is the index of a ``multiply``
+    product."""
     _reset_growers()
     ball(spec, 6)
     g = balls_mod._get_grower(spec)
@@ -458,18 +461,20 @@ def test_cayley_table_is_built_on_demand(spec):
     k, calls = len(g.steps), [0]
 
     def counted(step):
-        def call(x):
-            calls[0] += 1
-            return step(x)
+        def call(rows, *args):
+            out = step(rows, *args)
+            calls[0] += out.shape[1]  # rows are stored field-major
+            return out
         return call
 
     for radius in (2, 4, 6):
         ball(spec, radius + 1)  # the growth the table needs is not counted
-        g.steps, plain = tuple(map(counted, g.steps)), g.steps
+        plain = g.rows
+        g.rows = plain._replace(step=counted(plain.step))
         before, calls[0] = list(g.right), 0
         bn = ball(spec, radius)
         rows = bn.translate_indices(support)
-        g.steps = plain
+        g.rows = plain
         assert calls[0] == len(g.right) - len(before)
         assert len(g.right) == k * bn.level_sizes()[-1]
         assert list(g.right[:len(before)]) == before
@@ -650,6 +655,139 @@ def test_growth_state_matches_plain_bfs(spec):
     assert _growth_state(spec) == rolled
     assert balls_mod._get_grower(spec).index_of == {
         x: i for i, x in enumerate(rolled[0])}
+
+
+def _row_groups():
+    return [spec for spec in STEP_GROUPS if spec.family != "baumslag_solitar"]
+
+
+@pytest.mark.parametrize("spec", _row_groups(), ids=lambda s: s.label())
+def test_batch_steps_agree_in_int64_and_python_ints(spec):
+    """The int64 batch step on B_4 and the same step on the rows widened
+    to Python ints give the same products."""
+    rows = family_ops(spec).rows()
+    grower = balls_mod._get_grower(spec)
+    ball(spec, 4)
+    level = grower.rows_of(0, len(ball(spec, 4)))
+    assert level.dtype == np.int64
+    narrow = rows.step(level, 4, None)
+    wide = rows.step(level.astype(object), None, None)
+    assert narrow.dtype == np.int64 and wide.dtype == object
+    assert narrow.tolist() == wide.tolist()
+
+
+WIDE_GROUPS = [
+    GroupSpec.lamplighter(2 ** 20),  # lamps pass 2^63 from radius 2 on
+    GroupSpec.semidirect_zd([[2 ** 40 + 1, 2 ** 40], [1, 1]]),
+]
+
+
+@pytest.mark.parametrize("spec", WIDE_GROUPS, ids=lambda s: s.family)
+def test_widened_rows_match_plain_bfs(spec):
+    """Rows whose entries leave int64 widen to Python ints, and the grown
+    state still equals a plain BFS with ``multiply``."""
+    _reset_growers()
+    ball(spec, 4)
+    assert _growth_state(spec) == _plain_bfs(spec, 4)
+    levels = balls_mod._get_grower(spec).levels
+    assert levels[-1].dtype == object
+    assert max(abs(v) for v in levels[-1].ravel().tolist()) >= 2 ** 63
+
+
+def test_pq_rows_widen_past_int64():
+    """pq(97, 101) numerators pass 2^63 from radius 6 on.  The grown state
+    of B_8 still equals a plain BFS with ``multiply``, its widened levels
+    hold Python ints, and every element's data is the 2x2 matrix
+    [[(p/q)^k, m/(pq)^e], [0, 1]] of its BFS word, multiplied out here in
+    Fractions."""
+    p, q = 97, 101
+    spec = GroupSpec.pq(p, q)
+    _reset_growers()
+    ball(spec, 8)
+    elements, right, parent, gen, level_end = _growth_state(spec)
+    assert (elements, right, parent, gen, level_end) == _plain_bfs(spec, 8)
+    assert max(abs(m) for m, _, _ in elements) >= 2 ** 63
+    levels = balls_mod._get_grower(spec).levels
+    assert levels[5].dtype == np.int64 and levels[6].dtype == object
+    one, zero = Fraction(1), Fraction(0)
+    gens = [[[Fraction(p, q), zero], [zero, one]],
+            [[Fraction(q, p), zero], [zero, one]],
+            [[one, one], [zero, one]], [[one, -one], [zero, one]]]
+    mats = [[[one, zero], [zero, one]]]
+    for i in range(1, len(elements)):
+        mats.append(mat_product(mats[parent[i]], gens[gen[i]]))
+    for (m, e, k), mat in zip(elements, mats):
+        assert e >= 0 and (e == 0 or m % (p * q) != 0)  # minimal exponent
+        assert mat == [[Fraction(p, q) ** k, Fraction(m, (p * q) ** e)],
+                       [zero, one]]
+
+
+@pytest.mark.parametrize("spec, data", [
+    (PQ23, (2 ** 64 + 1, 0, 0)),  # would wrap to t = (1, 0, 0)
+    (PQ23, (1 - 2 ** 64, 0, 0)),
+    (PQ23, (6, 1, 0)),  # exponent not minimal
+    (PQ23, (0, 1, 0)),
+    (PQ23, (1, -1, 0)),
+    (PQ23, (1.0, 0, 0)),
+    (PQ23, (1, 0)),
+    (LAMP2, (((0, 2),), 0)),  # lamp value out of range
+    (LAMP2, (((0, 1), (0, 1)), 0)),  # position repeated
+    (LAMP2, (((1, 1), (0, 1)), 0)),  # positions not sorted
+    (LAMP2, (((0, 1),), 2 ** 64)),
+    (LAMP2, (((40, 1),), 0)),  # a lamp outside every grown row's window
+    (Z2, (0, 0, 0)),
+    (SD, ((0,), 0)),
+    (BS23, (5, ((1, 0),))),  # exponent before t not reduced mod q
+    (BS23, "not data"),
+], ids=repr)
+def test_data_that_cannot_be_encoded_is_not_a_member(spec, data):
+    """Malformed, non-canonical or out-of-range data is not a member, and
+    never matches an element through a wrapped value."""
+    bn = ball(spec, 4)
+    assert balls_mod._get_grower(spec).index_of.get(data) is None
+    x = Element(spec, data)
+    assert x not in bn
+    with pytest.raises(ElementNotFoundError):
+        bn.length(x)
+    assert Element(PQ23, (1, 0, 0)) in ball(PQ23, 4)
+
+
+def test_lookup_keys_out_of_range_never_alias():
+    """A row with a field outside the grown rows' ranges is not a member,
+    although its mixed-radix key equals a member's: in pq(2,3)'s B_4, with
+    k in [-4, 4] and e in [0, e_max], (-1, e_max, 5) packs to the key of
+    s^-4 = (0, 0, -4)."""
+    _reset_growers()
+    bn = ball(PQ23, 4)
+    e_max = max(e for _, e, _ in bn.data())
+    assert min(k for _, _, k in bn.data()) == -4 and e_max > 0
+    assert Element(PQ23, (0, 0, -4)) in bn
+    assert Element(PQ23, (-1, e_max, 5)) not in bn
+    _reset_growers()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_free_abelian_sizes_match_closed_form(d):
+    """|B_r| of Z^d is the sum over k of 2^k C(d, k) C(r, k): choose the k
+    nonzero coordinates, their signs, and positive values summing to at
+    most r (Stanley, Enumerative Combinatorics I, ex. 1.3)."""
+    spec = GroupSpec.free_abelian(d)
+    expected = [sum(2 ** k * comb(d, k) * comb(r, k) for k in range(d + 1))
+                for r in range(31)]
+    assert list(ball(spec, 30).level_sizes()) == expected
+    _reset_growers()
+
+
+@pytest.mark.parametrize("spec", STEP_GROUPS + [Z2], ids=lambda s: s.label())
+def test_coset_sections_are_first_occurrences(spec):
+    """The section of B_n is the first element of each coset met in BFS
+    order, read off the ball here with ``coset_key`` (closed forms outside
+    BS, the ball's rows for BS)."""
+    for n in range(5):
+        first: dict = {}
+        for x in ball(spec, n):
+            first.setdefault(coset_key(x), x)
+        assert coset_section(spec, n).representatives == tuple(first.values())
 
 
 def test_bs11_is_z2():
@@ -853,6 +991,29 @@ def test_ball_budget_error():
     # level abandoned mid-way leaves nothing in the table
     assert len(ball(spec, 1)) == 7
     assert_table_matches_multiply(spec, 5)
+
+
+@pytest.mark.parametrize("spec", _row_groups(), ids=lambda s: s.label())
+def test_ball_memory_at_budget(spec):
+    """Growth that stops at its budget holds at most 229 bytes an element
+    at its peak (the bytes per element of the data tuples and dict that
+    growth kept before it kept integer rows), and keeps nothing of the
+    abandoned level."""
+    import tracemalloc
+    _reset_growers()
+    budget = 30000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as exc:
+            ball(spec, 10 ** 6, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 229 * budget
+    grower = balls_mod._get_grower(spec)
+    assert grower.radius == exc.value.radius_reached
+    assert len(grower.elements) == grower.level_end[-1] <= budget
+    _reset_growers()
 
 
 def test_word_length_not_found():
