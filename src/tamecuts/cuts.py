@@ -54,19 +54,18 @@ class PredicateSupport:
 
     ``test`` takes an element's canonical ``data`` tuple, and ``x in
     support`` is ``test(x.data)`` for an element of the support's
-    ``group``; an element of another group is never in it.  A support made
-    without a group takes its cut's.  ``size`` is the exact cardinality
-    when it is known analytically, else None; the member set itself may be
-    far too large to enumerate.
+    ``group``, which the ``Cut`` that takes the support sets; an element of
+    another group is never in it.  ``size`` is the exact cardinality when
+    it is known analytically, else None; the member set itself may be far
+    too large to enumerate.
     """
 
     def __init__(self, test: Callable[[tuple], bool],
-                 size: int | None = None, description: str = "",
-                 group: GroupSpec | None = None):
+                 size: int | None = None, description: str = ""):
         self.test = test
         self.size = size
         self.description = description
-        self.group = group
+        self.group: GroupSpec | None = None
 
     def __contains__(self, x: Element) -> bool:
         return x.group == self.group and bool(self.test(x.data))
@@ -176,8 +175,7 @@ def cut_lamplighter(p: int, n: int) -> Cut:
     cert = NormCertificate(1.0, 1.0, "extension-isometry", 0.0)
     return Cut(group, n,
                PredicateSupport(contains, size=order,
-                                description=f"lamps at |j| <= {w}, cursor 0",
-                                group=group),
+                                description=f"lamps at |j| <= {w}, cursor 0"),
                cert,
                provenance={"construction": "lamplighter", "p": p, "n": n,
                            "subgroup_order": order,
@@ -212,8 +210,7 @@ def cut_pq(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     return Cut(group, n,
                PredicateSupport(contains, size=2 * bound + 1,
                                 description=f"powers |j| <= {bound} of the "
-                                            f"translation by 1/{pq}^{n}",
-                                group=group),
+                                            f"translation by 1/{pq}^{n}"),
                cert,
                provenance={"construction": "pq", "p": p, "q": q, "n": n,
                            "power_bound": bound,
@@ -248,8 +245,7 @@ def cut_semidirect_zd(matrix, n: int, tol: float = 1e-9) -> Cut:
                            "product-rule", tol)
     return Cut(group, n,
                PredicateSupport(contains, size=(2 * radius + 1) ** d,
-                                description=f"box sup-norm <= {radius} in Z^{d}",
-                                group=group),
+                                description=f"box sup-norm <= {radius} in Z^{d}"),
                cert,
                provenance={"construction": "semidirect_zd",
                            "matrix": [list(r) for r in mat], "n": n,
@@ -290,8 +286,7 @@ def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int) -> Cut:
     size = None if sub.support.size is None else len(reps) * sub.support.size
     support = PredicateSupport(
         contains, size=size,
-        description=f"{len(reps)} coset translates of a subgroup cut",
-        group=group)
+        description=f"{len(reps)} coset translates of a subgroup cut")
 
     cert = NormCertificate(1.0, len(reps) * sub.certificate.upper,
                            "translation-invariance",
@@ -344,8 +339,7 @@ def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
                            "product-rule", tol)
     return Cut(group, n,
                PredicateSupport(contains,
-                                description=f"tree ball {n} x matrix-part cut",
-                                group=group),
+                                description=f"tree ball {n} x matrix-part cut"),
                cert,
                provenance={"construction": "baumslag_solitar", "p": p, "q": q,
                            "n": n, "tree_bound": tree_bound,
@@ -397,8 +391,7 @@ def interval_cut_family(radii: Iterable[int], tol: float = 1e-9) -> CutFamily:
             return abs(x[0]) <= rr
         cuts.append(Cut(group, i,
                         PredicateSupport(contains, size=2 * int(r) + 1,
-                                         description=f"|k| <= {r} in Z",
-                                         group=group),
+                                         description=f"|k| <= {r} in Z"),
                         cert,
                         provenance={"construction": "interval", "radius": int(r),
                                     "norm_chain": ["abelian-transform"]},

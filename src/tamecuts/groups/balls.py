@@ -72,10 +72,10 @@ class _Packing(NamedTuple):
 def _packing(*parts: np.ndarray) -> _Packing:
     """The packing over the rows of all ``parts`` (not all empty)."""
     parts = [rows for rows in parts if rows.shape[1]]
-    lo = list(map(min, *(np.minimum.reduce(rows, axis=1).tolist()
-                         for rows in parts + parts[:1])))
-    hi = list(map(max, *(np.maximum.reduce(rows, axis=1).tolist()
-                         for rows in parts + parts[:1])))
+    lo = [min(field) for field in zip(*(
+        np.minimum.reduce(rows, axis=1).tolist() for rows in parts))]
+    hi = [max(field) for field in zip(*(
+        np.maximum.reduce(rows, axis=1).tolist() for rows in parts))]
     total = 1
     for a, b in zip(lo, hi):
         total *= b - a + 1
