@@ -13,7 +13,6 @@ from .cache import BallCache
 from .elements import (
     Element,
     canonicalize,
-    coset_key,
     embed_j2,
     generator,
     generators,
@@ -35,7 +34,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "ball",
     "canonicalize",
-    "coset_key",
     "coset_section",
     "embed_j2",
     "generator",

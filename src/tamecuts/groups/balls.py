@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, islice
@@ -137,18 +137,17 @@ class _BallGrower:
     ``levels[r]`` holds the rows of the sphere S_r in discovery order, and
     element ``i`` (its index) has word length r exactly when
     ``level_end[r-1] <= i < level_end[r]``.  Growth keeps only these two.
-    ``rows`` is the family's codec (``elements.Rows``) and ``steps`` its
-    per-element right steps, one per generator of ``generators(group)``
-    (k of them).  The right Cayley table ``right[k*i + j]`` = index of
-    x_i * g_j is built only when ``table`` asks for it, and then only over
-    the levels not yet covered.  ``elements`` and ``index_of`` decode and
-    look up on demand.
+    ``rows`` is the family's codec (``elements.Rows``), whose step
+    multiplies by the k generators of ``generators(group)`` on the right.
+    The right Cayley table ``right[k*i + j]`` = index of x_i * g_j is built
+    only when ``table`` asks for it, and then only over the levels not yet
+    covered.  ``elements`` decodes and ``find`` looks up on demand.
     """
 
     def __init__(self, group: GroupSpec):
         self.group = group
         ops = family_ops(group)
-        self.steps = ops.right_steps
+        self.k = len(group.symbols())
         self.rows = ops.rows()
         self.levels = [np.array([[v] for v in self.rows.encode(ops.identity)],
                                 dtype=np.int64)]
@@ -165,11 +164,6 @@ class _BallGrower:
     def elements(self) -> "_Members":
         """Canonical data of the grown elements, in index order."""
         return _Members(self, self.level_end[-1])
-
-    @property
-    def index_of(self) -> "_IndexOf":
-        """Canonical data -> index, over the grown elements."""
-        return _IndexOf(self)
 
     def length(self, i: int) -> int:
         """Word length of the element with index ``i``."""
@@ -256,7 +250,7 @@ class _BallGrower:
         extends the cached table over the levels it lacks: one batch step
         over their rows, and a ``searchsorted`` of the products in
         B_{radius+1}."""
-        k = len(self.steps)
+        k = self.k
         with self.lock:
             while self.radius <= radius:
                 self._grow_level(budget)
@@ -291,25 +285,6 @@ class _Members(Sequence):
     def __iter__(self) -> Iterator[tuple]:
         g = self._grower
         return islice(g.decoded(g.length(self._count - 1)), self._count)
-
-
-class _IndexOf(Mapping):
-    """Canonical data -> index over the grown elements, by lookup."""
-
-    def __init__(self, grower: _BallGrower):
-        self._grower = grower
-
-    def __getitem__(self, x: tuple) -> int:
-        i = self._grower.find(x)
-        if i is None:
-            raise KeyError(x)
-        return i
-
-    def __len__(self) -> int:
-        return self._grower.level_end[-1]
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._grower.elements)
 
 
 _growers: dict[GroupSpec, _BallGrower] = {}
@@ -394,11 +369,11 @@ class Ball:
         deg = max((word_length(y, self.group, budget=budget) for y in support),
                   default=0)
         right = g.table(self.radius + deg - 1, budget)
-        k, n = len(g.steps), len(self)
+        k, n = g.k, len(self)
         below = g.level_end[self.radius - 1] if self.radius else 0
         parent, gen = _bfs_predecessors(right[:k * below], k)
         out = np.empty((len(support), n), dtype=np.int64)
-        out[:, 0] = [g.index_of[y.data] for y in support]
+        out[:, 0] = [g.find(y.data) for y in support]
         for r in range(1, self.radius + 1):
             lo, hi = g.level_end[r - 1], g.level_end[r]
             out[:, lo:hi] = right[k * out[:, parent[lo:hi]] + gen[lo:hi]]
@@ -408,14 +383,13 @@ class Ball:
 def _bfs_predecessors(right: np.ndarray,
                       k: int) -> tuple[np.ndarray, np.ndarray]:
     """BFS parent pointers of the elements of B_r, read off the right
-    Cayley table over B_{r-1}: ``elements[i] ==
-    steps[gen[i]](elements[parent[i]])`` spells out a geodesic word, and
-    entry 0, the identity, is -1.
+    Cayley table over B_{r-1}: x_i = x_parent[i] * g_gen[i] spells out a
+    geodesic word, and entry 0, the identity, is -1.
 
-    Growth expands the elements in index order, each by the steps in order,
-    and numbers each new element one past the last, so the element that
-    first reached i sits at the first occurrence of i in the table, and
-    that is where the running maximum of the table first reaches i.
+    Growth expands the elements in index order, each by the generators in
+    order, and numbers each new element one past the last, so the element
+    that first reached i sits at the first occurrence of i in the table,
+    and that is where the running maximum of the table first reaches i.
     """
     first = np.flatnonzero(np.diff(np.maximum.accumulate(right), prepend=0))
     parent, gen = np.full((2, len(first) + 1), -1, dtype=np.int64)

@@ -7,14 +7,17 @@ One JSON file per (group-spec hash, radius), named ``<hash>-r<radius>.json``:
       "group": {...},            # GroupSpec.to_dict()
       "radius": n,
       "member_count": N,
-      "members": [[length, payload], ...]
+      "members": [[length, data], ...]
     }
 
 ``members`` is in BFS discovery order, so lengths are nondecreasing and
 ``load`` returns the exact enumeration order of a fresh search
-(coset-section tie-breaks included).  Payloads use the per-family canonical
-JSON forms of ``FamilyOps.to_payload``; JSON integers are unbounded and
-byte-order free, so files are portable across platforms.
+(coset-section tie-breaks included).  Each ``data`` is an element's
+canonical data tuple as JSON writes it, tuples as arrays, and ``load``
+turns the arrays back into tuples; JSON integers are unbounded and
+byte-order free, so files are portable across platforms.  A file that is
+not such an object, or holds any leaf but an integer, is not an entry:
+``load`` returns None for it and ``entries`` skips it.
 
 Entries are written by ``tamecut ball --write-cache`` and read back only
 through ``load``: ``ball()`` always grows its balls and never consults a
@@ -31,12 +34,32 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from operator import index
 from pathlib import Path
 
-from .elements import family_ops
 from .spec import GroupSpec
 
 FORMAT_VERSION = 1
+
+
+def _data(value):
+    """A JSON value read back as data: arrays become tuples, and any leaf
+    but an integer raises TypeError."""
+    if type(value) is list:
+        return tuple(map(_data, value))
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def _read(path: Path) -> dict | None:
+    """The JSON object in ``path``, or None for an unreadable file or any
+    other JSON value."""
+    try:
+        blob = json.loads(path.read_text())
+    except (OSError, ValueError, RecursionError):
+        return None
+    return blob if isinstance(blob, dict) else None
 
 
 class BallCache:
@@ -48,28 +71,23 @@ class BallCache:
 
     def load(self, group: GroupSpec, radius: int):
         """(lengths, canonical data tuples) for the exact radius, or None."""
-        path = self.path_for(group, radius)
-        if not path.exists():
-            return None
-        try:
-            blob = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if blob.get("format_version") != FORMAT_VERSION:
+        blob = _read(self.path_for(group, radius))
+        if blob is None or blob.get("format_version") != FORMAT_VERSION:
             return None
         if blob.get("group") != group.to_dict() or blob.get("radius") != radius:
             return None
-        from_payload = family_ops(group).from_payload
-        lengths = [int(ln) for ln, _ in blob["members"]]
-        elements = [from_payload(payload) for _, payload in blob["members"]]
-        return lengths, elements
+        try:
+            members = _data(blob["members"])
+            lengths = [index(ln) for ln, _ in members]
+        except (KeyError, TypeError, ValueError, RecursionError):
+            return None
+        return lengths, [x for _, x in members]
 
     def store(self, group: GroupSpec, radius: int, ball) -> Path:
         path = self.path_for(group, radius)
         if path.exists():
             return path
-        to_payload = family_ops(group).to_payload
-        members = [[ln, to_payload(x)] for x, ln in ball.data_items()]
+        members = [[ln, x] for x, ln in ball.data_items()]
         blob = {
             "format_version": FORMAT_VERSION,
             "group": group.to_dict(),
@@ -91,9 +109,8 @@ class BallCache:
     def entries(self) -> list[dict]:
         out = []
         for p in sorted(self.directory.glob("*-r*.json")):
-            try:
-                blob = json.loads(p.read_text())
-            except (OSError, json.JSONDecodeError):
+            blob = _read(p)
+            if blob is None:
                 continue
             out.append({
                 "file": p.name,

@@ -28,7 +28,7 @@ the right steps by the generators as array operations on whole spheres.
 Baumslag-Solitar has one Britton reduction, its right steps on flat words
 (c0, eps1, c1, ..., epsn, cn): its ``mul`` folds them over the right
 factor's word, its ``inv`` over the reversed, inverted word, and its codec
-interns their products.
+interns their products and reads its coset sections off the words.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, count, islice
 from operator import add, index, itemgetter, neg
-from typing import Any, Callable, Hashable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)
-
-    def inverse(self) -> "Element":
-        return invert(self)
 
     def is_identity(self) -> bool:
         return self == identity(self.group)
@@ -210,30 +207,21 @@ class FamilyOps(NamedTuple):
     ``base_generators`` maps each base generator symbol to its data, in the
     fixed order that ``GroupSpec.base_symbols`` reports and that BFS order
     follows.  ``mul`` and ``inv`` take and return canonical forms.
-    ``right_steps`` holds one function per symbol of ``GroupSpec.symbols``,
-    in that order: ``right_steps[j](x)`` is the canonical form of x*g_j.
-    For BS(p,q) these are the closed-form Britton steps; elsewhere they run
-    the batch step of the family's ``Rows`` on the one row of x, in Python
-    ints.  ``rows()`` makes the ``Rows`` codec of one growth state (a fresh
-    interning table for BS; one shared codec elsewhere).  ``in_subgroup``
-    and ``coset_key`` describe the designated subgroup H (see
+    ``in_subgroup`` tests membership of the designated subgroup H (see
     ``subgroup_membership``), and ``section(n)`` is the data of the coset
     section of B_n (see ``balls.coset_section``) in closed form, or None
-    for BS, whose section is read off the ball.  ``to_payload`` and
-    ``from_payload`` convert to and from the JSON form that
-    ``BallCache.store`` writes and ``BallCache.load`` reads."""
+    for BS, whose codec reads the section off the ball.  ``rows()`` makes
+    the ``Rows`` codec of one growth state (a fresh interning table for BS;
+    one shared codec elsewhere), whose batch step is the right
+    multiplication by the generators."""
 
     identity: tuple
     base_generators: Mapping[str, tuple]
     mul: Callable[[tuple, tuple], tuple]
     inv: Callable[[tuple], tuple]
-    right_steps: tuple[Callable[[tuple], tuple], ...]
     in_subgroup: Callable[[tuple], bool]
-    coset_key: Callable[[tuple], Hashable]
     section: Callable[[int], list] | None
     rows: Callable[[], Rows]
-    to_payload: Callable[[tuple], Any]
-    from_payload: Callable[[Any], tuple]
 
 
 _INT64 = 2 ** 63  # an int64 entry lies in [-_INT64, _INT64)
@@ -244,15 +232,8 @@ def _always(x: tuple) -> bool:
     return True
 
 
-def _zero_key(x: tuple) -> int:
-    return 0
-
-
 def _last_is_zero(x: tuple) -> bool:
     return x[-1] == 0
-
-
-_last = itemgetter(-1)  # the Z-coordinate: k, shift, or the diagonal exponent
 
 
 def _one_coset(identity: tuple, n: int) -> list:
@@ -312,21 +293,12 @@ def _shared(rows: Rows) -> Rows:
     return rows
 
 
-def _row_step(rows: Rows, j: int, x: tuple) -> tuple:
-    """x * g_j through the batch step, on the one row of x, in Python ints."""
-    one = np.array(rows.encode(x), dtype=object).reshape(-1, 1)
-    return rows.decode(rows.step(one, None, None)[:, j:j + 1])[0]
-
-
 def _fixed_ops(identity: tuple, gens: Mapping[str, tuple], mul, inv,
-               rows: Rows, in_subgroup, coset_key, section, to_payload,
-               from_payload) -> FamilyOps:
-    """The record of a family with a shared codec, whose right steps are
-    the codec's batch step."""
-    steps = tuple(partial(_row_step, rows, j) for j in range(2 * len(gens)))
-    return FamilyOps(identity, gens, mul, inv, steps, in_subgroup, coset_key,
-                     partial(section, identity), partial(_shared, rows),
-                     to_payload, from_payload)
+               rows: Rows, in_subgroup, section) -> FamilyOps:
+    """The record of a family with a shared codec and a closed-form
+    section."""
+    return FamilyOps(identity, gens, mul, inv, in_subgroup,
+                     partial(section, identity), partial(_shared, rows))
 
 
 def _fa_mul(x: tuple, y: tuple) -> tuple:
@@ -335,10 +307,6 @@ def _fa_mul(x: tuple, y: tuple) -> tuple:
 
 def _fa_inv(x: tuple) -> tuple:
     return tuple(map(neg, x))
-
-
-def _fa_from_payload(payload) -> tuple:
-    return tuple(int(v) for v in payload)
 
 
 def _unit(d: int, i: int) -> tuple:
@@ -363,7 +331,7 @@ def _free_abelian_ops(group: GroupSpec) -> FamilyOps:
                       dtype=np.int64).T[:, None, :]
     rows = Rows(partial(_fa_encode, d), _tuples, partial(_fa_step, deltas))
     return _fixed_ops((0,) * d, gens, _fa_mul, _fa_inv, rows, _always,
-                      _zero_key, _one_coset, list, _fa_from_payload)
+                      _one_coset)
 
 
 class _ByK(dict):
@@ -422,16 +390,6 @@ def _sd_step(deltas: _ByK, rows: np.ndarray, radius, limit) -> np.ndarray:
     return out.reshape(len(rows), -1)
 
 
-def _sd_to_payload(x: tuple) -> list:
-    v, k = x
-    return [list(v), k]
-
-
-def _sd_from_payload(payload) -> tuple:
-    v, k = payload
-    return tuple(int(x) for x in v), int(k)
-
-
 def _semidirect_ops(group: GroupSpec) -> FamilyOps:
     d = group.d
     gens = {f"e{i + 1}": (_unit(d, i), 0) for i in range(d)}
@@ -440,8 +398,8 @@ def _semidirect_ops(group: GroupSpec) -> FamilyOps:
     rows = Rows(partial(_sd_encode, d), _sd_decode,
                 partial(_sd_step, _ByK(partial(_sd_deltas, powers))))
     return _fixed_ops(((0,) * d, 0), gens, partial(_sd_mul, powers),
-                      partial(_sd_inv, powers), rows, _last_is_zero, _last,
-                      _z_section, _sd_to_payload, _sd_from_payload)
+                      partial(_sd_inv, powers), rows, _last_is_zero,
+                      _z_section)
 
 
 def _pq_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
@@ -455,11 +413,6 @@ def _pq_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
 def _pq_inv(p: int, q: int, x: tuple) -> tuple:
     m, e, k = x
     return _pq_scale(-m, e, -k, p, q) + (-k,)
-
-
-def _pq_from_payload(payload) -> tuple:
-    m, e, k = payload
-    return int(m), int(e), int(k)
 
 
 def _pq_encode(pq: int, x: tuple) -> tuple | None:
@@ -529,8 +482,7 @@ def _pq_ops(group: GroupSpec) -> FamilyOps:
                 partial(_pq_step, p, q, top))
     return _fixed_ops((0, 0, 0), {"s": (0, 0, 1), "t": (1, 0, 0)},
                       partial(_pq_mul, p, q), partial(_pq_inv, p, q), rows,
-                      _last_is_zero, _last, _z_section, list,
-                      _pq_from_payload)
+                      _last_is_zero, _z_section)
 
 
 def _lamp_mul(p: int, x: tuple, y: tuple) -> tuple:
@@ -601,16 +553,6 @@ def _lamp_step(p: int, top: int, rows: np.ndarray, radius,
     return out.reshape(2, -1)
 
 
-def _lamp_to_payload(x: tuple) -> list:
-    lamps, shift = x
-    return [[list(pair) for pair in lamps], shift]
-
-
-def _lamp_from_payload(payload) -> tuple:
-    lamps, shift = payload
-    return tuple((int(p), int(v)) for p, v in lamps), int(shift)
-
-
 def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
     p = group.p
     top = _int64_radius(lambda r: p ** (2 * r + 2))
@@ -618,8 +560,7 @@ def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
                 partial(_lamp_step, p, top))
     return _fixed_ops(((), 0), {"a": (((0, 1),), 0), "t": ((), 1)},
                       partial(_lamp_mul, p), partial(_lamp_inv, p), rows,
-                      _last_is_zero, _last, _z_section, _lamp_to_payload,
-                      _lamp_from_payload)
+                      _last_is_zero, _z_section)
 
 
 # BS(p,q) arithmetic runs on flat words w = (c0, eps1, c1, ..., epsn, cn),
@@ -683,30 +624,10 @@ def _bs_in_subgroup(x: tuple) -> bool:
 _all_but_last = itemgetter(slice(None, -1))
 
 
-def _bs_coset_key(x: tuple) -> tuple:
-    """The flat word without its last exponent: right-multiplying by a^j
-    changes only that exponent, and every t-free word gives ()."""
-    return _all_but_last(_bs_flat(x))
-
-
-def _bs_to_payload(x: tuple) -> list:
-    c0, tail = x
-    return [c0, [list(pair) for pair in tail]]
-
-
-def _bs_from_payload(payload) -> tuple:
-    c0, tail = payload
-    return int(c0), tuple((int(e), int(c)) for e, c in tail)
-
-
 def _bs_steps(p: int, q: int) -> tuple:
     """The right steps on flat words, in symbol order a, a^-1, t, t^-1."""
     return (partial(_bs_a_step, 1), partial(_bs_a_step, -1),
             partial(_bs_t_step, 1, q, p), partial(_bs_t_step, -1, p, q))
-
-
-def _bs_data_step(step: Callable[[tuple], tuple], x: tuple) -> tuple:
-    return _bs_nested(step(_bs_flat(x)))
 
 
 def _bs_rows(p: int, q: int) -> Rows:
@@ -765,12 +686,9 @@ def _bs_rows(p: int, q: int) -> Rows:
 
 def _baumslag_solitar_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
-    steps = tuple(partial(_bs_data_step, s) for s in _bs_steps(p, q))
     return FamilyOps((0, ()), {"a": (1, ()), "t": (0, ((1, 0),))},
-                     partial(_bs_mul, p, q), partial(_bs_inv, p, q), steps,
-                     _bs_in_subgroup, _bs_coset_key, None,
-                     partial(_bs_rows, p, q), _bs_to_payload,
-                     _bs_from_payload)
+                     partial(_bs_mul, p, q), partial(_bs_inv, p, q),
+                     _bs_in_subgroup, None, partial(_bs_rows, p, q))
 
 
 _OPS_BUILDERS = {
@@ -851,12 +769,6 @@ def subgroup_membership(x: Element, group: GroupSpec | None = None) -> bool:
     return family_ops(x.group).in_subgroup(x.data)
 
 
-def coset_key(x: Element):
-    """A hashable key constant exactly on each left coset xH of the
-    designated subgroup H."""
-    return family_ops(x.group).coset_key(x.data)
-
-
 @lru_cache(maxsize=16)
 def j2_target(p: int, q: int) -> GroupSpec:
     """The pq(p, q) group that ``embed_j2`` maps BS(p,q) into.
@@ -888,15 +800,3 @@ def embed_j2(x: Element) -> Element:
         raise InputError("embed_j2 is defined on baumslag_solitar elements")
     target = j2_target(x.group.p, x.group.q)
     return Element(target, j2_data(target, x.data))
-
-
-# ---------------------------------------------------------------------------
-# portable payload serialization (ball cache)
-
-
-def to_payload(x: Element):
-    return family_ops(x.group).to_payload(x.data)
-
-
-def from_payload(group: GroupSpec, payload) -> Element:
-    return Element(group, family_ops(group).from_payload(payload))

@@ -501,16 +501,21 @@ def _load_benchmark_check():
     return module.check
 
 
-def test_ball_enum_match_benchmark_reference(capsys):
-    """Every argv of the ball-enum benchmark exits and reports as its
-    recorded reference, by the benchmark's own output check, each on a
-    cold growth state."""
+BENCH_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+BENCH_ARGV_COUNTS = {"ball-enum": 5, "fourier-certs": 20, "rd-sampling": 12,
+                     "verify-cuts": 72}
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_REFS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_workload_matches_benchmark_reference(path, capsys):
+    """Every argv of a benchmark workload exits and reports as its recorded
+    reference, by the benchmark's own output check, each on a cold growth
+    state."""
     from tamecuts.groups import balls
     check = _load_benchmark_check()
-    refs_path = (Path(__file__).resolve().parents[1] / "perfbench" / "refs"
-                 / "ball-enum.json")
-    refs = json.loads(refs_path.read_text())
-    assert len(refs) == 5
+    refs = json.loads(path.read_text())
+    assert len(refs) == BENCH_ARGV_COUNTS[path.stem]
     faults = {}
     for key, ref in refs.items():
         balls._growers.clear()
@@ -520,22 +525,4 @@ def test_ball_enum_match_benchmark_reference(capsys):
         if fault is not None:
             faults[key] = fault
     balls._growers.clear()
-    assert faults == {}
-
-
-def test_verify_cuts_match_benchmark_reference(capsys):
-    """Every argv of the verify-cuts benchmark exits and reports as its
-    recorded reference, by the benchmark's own output check."""
-    check = _load_benchmark_check()
-    refs_path = (Path(__file__).resolve().parents[1] / "perfbench" / "refs"
-                 / "verify-cuts.json")
-    refs = json.loads(refs_path.read_text())
-    assert len(refs) == 72
-    faults = {}
-    for key, ref in refs.items():
-        argv = key.split()
-        code = main(argv)
-        fault = check(argv, code, capsys.readouterr().out, ref)
-        if fault is not None:
-            faults[key] = fault
     assert faults == {}

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -20,7 +21,6 @@ from tamecuts.groups import (
     GroupSpec,
     ball,
     canonicalize,
-    coset_key,
     coset_section,
     embed_j2,
     generators,
@@ -34,8 +34,9 @@ from tamecuts.groups import (
 )
 from tamecuts.cli import main
 from tamecuts.groups import balls as balls_mod
+from tamecuts.groups import cache as cache_mod
 from tamecuts.groups import elements as elements_mod
-from tamecuts.groups.elements import family_ops, from_payload, to_payload
+from tamecuts.groups.elements import family_ops
 
 Z1 = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -254,8 +255,8 @@ def test_free_abelian_word_length_is_l1_norm(d, letters):
 @given(family=st.integers(0, len(ALL_FAMILIES) - 1), letters=WORDS)
 def test_ops_inverse_is_an_involution(family, letters):
     """Through each family's arithmetic record, inversion is an involution
-    and x * x^-1 = x^-1 * x is the identity; the cache payload of x
-    survives a JSON round trip."""
+    and x * x^-1 = x^-1 * x is the identity; the data of x survives the
+    cache's JSON round trip."""
     spec = ALL_FAMILIES[family]
     ops = family_ops(spec)
     x = canonicalize(word_of(spec, letters), spec).data
@@ -263,8 +264,8 @@ def test_ops_inverse_is_an_involution(family, letters):
     assert ops.inv(xi) == x
     assert ops.mul(x, xi) == ops.identity == ops.mul(xi, x)
     assert invert(Element(spec, x)) == Element(spec, xi)
-    payload = json.loads(json.dumps(to_payload(Element(spec, x))))
-    assert from_payload(spec, payload) == Element(spec, x)
+    payload = json.loads(json.dumps(x))
+    assert cache_mod._data(payload) == x
 
 
 def test_pq_denominator_minimal():
@@ -405,7 +406,7 @@ def _table(spec, n):
     bn = ball(spec, n)
     g = balls_mod._get_grower(spec)
     right = g.table(n - 1)
-    parent, gen = balls_mod._bfs_predecessors(right, len(g.steps))
+    parent, gen = balls_mod._bfs_predecessors(right, g.k)
     return bn, right, parent, gen
 
 
@@ -458,7 +459,7 @@ def test_cayley_table_is_built_on_demand(spec):
     g = balls_mod._get_grower(spec)
     assert len(g.right) == 0
     support = list(ball(spec, 1))
-    k, calls = len(g.steps), [0]
+    k, calls = g.k, [0]
 
     def counted(step):
         def call(rows, *args):
@@ -560,37 +561,61 @@ def _far_elements(spec, rng):
     return out
 
 
+def _row_step(rows, j, x):
+    """x * g_j by the codec's batch step on the one row of x, in Python
+    ints."""
+    one = np.array(rows.encode(x), dtype=object).reshape(-1, 1)
+    return rows.decode(rows.step(one, None, None)[:, j:j + 1])[0]
+
+
+def _bs_step(step, x):
+    """x * g_j by the Britton step ``step`` on the flat word of x."""
+    return elements_mod._bs_nested(step(elements_mod._bs_flat(x)))
+
+
+def _right_steps(spec):
+    """One function per symbol of ``spec.symbols()``, taking canonical
+    data x to that of x * g_j: the BS Britton steps on flat words, and
+    elsewhere the batch step of the family's codec on one row."""
+    if spec.family == "baumslag_solitar":
+        return [partial(_bs_step, step)
+                for step in elements_mod._bs_steps(spec.p, spec.q)]
+    rows = family_ops(spec).rows()
+    return [partial(_row_step, rows, j) for j in range(len(spec.symbols()))]
+
+
 @pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
 def test_right_steps_match_mul(spec):
-    """``right_steps[j](x)`` is ``mul(x, g_j)`` on all of B_3 and on seeded
-    far elements."""
+    """The right step by g_j takes x to ``mul(x, g_j)`` on all of B_3 and
+    on seeded far elements."""
     ops = family_ops(spec)
+    steps = _right_steps(spec)
     gens = [elem.data for _, elem in generators(spec)]
-    assert len(ops.right_steps) == len(gens) == len(spec.symbols())
+    assert len(steps) == len(gens) == len(spec.symbols())
     far = _far_elements(spec, random.Random(f"steps-{spec.label()}"))
     assert far
     for x in list(ball(spec, 3).data()) + far:
-        for step, g in zip(ops.right_steps, gens):
+        for step, g in zip(steps, gens):
             assert step(x) == ops.mul(x, g), (x, g)
     # the steps and their caches pickle with the spec
-    again = family_ops(pickle.loads(pickle.dumps(spec))).right_steps
+    again = _right_steps(pickle.loads(pickle.dumps(spec)))
     assert [step(x) for step in again for x in far] == [
-        step(x) for step in ops.right_steps for x in far]
+        step(x) for step in steps for x in far]
 
 
 def test_right_steps_reach_the_cases():
     """The far elements include a t-step of pq adding terms with equal
     exponents, lamps switched off, and BS pinches that empty the tail."""
     pq = GroupSpec.pq(2, 3)
-    steps = family_ops(pq).right_steps
+    steps = _right_steps(pq)
     far = _far_elements(pq, random.Random(f"steps-{pq.label()}"))
     assert any(steps[3](x)[:2] == (0, 0) for x in far)  # t^-1 cancels
     lamp = GroupSpec.lamplighter(3)
-    steps = family_ops(lamp).right_steps
+    steps = _right_steps(lamp)
     far = _far_elements(lamp, random.Random(f"steps-{lamp.label()}"))
     assert any(len(steps[j](x)[0]) < len(x[0]) for x in far for j in (0, 1))
     bs = GroupSpec.baumslag_solitar(2, 3)
-    steps = family_ops(bs).right_steps
+    steps = _right_steps(bs)
     far = _far_elements(bs, random.Random(f"steps-{bs.label()}"))
     for j in (2, 3):
         assert any(x[1] and not steps[j](x)[1] for x in far)
@@ -630,7 +655,7 @@ def _growth_state(spec):
     radius, grown = g.radius, list(g.elements)
     right = g.table(radius - 1)
     assert g.radius == radius  # the table needs no growth
-    parent, gen = balls_mod._bfs_predecessors(right, len(g.steps))
+    parent, gen = balls_mod._bfs_predecessors(right, g.k)
     return (grown, list(right), list(parent), list(gen), list(g.level_end))
 
 
@@ -642,8 +667,8 @@ def test_growth_state_matches_plain_bfs(spec):
     ball(spec, 4)
     plain = _plain_bfs(spec, 4)
     assert _growth_state(spec) == plain
-    assert balls_mod._get_grower(spec).index_of == {
-        x: i for i, x in enumerate(plain[0])}
+    grower = balls_mod._get_grower(spec)
+    assert [grower.find(x) for x in plain[0]] == list(range(len(plain[0])))
 
     level_end = plain[4]
     budget = (level_end[2] + level_end[3]) // 2
@@ -653,8 +678,8 @@ def test_growth_state_matches_plain_bfs(spec):
     rolled = _plain_bfs(spec, 4, budget=budget)
     assert exc.value.radius_reached == len(rolled[4]) - 1
     assert _growth_state(spec) == rolled
-    assert balls_mod._get_grower(spec).index_of == {
-        x: i for i, x in enumerate(rolled[0])}
+    grower = balls_mod._get_grower(spec)
+    assert [grower.find(x) for x in rolled[0]] == list(range(len(rolled[0])))
 
 
 def _row_groups():
@@ -744,7 +769,7 @@ def test_data_that_cannot_be_encoded_is_not_a_member(spec, data):
     """Malformed, non-canonical or out-of-range data is not a member, and
     never matches an element through a wrapped value."""
     bn = ball(spec, 4)
-    assert balls_mod._get_grower(spec).index_of.get(data) is None
+    assert balls_mod._get_grower(spec).find(data) is None
     x = Element(spec, data)
     assert x not in bn
     with pytest.raises(ElementNotFoundError):
@@ -781,13 +806,15 @@ def test_free_abelian_sizes_match_closed_form(d):
 @pytest.mark.parametrize("spec", STEP_GROUPS + [Z2], ids=lambda s: s.label())
 def test_coset_sections_are_first_occurrences(spec):
     """The section of B_n is the first element of each coset met in BFS
-    order, read off the ball here with ``coset_key`` (closed forms outside
-    BS, the ball's rows for BS)."""
+    order (closed forms outside BS, the ball's rows for BS).  Here x opens
+    a new coset xH unless y^-1 x lies in H for an earlier first y."""
     for n in range(5):
-        first: dict = {}
+        first: list = []
         for x in ball(spec, n):
-            first.setdefault(coset_key(x), x)
-        assert coset_section(spec, n).representatives == tuple(first.values())
+            if not any(subgroup_membership(multiply(invert(y), x))
+                       for y in first):
+                first.append(x)
+        assert coset_section(spec, n).representatives == tuple(first)
 
 
 def test_bs11_is_z2():
@@ -963,19 +990,6 @@ def test_coset_section_minimality():
                 assert word_length(multiply(y, h)) >= ly
 
 
-def test_coset_key_consistency():
-    rng = random.Random(23)
-    for spec in ALL_FAMILIES:
-        for _ in range(200):
-            x = canonicalize(random_word(spec, rng, 8), spec)
-            h = rng.choice(subgroup_ball(ball(spec, 2)))
-            assert coset_key(multiply(x, h)) == coset_key(x)
-            y = canonicalize(random_word(spec, rng, 8), spec)
-            same = coset_key(x) == coset_key(y)
-            in_subgroup = subgroup_membership(multiply(invert(x), y))
-            assert same == in_subgroup
-
-
 # ---------------------------------------------------------------------------
 # budgets and errors
 
@@ -1032,26 +1046,30 @@ def _reset_growers():
     balls_mod._growers.clear()
 
 
-def test_cache_roundtrip(tmp_path):
-    """``store`` writes a ball's BFS order, lengths and payloads, and
-    ``load`` gives back the same data tuples and lengths in that order."""
+@pytest.mark.parametrize("spec, radius", [
+    *((spec, 4) for spec in ALL_FAMILIES),
+    (GroupSpec.pq(97, 101), 8),  # entries pass 2^63
+], ids=lambda v: v.label() if isinstance(v, GroupSpec) else str(v))
+def test_cache_roundtrip(tmp_path, spec, radius):
+    """``store`` writes a ball's BFS order, lengths and data, and ``load``
+    gives back the same data tuples and lengths in that order."""
     cache = BallCache(tmp_path)
-    bn = ball(LAMP2, 4)
-    path = cache.store(LAMP2, 4, bn)
-    assert path == cache.path_for(LAMP2, 4) and path.exists()
+    bn = ball(spec, radius)
+    path = cache.store(spec, radius, bn)
+    assert path == cache.path_for(spec, radius) and path.exists()
     blob = json.loads(path.read_text())
     assert blob["format_version"] == 1
-    assert blob["group"] == LAMP2.to_dict()
-    assert blob["radius"] == 4 and blob["member_count"] == len(bn)
-    assert blob["members"] == [[ln, json.loads(json.dumps(to_payload(x)))]
+    assert blob["group"] == spec.to_dict()
+    assert blob["radius"] == radius and blob["member_count"] == len(bn)
+    assert blob["members"] == [[ln, json.loads(json.dumps(x.data))]
                                for x, ln in bn.items()]
     lens = [ln for ln, _ in blob["members"]]
     assert lens == sorted(lens)  # length-sorted (BFS order)
 
-    lengths, elements = cache.load(LAMP2, 4)
+    lengths, elements = cache.load(spec, radius)
     assert elements == list(bn.data())
     assert lengths == [ln for _, ln in bn.data_items()]
-    assert cache.load(LAMP2, 3) is None  # only the exact radius is read
+    assert cache.load(spec, radius - 1) is None  # only the exact radius
 
 
 def test_cache_ignores_corrupt_and_mismatched(tmp_path):
@@ -1067,6 +1085,39 @@ def test_cache_ignores_corrupt_and_mismatched(tmp_path):
     assert cache.load(Z1, 2) is None
     cache.path_for(Z1, 2).write_text("{ not json")
     assert cache.load(Z1, 2) is None
+
+
+def test_cache_ignores_malformed_files(tmp_path, capsys):
+    """A file whose data holds a string or a float, that lacks
+    ``members``, that is a JSON list, or that nests past the recursion
+    limit is not an entry: ``load`` returns None, and ``entries`` and the
+    ``cache`` command skip it."""
+    cache = BallCache(tmp_path)
+    bn = ball(LAMP2, 2)
+    path = cache.store(LAMP2, 2, bn)
+    good = json.loads(path.read_text())
+
+    def load_with(blob):
+        path.write_text(json.dumps(blob))
+        return cache.load(LAMP2, 2)
+
+    for leaf in ("one", "1", 1.5):
+        blob = json.loads(json.dumps(good))
+        blob["members"][1][1][0][0][1] = leaf  # the value of lamp 0 in a
+        assert load_with(blob) is None
+    assert load_with({k: v for k, v in good.items() if k != "members"}) is None
+    assert load_with([good]) is None
+    assert cache.entries() == []
+    path.write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+    assert cache.load(LAMP2, 2) is None
+    cache.store(Z1, 1, ball(Z1, 1))
+    assert [e["file"] for e in cache.entries()] == [
+        cache.path_for(Z1, 1).name]
+    assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["results"][0]["entries"]) == 1
+    assert load_with(good) == ([ln for _, ln in bn.data_items()],
+                               list(bn.data()))
 
 
 def test_cache_entries_and_clear(tmp_path):
