@@ -107,18 +107,8 @@ def _cut_result(cut) -> dict:
         "support_size": cut.support.size,
         "subgroup_level": cut.subgroup_only,
         "certificate": cut.certificate.to_dict(),
-        "provenance": _jsonable(cut.provenance),
+        "provenance": cut.provenance,
     }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
 
 
 # ---------------------------------------------------------------------------

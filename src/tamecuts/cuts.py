@@ -21,13 +21,16 @@ validity is structural:
   completely bounded multiplier of norm at most 2n+1, which multiplies
   against the matrix-part cut for the HNN families.
 
-Supports are predicates on canonical ``data`` tuples, composed with the
-group's ``FamilyOps`` arithmetic, so no membership query builds an
-``Element``.  Verification is exhaustive: ``verify_cut`` walks the full BFS
-ball's data and produces a concrete witness on any coverage failure.  Its
-norm lower bound is the supremum of the cut over the checked ball, certified
-by ||phi||_inf <= ||phi||_MA <= ||phi||_cb, and it must sit below the
-certified upper bound.
+Every support is one ``PredicateSupport``: a predicate on canonical
+``data`` tuples with its size, composed with the group's ``FamilyOps``
+arithmetic, so no membership query builds an ``Element``.  The ball cut's
+predicate looks the data up in the ball's member set.  A support knows no
+group; ``x in cut`` asks that ``x`` lie in the cut's group and that the
+predicate accept its data.  Verification is exhaustive: ``verify_cut``
+walks the full BFS ball's data and produces a concrete witness on any
+coverage failure.  Its norm lower bound is the supremum of the cut over
+the checked ball, certified by ||phi||_inf <= ||phi||_MA <= ||phi||_cb,
+and it must sit below the certified upper bound.
 """
 
 from __future__ import annotations
@@ -49,48 +52,29 @@ from .groups.intmat import as_int_matrix, certified_operator_norm_pair
 # supports
 
 
+@dataclass(frozen=True)
 class PredicateSupport:
     """Support given by a decidable membership predicate on canonical data.
 
-    ``test`` takes an element's canonical ``data`` tuple, and ``x in
-    support`` is ``test(x.data)`` for an element of the support's
-    ``group``, which the ``Cut`` that takes the support sets; an element of
-    another group is never in it.  ``size`` is the exact cardinality when
-    it is known analytically, else None; the member set itself may be far
-    too large to enumerate.
+    ``test`` takes an element's canonical ``data`` tuple.  A support holds
+    no group and tests no ``Element``: ask the ``Cut`` that carries it
+    (``x in cut``).  ``size`` is the exact cardinality when it is known
+    analytically, else None; the member set itself may be far too large to
+    enumerate.
     """
 
-    def __init__(self, test: Callable[[tuple], bool],
-                 size: int | None = None, description: str = ""):
-        self.test = test
-        self.size = size
-        self.description = description
-        self.group: GroupSpec | None = None
-
-    def __contains__(self, x: Element) -> bool:
-        return x.group == self.group and bool(self.test(x.data))
-
-
-class ExplicitSupport(PredicateSupport):
-    """Support given by an explicit finite member set, all of one group.
-    ``x in support`` compares whole ``Element``s, so a member of another
-    group is never in it; ``test`` looks up the members' data."""
-
-    def __init__(self, members: Iterable[Element]):
-        self.members = frozenset(members)
-        super().__init__(frozenset(x.data for x in self.members).__contains__,
-                         len(self.members))
-
-    def __contains__(self, x: Element) -> bool:
-        return x in self.members
-
-    def __iter__(self):
-        return iter(self.members)
+    test: Callable[[tuple], bool]
+    size: int | None = None
+    description: str = ""
 
 
 @dataclass
 class Cut:
-    """A characteristic function equal to 1 on its support, with provenance."""
+    """A characteristic function equal to 1 on its support, with provenance.
+
+    ``x in cut`` holds for an element ``x`` of the cut's group whose data
+    the support's predicate accepts; an element of another group is never
+    in the cut."""
 
     group: GroupSpec
     index: int
@@ -99,11 +83,8 @@ class Cut:
     provenance: Mapping = field(default_factory=dict)
     subgroup_only: bool = False  # support lies in the designated subgroup H
 
-    def __post_init__(self):
-        if self.support.group is None:
-            self.support.group = self.group
-        elif self.support.group != self.group:
-            raise InputError("the support belongs to another group")
+    def __contains__(self, x: Element) -> bool:
+        return x.group == self.group and bool(self.support.test(x.data))
 
 
 @dataclass
@@ -138,14 +119,8 @@ class VerificationReport:
     checked: int
 
     def to_dict(self) -> dict:
-        return {
-            "covers_ball": self.covers_ball,
-            "witness": None if self.witness is None else repr(self.witness),
-            "norm_upper": self.norm_upper.to_dict(),
-            "norm_lower": self.norm_lower,
-            "consistent": self.consistent,
-            "checked": self.checked,
-        }
+        return dict(vars(self), norm_upper=self.norm_upper.to_dict(),
+                    witness=None if self.witness is None else repr(self.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +334,21 @@ def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6) -> Cut:
     if n < 0:
         raise InputError("index must be nonnegative")
     bn = ball(group, n)
-    members = list(bn)
     if group.family == "free_abelian" and group.d <= 3:
         if n == 0:
             cert = NormCertificate(1.0, 1.0, "exact-dft", tol)
         elif group.d == 1:
             cert = dirichlet_l1(n, tol=tol)
         else:
-            poly = TrigPoly.indicator([x.data for x in members], dim=group.d)
+            poly = TrigPoly.indicator(bn.data(), dim=group.d)
             cert = a_norm_torus(poly, tol=tol)
     else:
-        cert = NormCertificate(1.0, float(len(members)), "l1-bound", tol)
-    return Cut(group, n, ExplicitSupport(members), cert,
+        cert = NormCertificate(1.0, float(len(bn)), "l1-bound", tol)
+    support = PredicateSupport(frozenset(bn.data()).__contains__, len(bn),
+                               f"the ball B_{n}")
+    return Cut(group, n, support, cert,
                provenance={"construction": "ball-indicator", "n": n,
-                           "ball_size": len(members),
+                           "ball_size": len(bn),
                            "norm_chain": (["abelian-transform"]
                                           if group.family == "free_abelian"
                                           else ["l1-bound"])},

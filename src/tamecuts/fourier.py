@@ -101,14 +101,7 @@ class NormCertificate:
         return self.upper - self.lower
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "value": self.value,
-            "method": self.method,
-            "tolerance": self.tolerance,
-            "grid": self.grid,
-        }
+        return dict(vars(self), value=self.value)
 
 
 class TrigPoly:
@@ -314,11 +307,13 @@ def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
 
     The grid per dimension starts at max(64, 16*(degree+1)) and doubles until
     the change between successive Riemann sums drops below tol/2 relative;
-    the certificate interval is the intersection of all observed brackets, so
-    refining never widens it.  The sum of |p| is kept from grid to grid: a
-    doubled grid holds the previous one at its even indices, so each doubling
-    transforms only its new points.  Raises BudgetExceededError (with the
-    best certificate attached) if the grid budget runs out first.
+    the certificate interval is the intersection of the observed brackets
+    while they meet, and a bracket disjoint from it widens it to the hull of
+    the two, after which refinement goes on.  The sum of |p| is kept from
+    grid to grid: a doubled grid holds the previous one at its even indices,
+    so each doubling transforms only its new points.  Raises
+    BudgetExceededError (with the best certificate attached) if the grid
+    budget runs out first.
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
@@ -350,10 +345,11 @@ def a_norm_torus(f: TrigPoly, tol: float = 1e-6,
                 # one lucky agreement (or one anomalously small step) cannot
                 # end refinement with an overconfident bracket
                 w = max(delta, 0.3 * delta_prev) + 1e-15 * s
-                lo = max(lo, s - w)
-                up = min(up, s + w)
-                if lo > up:  # brackets crossed within rounding; collapse
-                    lo = up = 0.5 * (lo + up)
+                if s - w <= up and lo <= s + w:
+                    lo, up = max(lo, s - w), min(up, s + w)
+                else:  # disjoint brackets: keep their hull and refine on
+                    lo = max(f.linf, min(lo, s - w))
+                    up = min(f.l1, max(up, s + w))
                 if w <= 0.5 * tol * max(s, 1e-300) and up - lo <= tol * up:
                     return NormCertificate(lo, up, "quadrature", tol, grid=m)
             delta_prev = delta

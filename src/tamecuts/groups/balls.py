@@ -51,12 +51,10 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from ..errors import BudgetExceededError, ElementNotFoundError, InputError
-from .elements import Element, family_ops
+from .elements import _INT64, _OBJECT, Element, family_ops
 from .spec import GroupSpec
 
 DEFAULT_BUDGET = 5_000_000
-_INT64 = 2 ** 63
-_OBJECT = np.dtype(object)
 
 
 class _Packing(NamedTuple):

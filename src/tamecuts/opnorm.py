@@ -80,15 +80,7 @@ class SpectralEstimate:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "l1_upper": self.l1_upper,
-            "l2_lower": self.l2_lower,
-            "truncation_radius": self.truncation_radius,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
+        return dict(vars(self))
 
 
 class CompressedConvolution:

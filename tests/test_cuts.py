@@ -18,11 +18,11 @@ from tamecuts.groups import (
     multiply,
     subgroup_ball,
 )
+from tamecuts.groups import balls as balls_mod
 from tamecuts.groups import elements as elements_mod
 from tamecuts.cuts import (
     Cut,
     CutFamily,
-    ExplicitSupport,
     PredicateSupport,
     cut_ball,
     cut_bs,
@@ -39,6 +39,12 @@ from tamecuts.cuts import (
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 SHEAR = [[1, 1], [0, 1]]
+
+
+def _member_support(members):
+    """The support whose predicate looks the data up among ``members``."""
+    data = frozenset(x.data for x in members)
+    return PredicateSupport(data.__contains__, len(data))
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +92,10 @@ def test_lamplighter_closure_matches_generic_bfs():
         assert cut.provenance["subgroup_order"] == len(members)
         steps = [g for _, g in generators(spec)]
         for x in members:
-            assert x in cut.support
+            assert x in cut
             for g in steps:
                 y = multiply(x, g)
-                assert (y in cut.support) == (y in members), y
+                assert (y in cut) == (y in members), y
 
 
 def test_lamplighter_verify_and_fit():
@@ -101,8 +107,8 @@ def test_lamplighter_verify_and_fit():
         assert report.norm_lower <= 1.0 + 1e-9
     for small, large in zip(fam.cuts, fam.cuts[1:]):
         closure = _lamp_closure(large.group, large.index)
-        assert all(x in large.support for x in closure)
-        assert ({x for x in closure if x in small.support}
+        assert all(x in large for x in closure)
+        assert ({x for x in closure if x in small}
                 == _lamp_closure(small.group, small.index))
     c, a = fit_growth(fam)
     assert a == 0.0 and abs(c - 1.0) < 1e-12
@@ -119,14 +125,14 @@ def test_pq_cut_examples():
     # the translation by 1 is the 6th power of the generator of the cyclic
     # subgroup, well inside the bound
     t = Element(GroupSpec.pq(2, 3), (1, 0, 0))
-    assert t in cut.support
-    assert Element(GroupSpec.pq(2, 3), (0, 0, 1)) not in cut.support  # k != 0
+    assert t in cut
+    assert Element(GroupSpec.pq(2, 3), (0, 0, 1)) not in cut  # k != 0
     # norm certificate is the Dirichlet value of the matching order
     ref = dirichlet_l1(36)
     assert cut.certificate.upper == ref.upper
     # too-fine denominators are excluded
     fine = Element(GroupSpec.pq(2, 3), (1, 2, 0))  # 1/36, needs e <= 1
-    assert fine not in cut.support
+    assert fine not in cut
 
 
 def test_pq_coverage_exhaustive():
@@ -142,8 +148,8 @@ def test_pq_supports_nested():
     window = ball(group, 4)
     for small, large in zip(cuts, cuts[1:]):
         for x in window:
-            if x in small.support:
-                assert x in large.support
+            if x in small:
+                assert x in large
 
 
 def test_pq_uppers_affine_in_index():
@@ -205,8 +211,8 @@ def test_extend_trivial_quotient():
     psi = subcuts.by_index(4)
     assert ext.certificate.upper == psi.certificate.upper
     window = ball(GroupSpec.free_abelian(1), 6)
-    assert {x for x in window if x in ext.support} == \
-        {x for x in window if x in psi.support}
+    assert {x for x in window if x in ext} == \
+        {x for x in window if x in psi}
 
 
 def test_extend_missing_index_errors():
@@ -285,8 +291,8 @@ def test_bs_support_monotone_on_window():
     cuts = [cut_bs(2, 3, n) for n in (1, 2)]
     window = ball(GroupSpec.baumslag_solitar(2, 3), 3)
     for x in window:
-        if x in cuts[0].support:
-            assert x in cuts[1].support
+        if x in cuts[0]:
+            assert x in cuts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -345,59 +351,88 @@ def test_verify_adversarial_cut_produces_witness():
     bn = ball(group, 2)
     removed = next(x for x in bn if x.data == (1, 1))
     members = [x for x in bn if x != removed]
-    bad = Cut(group, 2, ExplicitSupport(members),
+    bad = Cut(group, 2, _member_support(members),
               dirichlet_l1(2), provenance={"construction": "adversarial"})
     report = verify_cut(bad)
     assert not report.covers_ball
     assert report.witness == removed
 
     e = identity(group)
-    no_identity = Cut(group, 2, ExplicitSupport(x for x in bn if x != e),
+    no_identity = Cut(group, 2, _member_support(x for x in bn if x != e),
                       dirichlet_l1(2), provenance={"construction": "adversarial"})
     report = verify_cut(no_identity)
     assert not report.covers_ball
     assert report.witness == e
     assert report.norm_lower == 1.0
 
-    empty = Cut(group, 2, ExplicitSupport([]), dirichlet_l1(2),
+    empty = Cut(group, 2, _member_support([]), dirichlet_l1(2),
                 provenance={"construction": "adversarial"})
     report = verify_cut(empty)
     assert report.witness == e
     assert report.norm_lower == 0.0 and report.consistent
 
 
-def test_explicit_support_excludes_other_groups():
-    """An explicit support compares whole elements: s of pq(2,3) is in the
-    ball cut, the element of Z^3 with the same data is not."""
-    support = cut_ball(GroupSpec.pq(2, 3), 2).support
-    assert Element(GroupSpec.pq(2, 3), (0, 0, 1)) in support
-    assert support.test((0, 0, 1))
-    assert Element(GroupSpec.free_abelian(3), (0, 0, 1)) not in support
+def test_ball_cut_excludes_other_groups():
+    """The ball cut holds elements of its own group only: s of pq(2,3) is in
+    it, the element of Z^3 with the same data is not."""
+    cut = cut_ball(GroupSpec.pq(2, 3), 2)
+    assert Element(GroupSpec.pq(2, 3), (0, 0, 1)) in cut
+    assert cut.support.test((0, 0, 1))
+    assert Element(GroupSpec.free_abelian(3), (0, 0, 1)) not in cut
+
+
+def test_cut_ball_enumerates_no_elements(monkeypatch):
+    """cut_ball reads the ball's data: iterating the ball as ``Element``s
+    may raise."""
+    def refuse(self):
+        raise AssertionError("Ball.__iter__ called")
+
+    monkeypatch.setattr(balls_mod.Ball, "__iter__", refuse)
+    for group in (GroupSpec.free_abelian(2), GroupSpec.pq(2, 3)):
+        cut = cut_ball(group, 3)
+        data = list(ball(group, 3).data())
+        assert cut.support.size == len(data)
+        assert all(Element(group, x) in cut for x in data)
+        assert verify_cut(cut).covers_ball
+
+
+def test_support_is_a_plain_predicate():
+    """A support is an immutable (test, size, description) value; element
+    membership is asked of the cut, and ``x in support`` is a TypeError."""
+    cut = cut_pq(2, 3, 1)
+    assert [f.name for f in dataclasses.fields(cut.support)] == \
+        ["test", "size", "description"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cut.support.size = 0
+    e = identity(cut.group)
+    assert e in cut
+    with pytest.raises(TypeError):
+        e in cut.support
 
 
 def test_predicate_supports_exclude_other_groups():
-    """A predicate support knows its cut's group: an element of another
+    """A cut holds elements of its own group only: an element of another
     group whose data the predicate would accept is not in it."""
     z3 = Element(GroupSpec.free_abelian(3), (0, 0, 0))
     assert cut_pq(2, 3, 1).support.test(z3.data)
-    assert z3 not in cut_pq(2, 3, 1).support
-    assert Element(GroupSpec.pq(2, 3), (0, 0, 0)) in cut_pq(2, 3, 1).support
+    assert z3 not in cut_pq(2, 3, 1)
+    assert Element(GroupSpec.pq(2, 3), (0, 0, 0)) in cut_pq(2, 3, 1)
     semidirect = Element(GroupSpec.semidirect_zd([[2, 1], [1, 1]]), ((), 0))
     assert cut_lamplighter(2, 1).support.test(semidirect.data)
-    assert semidirect not in cut_lamplighter(2, 1).support
+    assert semidirect not in cut_lamplighter(2, 1)
     for cut in (cut_bs(2, 3, 1), cut_semidirect_zd([[1, 1], [0, 1]], 1),
                 extend_by_cogrowth(pq_cut_family(2, 3, [2]),
                                    GroupSpec.pq(2, 3), 1),
                 *interval_cut_family([1, 3])):
-        assert cut.support.group == cut.group
-        assert identity(cut.group) in cut.support
-    # a support made without a group takes its cut's, and no other
-    bare = PredicateSupport(lambda x: True)
-    cut = Cut(GroupSpec.free_abelian(1), 1, bare, dirichlet_l1(1))
-    assert cut.support.group == GroupSpec.free_abelian(1)
-    assert Element(GroupSpec.free_abelian(2), (0, 0)) not in bare
-    with pytest.raises(InputError):
-        Cut(GroupSpec.free_abelian(2), 1, bare, dirichlet_l1(1))
+        assert identity(cut.group) in cut
+    # one predicate shared by cuts on Z and Z^2: each cut holds the elements
+    # of its own group only
+    shared = PredicateSupport(lambda x: True)
+    on_z = Cut(GroupSpec.free_abelian(1), 1, shared, dirichlet_l1(1))
+    on_z2 = Cut(GroupSpec.free_abelian(2), 1, shared, dirichlet_l1(1))
+    z, z2 = identity(on_z.group), identity(on_z2.group)
+    assert z in on_z and z not in on_z2
+    assert z2 in on_z2 and z2 not in on_z
 
 
 def test_cuts_query_canonical_data(monkeypatch):

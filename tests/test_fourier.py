@@ -330,6 +330,17 @@ def test_a_norm_interval_large_matches_growth():
     assert abs(cert.value - exact.value) <= 1e-4 * exact.value
 
 
+@pytest.mark.parametrize("r, tol", [(1000, 1e-6), (3000, 1e-7)])
+def test_a_norm_bracket_contains_lebesgue_constant(r, tol):
+    """Successive brackets that do not meet are kept as their hull, so the
+    certificate contains the exact L_r, summed here by its tangent form; at
+    (1000, 1e-6) two successive brackets are disjoint."""
+    cert = a_norm_torus(TrigPoly.box(r), tol=tol)
+    exact = tan_sum_lebesgue(r)
+    assert cert.lower <= exact <= cert.upper
+    assert cert.width <= tol * cert.upper
+
+
 def test_a_norm_dimension_guard():
     with pytest.raises(InputError):
         a_norm_torus(TrigPoly.box(1, dim=4))

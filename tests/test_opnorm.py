@@ -264,7 +264,7 @@ def verify_probe_supports(family):
     cut = PROBE_CUTS[family]()
     group = cut.group
     return group, [[identity(group)],
-                   [x for x in ball(group, 2) if x in cut.support]]
+                   [x for x in ball(group, 2) if x in cut]]
 
 
 @pytest.mark.parametrize("family", sorted(PROBE_CUTS))
