@@ -57,7 +57,6 @@ from .opnorm import (
 )
 from .cuts import (
     Cut,
-    CutFamily,
     VerificationReport,
     cut_ball,
     cut_bs,
@@ -67,9 +66,6 @@ from .cuts import (
     extend_by_cogrowth,
     fit_growth,
     interval_cut_family,
-    lamplighter_cut_family,
-    pq_cut_family,
-    semidirect_cut_family,
     verify_cut,
 )
 
@@ -82,9 +78,7 @@ __all__ = [
     "NormCertificate", "TrigPoly", "a_norm_torus", "dirichlet_l1",
     "finite_cyclic_a_norm", "hardy_ratio", "tensor_norm",
     "FinSuppFun", "SpectralEstimate", "lambda_norm_lower", "rd_fit", "rd_test",
-    "Cut", "CutFamily", "VerificationReport",
+    "Cut", "VerificationReport",
     "cut_ball", "cut_bs", "cut_lamplighter", "cut_pq", "cut_semidirect_zd",
-    "extend_by_cogrowth", "fit_growth", "interval_cut_family",
-    "lamplighter_cut_family", "pq_cut_family", "semidirect_cut_family",
-    "verify_cut",
+    "extend_by_cogrowth", "fit_growth", "interval_cut_family", "verify_cut",
 ]

@@ -10,6 +10,11 @@ written by ``csv.writer``: a field holding a comma (a dict or list in
 ``params``) is double-quoted, so every row has seven fields, and a missing
 value is an empty field.
 
+--tol is the relative tolerance of ``anorm``, ``hardy``, ``lambda`` and
+``rd-fit``, and of ``cut``, ``verify`` and ``fit-growth`` with ``--family
+ball`` (its torus quadrature on Z^2 and Z^3); ``dirichlet`` records it on
+the certificate, and the other cut families and commands do not read it.
+
 The group flags --d, --p and --q default to d = 1, p = 2 and q = 3 only
 when they are omitted; an explicit value, 0 included, reaches the group's
 own validation.
@@ -41,7 +46,6 @@ from .fourier import TrigPoly, a_norm_torus, dirichlet_l1, hardy_ratio
 from .groups import GroupSpec, BallCache, ball, coset_section
 from .opnorm import FinSuppFun, lambda_norm_lower, rd_fit, rd_test
 from .cuts import (
-    CutFamily,
     cut_ball,
     cut_bs,
     cut_lamplighter,
@@ -96,7 +100,7 @@ _CUTS = {
     "pq": lambda a, n: cut_pq(*_p_q(a), n),
     "semidirect": lambda a, n: cut_semidirect_zd(_matrix(a), n),
     "bs": lambda a, n: cut_bs(*_p_q(a), n),
-    "ball": lambda a, n: cut_ball(_GROUPS[a.group](a), n),
+    "ball": lambda a, n: cut_ball(_GROUPS[a.group](a), n, tol=a.tol),
 }
 
 
@@ -237,8 +241,7 @@ def _run_verify(args):
 
 
 def _run_fit_growth(args):
-    family = CutFamily(tuple(_CUTS[args.family](args, n)
-                             for n in range(1, args.nmax + 1)))
+    family = [_CUTS[args.family](args, n) for n in range(1, args.nmax + 1)]
     c, a = fit_growth(family)
     uppers = {str(cut.index): cut.certificate.upper for cut in family}
     return [{"name": "fit_growth",

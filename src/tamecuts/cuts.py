@@ -1,8 +1,9 @@
 """Characteristic tame-cut families on the supported group families.
 
 A cut of index n is a {0,1}-valued finitely supported function that equals 1
-on the whole ball B_n; a family of cuts is *tame* when the multiplier norms
-grow at most polynomially in n.  Each construction here produces its support
+on the whole ball B_n.  A family of cuts is a plain sequence of ``Cut``s in
+increasing index, and it is *tame* when the multiplier norms grow at most
+polynomially in n.  Each construction here produces its support
 together with a norm certificate assembled only from composition rules whose
 validity is structural:
 
@@ -87,28 +88,6 @@ class Cut:
         return x.group == self.group and bool(self.support.test(x.data))
 
 
-@dataclass
-class CutFamily:
-    cuts: tuple[Cut, ...]
-
-    def __post_init__(self):
-        idx = [c.index for c in self.cuts]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise InputError("cut indices must be strictly increasing")
-
-    def __iter__(self):
-        return iter(self.cuts)
-
-    def __len__(self):
-        return len(self.cuts)
-
-    def by_index(self, n: int) -> Cut:
-        for c in self.cuts:
-            if c.index == n:
-                return c
-        raise InputError(f"no cut with index {n} in family")
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     covers_ball: bool
@@ -159,7 +138,7 @@ def cut_lamplighter(p: int, n: int) -> Cut:
                subgroup_only=True)
 
 
-def cut_pq(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
+def cut_pq(p: int, q: int, n: int) -> Cut:
     """Power-interval cut inside the translation subgroup of the (p,q)
     matrix group.
 
@@ -170,7 +149,7 @@ def cut_pq(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     identification plus isometric extension)."""
     if n < 1:
         raise InputError("cut index must be positive")
-    group = GroupSpec.pq(p, q)
+    group = j2_target(p, q)  # one spec per (p, q), shared with cut_bs
     bound = n * q ** (2 * n) * p ** (2 * n)
     pq = p * q
 
@@ -181,7 +160,7 @@ def cut_pq(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
         power = m * pq ** (n - e)
         return abs(power) <= bound
 
-    cert = dirichlet_l1(bound, tol=tol)
+    cert = dirichlet_l1(bound)
     return Cut(group, n,
                PredicateSupport(contains, size=2 * bound + 1,
                                 description=f"powers |j| <= {bound} of the "
@@ -195,7 +174,7 @@ def cut_pq(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
                subgroup_only=True)
 
 
-def cut_semidirect_zd(matrix, n: int, tol: float = 1e-9) -> Cut:
+def cut_semidirect_zd(matrix, n: int) -> Cut:
     """Box cut inside the Z^d kernel of the matrix semidirect product.
 
     Every kernel element of word length at most n has sup-norm at most
@@ -215,9 +194,9 @@ def cut_semidirect_zd(matrix, n: int, tol: float = 1e-9) -> Cut:
         v, k = x
         return k == 0 and all(abs(t) <= radius for t in v)
 
-    one_dim = dirichlet_l1(radius, tol=tol)
+    one_dim = dirichlet_l1(radius)
     cert = NormCertificate(one_dim.lower ** d, one_dim.upper ** d,
-                           "product-rule", tol)
+                           "product-rule", one_dim.tolerance)
     return Cut(group, n,
                PredicateSupport(contains, size=(2 * radius + 1) ** d,
                                 description=f"box sup-norm <= {radius} in Z^{d}"),
@@ -231,25 +210,21 @@ def cut_semidirect_zd(matrix, n: int, tol: float = 1e-9) -> Cut:
                subgroup_only=True)
 
 
-def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int) -> Cut:
-    """Promote subgroup cuts to a whole-group cut along a minimal-length
-    coset section.
+def extend_by_cogrowth(sub: Cut, n: int) -> Cut:
+    """Promote the subgroup cut ``sub`` of index 2n to a cut of index n on
+    the whole group ``sub.group``, along a minimal-length coset section.
 
-    The new support is the disjoint union of the translates y * supp(psi_2n)
+    The new support is the disjoint union of the translates y * supp(sub)
     over section representatives y of length at most n; any x of length at
     most n factors as x = y h with y its coset representative and h in the
     subgroup of length at most 2n, so coverage is inherited.  Translation
     is isometric, so the norm is at most |S_n| times the subgroup bound."""
     if n < 1:
         raise InputError("cut index must be positive")
-    try:
-        sub = subcuts.by_index(2 * n)
-    except InputError as exc:
-        raise InputError(
-            f"extend_by_cogrowth needs a subgroup cut at index {2 * n}") from exc
-    if not sub.subgroup_only or sub.group != group:
-        raise InputError("subgroup cuts must live on the designated subgroup "
-                         "of the same group")
+    if sub.index != 2 * n or not sub.subgroup_only:
+        raise InputError(f"extend_by_cogrowth needs a cut of index {2 * n} "
+                         "on the designated subgroup")
+    group = sub.group
     ops = family_ops(group)
     reps = list(coset_section(group, n))
     inv_reps = [ops.inv(y.data) for y in reps]
@@ -275,22 +250,7 @@ def extend_by_cogrowth(subcuts: CutFamily, group: GroupSpec, n: int) -> Cut:
                subgroup_only=False)
 
 
-def pq_cut_family(p: int, q: int, indices: Iterable[int],
-                  tol: float = 1e-9) -> CutFamily:
-    return CutFamily(tuple(cut_pq(p, q, n, tol=tol) for n in sorted(indices)))
-
-
-def lamplighter_cut_family(p: int, indices: Iterable[int]) -> CutFamily:
-    return CutFamily(tuple(cut_lamplighter(p, n) for n in sorted(indices)))
-
-
-def semidirect_cut_family(matrix, indices: Iterable[int],
-                          tol: float = 1e-9) -> CutFamily:
-    return CutFamily(tuple(cut_semidirect_zd(matrix, n, tol=tol)
-                           for n in sorted(indices)))
-
-
-def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
+def cut_bs(p: int, q: int, n: int) -> Cut:
     """Tree-ball times matrix-part cut for BS(p,q).
 
     An element lies in the support when its Britton-reduced form uses at most
@@ -301,17 +261,15 @@ def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
     if n < 1:
         raise InputError("cut index must be positive")
     group = GroupSpec.baumslag_solitar(p, q)
-    pq_group = j2_target(p, q)
-    psi = extend_by_cogrowth(pq_cut_family(p, q, [2 * n], tol=tol),
-                             pq_group, n)
-    psi_test = psi.support.test
+    psi = extend_by_cogrowth(cut_pq(p, q, 2 * n), n)
+    pq_group, psi_test = psi.group, psi.support.test
 
     def contains(x: tuple) -> bool:
         return len(x[1]) <= n and psi_test(j2_data(pq_group, x))
 
     tree_bound = 2 * n + 1
     cert = NormCertificate(1.0, tree_bound * psi.certificate.upper,
-                           "product-rule", tol)
+                           "product-rule", psi.certificate.tolerance)
     return Cut(group, n,
                PredicateSupport(contains,
                                 description=f"tree ball {n} x matrix-part cut"),
@@ -328,9 +286,13 @@ def cut_bs(p: int, q: int, n: int, tol: float = 1e-9) -> Cut:
 def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6) -> Cut:
     """The ball indicator itself as a cut (the rapid-decay route).
 
-    On Z^d (d <= 3) the norm certificate is the exact Fourier-algebra norm
-    of the indicator; elsewhere the upper bound is the l1 bound |B_n| and
-    the lower bound is phi(e) = 1 <= ||phi||_inf <= ||phi||_MA."""
+    On Z the norm certificate is the exact Dirichlet norm of order n.  On
+    Z^2 and Z^3 it brackets the Fourier-algebra norm of the indicator by
+    torus quadrature to relative ``tol``; the quadrature raises
+    BudgetExceededError when its grid budget runs out first (Z^3 does at
+    the default tol from n = 1 on, and converges at tol 1e-4).  Elsewhere
+    the upper bound is the l1 bound |B_n| and the lower bound is
+    phi(e) = 1 <= ||phi||_inf <= ||phi||_MA."""
     if n < 0:
         raise InputError("index must be nonnegative")
     bn = ball(group, n)
@@ -355,14 +317,14 @@ def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6) -> Cut:
                subgroup_only=False)
 
 
-def interval_cut_family(radii: Iterable[int], tol: float = 1e-9) -> CutFamily:
+def interval_cut_family(radii: Iterable[int]) -> tuple[Cut, ...]:
     """Interval indicators 1_{[-r, r]} on Z, indexed 1, 2, ... in the order
     given.  With radii r_n = 3^n these are cuts for the logarithmic length
     log(1 + |k|), and their certified norms grow linearly in the index."""
     group = GroupSpec.free_abelian(1)
     cuts = []
     for i, r in enumerate(radii, start=1):
-        cert = dirichlet_l1(r, tol=tol)
+        cert = dirichlet_l1(r)
         def contains(x: tuple, rr=int(r)) -> bool:
             return abs(x[0]) <= rr
         cuts.append(Cut(group, i,
@@ -372,7 +334,7 @@ def interval_cut_family(radii: Iterable[int], tol: float = 1e-9) -> CutFamily:
                         provenance={"construction": "interval", "radius": int(r),
                                     "norm_chain": ["abelian-transform"]},
                         subgroup_only=False))
-    return CutFamily(tuple(cuts))
+    return tuple(cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +369,18 @@ def verify_cut(cut: Cut) -> VerificationReport:
     )
 
 
-def fit_growth(family: CutFamily | Iterable[Cut]) -> tuple[float, float]:
-    """Fit certificate uppers to C n^a by log-log least squares.
+def fit_growth(cuts: Iterable[Cut]) -> tuple[float, float]:
+    """Fit certificate uppers to C n^a by log-log least squares over a
+    family of at least three cuts, given in strictly increasing index order.
 
     Families whose uppers are constant to within 1% report a = 0 exactly,
     with C their geometric mean."""
-    cuts = list(family)
+    cuts = list(cuts)
     if len(cuts) < 3:
         raise InputError("growth fit needs at least three cuts")
     ns = np.array([c.index for c in cuts], dtype=float)
+    if np.any(np.diff(ns) <= 0):
+        raise InputError("cut indices must be strictly increasing")
     ups = np.array([c.certificate.upper for c in cuts], dtype=float)
     if ups.max() <= 1.01 * ups.min():
         return float(np.exp(np.mean(np.log(ups)))), 0.0

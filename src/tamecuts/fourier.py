@@ -503,24 +503,15 @@ def dirichlet_l1(n: int, tol: float = 1e-9) -> NormCertificate:
     return NormCertificate(val - w, val + w, "asymptotic", tol)
 
 
-def finite_cyclic_a_norm(f) -> float:
+def finite_cyclic_a_norm(values: Iterable[complex]) -> float:
     """Fourier-algebra norm on Z_m: (1/m) * sum_j |fhat(j)|, exact DFT.
 
-    ``f`` is a mapping {residue: value} together with a modulus, given either
-    as a dict whose keys lie in range(m) via ``finite_cyclic_a_norm((f, m))``,
-    or directly as a sequence of m values.
+    ``values`` is the sequence f(0), ..., f(m - 1), with m >= 1.
     """
-    if isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], Mapping):
-        mapping, m = f
-    else:
-        values = list(f)
-        mapping, m = dict(enumerate(values)), len(values)
-    if m < 1:  # before anything is allocated or reduced mod m
+    arr = np.asarray(list(values), dtype=complex)
+    if arr.size < 1:
         raise InputError("modulus must be at least 1")
-    arr = np.zeros(m, dtype=complex)
-    for k, v in mapping.items():
-        arr[int(k) % m] += v
-    return float(np.abs(np.fft.fft(arr)).sum() / m)
+    return float(np.abs(np.fft.fft(arr)).sum() / arr.size)
 
 
 def hardy_ratio(points: Iterable[int], tol: float = 1e-6) -> float:

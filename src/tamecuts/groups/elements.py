@@ -771,10 +771,11 @@ def subgroup_membership(x: Element, group: GroupSpec | None = None) -> bool:
 
 @lru_cache(maxsize=16)
 def j2_target(p: int, q: int) -> GroupSpec:
-    """The pq(p, q) group that ``embed_j2`` maps BS(p,q) into.
+    """The pq(p, q) group that ``embed_j2`` maps BS(p,q) into, and the
+    group of ``cut_pq``.
 
     One spec per (p, q), so that its arithmetic record (and the ball grown
-    on it) is built once, not once per embedded element."""
+    on it) is built once, not once per embedded element or cut."""
     return GroupSpec.pq(p, q)
 
 

@@ -36,11 +36,11 @@ from tamecuts.groups import (
 from tamecuts.opnorm import FinSuppFun, lambda_norm_lower, rd_fit, rd_test
 from tamecuts.cuts import (
     cut_bs,
+    cut_lamplighter,
+    cut_pq,
     cut_semidirect_zd,
     extend_by_cogrowth,
     fit_growth,
-    lamplighter_cut_family,
-    pq_cut_family,
     verify_cut,
 )
 
@@ -102,7 +102,7 @@ def test_03_lamplighter_cuts():
     ok = True
     detail = []
     for p in (2, 3):
-        family = lamplighter_cut_family(p, range(1, 10))
+        family = [cut_lamplighter(p, n) for n in range(1, 10)]
         for cut in family:
             rep = verify_cut(cut)
             ok &= rep.covers_ball and rep.consistent
@@ -120,7 +120,7 @@ def test_04_pq_cut_growth():
     cut_pq docstring.  The prediction is 1.590441: the leading term
     (8/pi^2) ln 6 = 1.4523 plus the contribution of (4/pi^2) ln n.  Measured
     slope 1.5904408, 2e-7 from the prediction relatively."""
-    family = pq_cut_family(2, 3, range(1, 7))
+    family = [cut_pq(2, 3, n) for n in range(1, 7)]
     coverage = all(verify_cut(c).covers_ball for c in family)
     ns = np.arange(1, 7, dtype=float)
     ups = np.array([c.certificate.upper for c in family])
@@ -163,8 +163,8 @@ def test_06_bs_cuts():
         cut = cut_bs(2, 3, n)
         rep = verify_cut(cut)
         ok &= rep.covers_ball and rep.consistent
-        psi = extend_by_cogrowth(pq_cut_family(2, 3, [2 * n]),
-                                 GroupSpec.pq(2, 3), n)
+        psi = extend_by_cogrowth(cut_pq(2, 3, 2 * n), n)
+        ok &= psi.group == GroupSpec.pq(2, 3)
         ok &= math.isclose(cut.certificate.upper,
                            (2 * n + 1) * psi.certificate.upper, rel_tol=1e-12)
     sizes_bs = ball(GroupSpec.baumslag_solitar(1, 1), 6).level_sizes()

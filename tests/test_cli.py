@@ -9,14 +9,11 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tamecuts.cli import build_parser, main
-from tamecuts.cuts import (
-    lamplighter_cut_family,
-    pq_cut_family,
-    semidirect_cut_family,
-)
+from tamecuts.cuts import cut_lamplighter, cut_pq, cut_semidirect_zd
 
 
 def run_json(capsys, argv):
@@ -356,10 +353,12 @@ def test_every_family_choice_builds_its_cut(capsys, name):
 
 
 @pytest.mark.parametrize("name, flags, family", [
-    ("pq", ["--p", "2", "--q", "5"], lambda: pq_cut_family(2, 5, range(1, 4))),
-    ("lamplighter", ["--p", "3"], lambda: lamplighter_cut_family(3, [1, 2, 3])),
+    ("pq", ["--p", "2", "--q", "5"],
+     lambda: [cut_pq(2, 5, n) for n in range(1, 4)]),
+    ("lamplighter", ["--p", "3"],
+     lambda: [cut_lamplighter(3, n) for n in (1, 2, 3)]),
     ("semidirect", ["--matrix", "2,1;1,1"],
-     lambda: semidirect_cut_family([[2, 1], [1, 1]], [1, 2, 3])),
+     lambda: [cut_semidirect_zd([[2, 1], [1, 1]], n) for n in (1, 2, 3)]),
 ])
 def test_fit_growth_matches_library_families(capsys, name, flags, family):
     code, report = run_json(capsys, ["fit-growth", "--family", name, *flags,
@@ -367,6 +366,40 @@ def test_fit_growth_matches_library_families(capsys, name, flags, family):
     assert code == 0
     expected = {str(cut.index): cut.certificate.upper for cut in family()}
     assert report["results"][0]["uppers"] == expected
+
+
+def _z3_ball_one_norm(grid: int = 1024) -> float:
+    """||1_{B_1}||_A(Z^3), the mean of |1 + 2cos a + 2cos b + 2cos c| over
+    the 3-torus: c in closed form, a and b on a midpoint grid.  With
+    s = 1 + 2cos a + 2cos b, the mean over c of |s + 2cos c| is |s| when
+    |s| >= 2, and (2 t0 s + 4 sin t0)/pi - s with t0 = arccos(-s/2)
+    otherwise."""
+    t = (np.arange(grid) + 0.5) * (2 * math.pi / grid)
+    s = 1 + 2 * np.cos(t)[:, None] + 2 * np.cos(t)[None, :]
+    t0 = np.arccos(np.clip(-s / 2, -1, 1))
+    inner = np.where(np.abs(s) >= 2, np.abs(s),
+                     (2 * t0 * s + 4 * np.sin(t0)) / math.pi - s)
+    return float(inner.mean())
+
+
+def test_ball_cut_reads_tol(capsys):
+    """--tol reaches the ball cut's quadrature: Z^3 B_1 stops at the grid
+    budget at the default tol, and converges at tol 1e-4 to a bracket that
+    holds the independently computed norm."""
+    argv = ["cut", "--family", "ball", "--group", "free_abelian", "--d", "3",
+            "--n", "1"]
+    code, report = run_json(capsys, argv)
+    assert code == 3
+    assert "quadrature budget" in report["error"]["message"]
+    code, report = run_json(capsys, [*argv, "--tol", "1e-4"])
+    assert code == 0
+    assert report["config"]["tol"] == 1e-4
+    cert = report["results"][0]["cut"]["certificate"]
+    assert cert["tolerance"] == 1e-4
+    target = _z3_ball_one_norm()
+    assert abs(target - 2.1475932507) < 1e-9
+    assert cert["lower"] <= target <= cert["upper"]
+    assert cert["upper"] - cert["lower"] <= 1e-4 * cert["lower"]
 
 
 @pytest.mark.parametrize("argv", [

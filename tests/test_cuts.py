@@ -22,7 +22,6 @@ from tamecuts.groups import balls as balls_mod
 from tamecuts.groups import elements as elements_mod
 from tamecuts.cuts import (
     Cut,
-    CutFamily,
     PredicateSupport,
     cut_ball,
     cut_bs,
@@ -32,8 +31,6 @@ from tamecuts.cuts import (
     extend_by_cogrowth,
     fit_growth,
     interval_cut_family,
-    lamplighter_cut_family,
-    pq_cut_family,
     verify_cut,
 )
 
@@ -99,13 +96,13 @@ def test_lamplighter_closure_matches_generic_bfs():
 
 
 def test_lamplighter_verify_and_fit():
-    fam = lamplighter_cut_family(2, range(1, 6))
+    fam = [cut_lamplighter(2, n) for n in range(1, 6)]
     for cut in fam:
         report = verify_cut(cut)
         assert report.covers_ball and report.witness is None
         assert report.consistent
         assert report.norm_lower <= 1.0 + 1e-9
-    for small, large in zip(fam.cuts, fam.cuts[1:]):
+    for small, large in zip(fam, fam[1:]):
         closure = _lamp_closure(large.group, large.index)
         assert all(x in large for x in closure)
         assert ({x for x in closure if x in small}
@@ -144,7 +141,7 @@ def test_pq_coverage_exhaustive():
 
 def test_pq_supports_nested():
     group = GroupSpec.pq(2, 3)
-    cuts = pq_cut_family(2, 3, [1, 2, 3]).cuts
+    cuts = [cut_pq(2, 3, n) for n in (1, 2, 3)]
     window = ball(group, 4)
     for small, large in zip(cuts, cuts[1:]):
         for x in window:
@@ -156,7 +153,7 @@ def test_pq_uppers_affine_in_index():
     """Certificate uppers grow linearly in n (slope ~ (8/pi^2) ln 6 plus the
     slowly varying ln n term); the log-log exponent over 1..6 sits below 1
     and approaches it from below on longer windows."""
-    fam = pq_cut_family(2, 3, range(1, 7))
+    fam = [cut_pq(2, 3, n) for n in range(1, 7)]
     ups = np.array([c.certificate.upper for c in fam])
     ns = np.arange(1, 7, dtype=float)
     slope, intercept = np.polyfit(ns, ups, 1)
@@ -203,12 +200,12 @@ def test_semidirect_box_radii_nested():
 def test_extend_trivial_quotient():
     """On Z the designated subgroup is the whole group: the section is {e}
     and the extension is just the subgroup cut of doubled index."""
-    base = interval_cut_family([1, 2, 3, 4]).cuts
-    subcuts = CutFamily(tuple(dataclasses.replace(c, subgroup_only=True)
-                              for c in base))
-    ext = extend_by_cogrowth(subcuts, GroupSpec.free_abelian(1), 2)
+    base = interval_cut_family([1, 2, 3, 4])
+    psi = dataclasses.replace(base[3], subgroup_only=True)
+    assert psi.index == 4
+    ext = extend_by_cogrowth(psi, 2)
+    assert ext.group == GroupSpec.free_abelian(1)
     assert ext.provenance["section_size"] == 1
-    psi = subcuts.by_index(4)
     assert ext.certificate.upper == psi.certificate.upper
     window = ball(GroupSpec.free_abelian(1), 6)
     assert {x for x in window if x in ext} == \
@@ -216,30 +213,34 @@ def test_extend_trivial_quotient():
 
 
 def test_extend_missing_index_errors():
-    fam = lamplighter_cut_family(2, [1, 2, 3])
+    for n in (1, 2, 3):
+        with pytest.raises(InputError):
+            extend_by_cogrowth(cut_lamplighter(2, n), 2)  # needs index 4
+    # a whole-group cut of the right index is not a subgroup cut
     with pytest.raises(InputError):
-        extend_by_cogrowth(fam, GroupSpec.lamplighter(2), 2)  # needs index 4
+        extend_by_cogrowth(interval_cut_family([1, 2, 3, 4])[3], 2)
 
 
 def test_extend_lamplighter_support_and_coverage():
     group = GroupSpec.lamplighter(2)
-    fam = lamplighter_cut_family(2, range(1, 11))
     for n in range(1, 6):
-        ext = extend_by_cogrowth(fam, group, n)
-        sub = fam.by_index(2 * n)
+        sub = cut_lamplighter(2, 2 * n)
+        ext = extend_by_cogrowth(sub, n)
+        assert ext.group == group
         assert ext.support.size == (2 * n + 1) * sub.support.size
         report = verify_cut(ext)
         assert report.covers_ball, n
         assert report.consistent
     # certified upper is the section size times the subgroup bound (= 1)
-    ext3 = extend_by_cogrowth(fam, group, 3)
+    ext3 = extend_by_cogrowth(cut_lamplighter(2, 6), 3)
     assert ext3.certificate.upper == 7.0
 
 
 def test_extend_pq_whole_group_coverage():
     group = GroupSpec.pq(2, 3)
     for n in (1, 2, 3):
-        ext = extend_by_cogrowth(pq_cut_family(2, 3, [2 * n]), group, n)
+        ext = extend_by_cogrowth(cut_pq(2, 3, 2 * n), n)
+        assert ext.group == group
         assert ext.provenance["section_size"] == 2 * n + 1
         report = verify_cut(ext)
         assert report.covers_ball, n
@@ -248,11 +249,11 @@ def test_extend_pq_whole_group_coverage():
 
 def test_extend_semidirect_section_size():
     group = GroupSpec.semidirect_zd(SHEAR)
-    fam = CutFamily(tuple(cut_semidirect_zd(SHEAR, n) for n in range(1, 9)))
     for n in (1, 2, 3):
-        ext = extend_by_cogrowth(fam, group, n)
+        sub = cut_semidirect_zd(SHEAR, 2 * n)
+        ext = extend_by_cogrowth(sub, n)
+        assert ext.group == group
         assert ext.provenance["section_size"] == 2 * n + 1
-        sub = fam.by_index(2 * n)
         assert ext.certificate.upper == (2 * n + 1) * sub.certificate.upper
         report = verify_cut(ext)
         assert report.covers_ball
@@ -269,8 +270,8 @@ def test_bs_cut_coverage_and_certificate():
         assert report.covers_ball, n
         assert report.consistent
         # upper = (2n+1) * (whole-group pq cut upper at the same index)
-        psi = extend_by_cogrowth(pq_cut_family(2, 3, [2 * n]),
-                                 GroupSpec.pq(2, 3), n)
+        psi = extend_by_cogrowth(cut_pq(2, 3, 2 * n), n)
+        assert psi.group == GroupSpec.pq(2, 3)
         assert abs(cut.certificate.upper
                    - (2 * n + 1) * psi.certificate.upper) < 1e-9
         assert cut.provenance["tree_bound"] == 2 * n + 1
@@ -421,8 +422,7 @@ def test_predicate_supports_exclude_other_groups():
     assert cut_lamplighter(2, 1).support.test(semidirect.data)
     assert semidirect not in cut_lamplighter(2, 1)
     for cut in (cut_bs(2, 3, 1), cut_semidirect_zd([[1, 1], [0, 1]], 1),
-                extend_by_cogrowth(pq_cut_family(2, 3, [2]),
-                                   GroupSpec.pq(2, 3), 1),
+                extend_by_cogrowth(cut_pq(2, 3, 2), 1),
                 *interval_cut_family([1, 3])):
         assert identity(cut.group) in cut
     # one predicate shared by cuts on Z and Z^2: each cut holds the elements
@@ -452,7 +452,7 @@ def test_cuts_query_canonical_data(monkeypatch):
 
 def test_verify_flags_certificate_below_lower_bound():
     """A certificate upper below the cut's sup norm 1 is inconsistent."""
-    cut = interval_cut_family([3]).cuts[0]
+    (cut,) = interval_cut_family([3])
     understated = dataclasses.replace(
         cut, certificate=NormCertificate(0.5, 0.5, "product-rule", 0.0))
     report = verify_cut(understated)
@@ -463,16 +463,16 @@ def test_verify_flags_certificate_below_lower_bound():
 
 
 def test_cut_family_indices_strictly_increasing():
-    c1 = cut_lamplighter(2, 1)
-    with pytest.raises(InputError):
-        CutFamily((c1, c1))
+    c1, c2 = cut_lamplighter(2, 1), cut_lamplighter(2, 2)
+    for cuts in ((c1, c1, c2), (c1, c2, c2), (c2, c1, c2)):
+        with pytest.raises(InputError, match="strictly increasing"):
+            fit_growth(cuts)
 
 
 def test_fit_growth_cases():
-    const = CutFamily(tuple(
-        Cut(GroupSpec.free_abelian(1), n, PredicateSupport(lambda x: True),
-            dirichlet_l1(0), provenance={}) for n in (1, 2, 3)))
+    const = [Cut(GroupSpec.free_abelian(1), n, PredicateSupport(lambda x: True),
+                 dirichlet_l1(0), provenance={}) for n in (1, 2, 3)]
     c, a = fit_growth(const)
     assert a == 0.0 and abs(c - 1.0) < 1e-9
     with pytest.raises(InputError):
-        fit_growth(CutFamily((cut_lamplighter(2, 1),)))
+        fit_growth([cut_lamplighter(2, 1)])
