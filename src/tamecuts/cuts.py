@@ -45,7 +45,7 @@ import numpy as np
 from .errors import InputError
 from .fourier import NormCertificate, TrigPoly, a_norm_torus, dirichlet_l1
 from .groups import Element, GroupSpec, ball, coset_section
-from .groups.elements import family_ops, j2_data, j2_target
+from .groups.elements import family_ops, in_subgroup, j2_data, j2_target
 from .groups.intmat import as_int_matrix, certified_operator_norm_pair
 
 
@@ -218,7 +218,9 @@ def extend_by_cogrowth(sub: Cut, n: int) -> Cut:
     over section representatives y of length at most n; any x of length at
     most n factors as x = y h with y its coset representative and h in the
     subgroup of length at most 2n, so coverage is inherited.  Translation
-    is isometric, so the norm is at most |S_n| times the subgroup bound."""
+    is isometric, so the norm is at most |S_n| times the subgroup bound.
+    The translates lie in distinct cosets, so x can only lie in that of
+    the representative with its coset key: one product per query."""
     if n < 1:
         raise InputError("cut index must be positive")
     if sub.index != 2 * n or not sub.subgroup_only:
@@ -227,11 +229,12 @@ def extend_by_cogrowth(sub: Cut, n: int) -> Cut:
     group = sub.group
     ops = family_ops(group)
     reps = list(coset_section(group, n))
-    inv_reps = [ops.inv(y.data) for y in reps]
-    mul, test = ops.mul, sub.support.test
+    key, mul, test = ops.coset_key, ops.mul, sub.support.test
+    inv_reps = {key(y.data): ops.inv(y.data) for y in reps}
 
     def contains(x: tuple) -> bool:
-        return any(test(mul(yi, x)) for yi in inv_reps)
+        yi = inv_reps.get(key(x))
+        return yi is not None and test(mul(yi, x))
 
     size = None if sub.support.size is None else len(reps) * sub.support.size
     support = PredicateSupport(
@@ -354,7 +357,8 @@ def verify_cut(cut: Cut) -> VerificationReport:
     only when the cut vanishes on all of them."""
     members = list(ball(cut.group, cut.index).data())
     if cut.subgroup_only:
-        members = list(filter(family_ops(cut.group).in_subgroup, members))
+        ops = family_ops(cut.group)
+        members = [x for x in members if in_subgroup(ops, x)]
     test = cut.support.test
     witness = next((x for x in members if not test(x)), None)
     lower = 1.0 if witness is None or any(map(test, members)) else 0.0

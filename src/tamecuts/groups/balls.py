@@ -16,19 +16,17 @@ packed into one integer key (mixed radix over each field's range), one
 argsort groups equal keys, the least position in a group is its first
 occurrence, and the new elements are the groups first met among the
 candidates, kept in candidate order, which is the discovery order of a
-plain BFS.  BS(p,q) rows are ids that its step interns in that order, so
-its new elements are the ids past the ball, with no comparison.  The
-budget is checked before a level is kept.  Rows are int64 while the step
+plain BFS.  The budget is checked before a level is kept.  Rows are int64 while the step
 can prove every entry fits and widen to dtype=object (Python ints) when
 not, so nothing wraps; a key whose mixed radix would leave int64 is a
 Python int as well.
 
 Growth keeps the rows of each level and the level boundaries, off which
-lengths are read: 8 bytes a field (16-32 an element; for BS 8 plus its
-interned word and dict entry), where a data tuple and a dict entry took
-about 229.  Canonical ``data`` tuples are decoded only when a caller asks
-for members; the ``ball`` command decodes none (coset sections outside BS
-are in closed form, and BS decodes its representatives only on access).
+lengths are read: 8 bytes a field (16-32 an element), where a data tuple
+and a dict entry took about 229.  Canonical ``data`` tuples are decoded
+only when a caller asks for members; the ``ball`` command decodes none
+(coset sections outside BS are in closed form, and BS decodes its
+representatives only on access).
 Lookups encode the data and ``searchsorted`` a sorted key array over the
 grown ball, built on demand; data that cannot be encoded, or lies outside
 the grown rows' ranges, is not a member.  The right Cayley table is built
@@ -51,7 +49,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from ..errors import BudgetExceededError, ElementNotFoundError, InputError
-from .elements import _INT64, _OBJECT, Element, family_ops
+from .elements import _INT64, _OBJECT, Element, family_ops, in_subgroup
 from .spec import GroupSpec
 
 DEFAULT_BUDGET = 5_000_000
@@ -146,7 +144,7 @@ class _BallGrower:
         self.group = group
         ops = family_ops(group)
         self.k = len(group.symbols())
-        self.rows = ops.rows()
+        self.rows = ops.rows
         self.levels = [np.array([[v] for v in self.rows.encode(ops.identity)],
                                 dtype=np.int64)]
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
@@ -189,15 +187,7 @@ class _BallGrower:
         r, stop = self.radius, self.level_end[-1]
         cur = self.levels[r]
         prev = self.levels[r - 1] if r else cur[:, :0]
-        try:
-            cand = self.rows.step(cur, r, budget - stop)
-        except BudgetExceededError:  # an interning step past the budget
-            raise self._over(budget) from None
-        if self.rows.interned is not None:  # new ids follow the ball's
-            new = np.array([range(stop, self.rows.interned())],
-                           dtype=np.int64)
-        else:
-            new = _first_new(prev, cur, cand)
+        new = _first_new(prev, cur, self.rows.step(cur, r))
         if stop + new.shape[1] > budget:  # fail before memory does
             raise self._over(budget)
         self.levels.append(new)
@@ -256,7 +246,7 @@ class _BallGrower:
             have = len(self.right) // k
             if covered > have:
                 products = self.rows.step(self.rows_of(have, covered),
-                                          radius, 0)
+                                          radius)
                 lookup = self._lookup_over(self.level_end[radius + 1])
                 keys = _keys(products, lookup.packing)
                 at = np.searchsorted(lookup.keys, keys)
@@ -454,8 +444,9 @@ def coset_section(group: GroupSpec, n: int,
                   budget: int = DEFAULT_BUDGET) -> CosetSection:
     """The first element of each coset met in BFS order.  Outside BS the
     family gives it in closed form (``FamilyOps.section``), with no ball
-    grown; for BS it is read off the ball by its codec, and decoded on
-    access."""
+    grown.  A BS coset xH is named by the row's (P, n), which right
+    multiplication by a^j leaves as it is, so the section is the first
+    occurrence of each (P, n) in the ball's rows, decoded on access."""
     if n < 0:
         raise InputError("radius must be nonnegative")
     section = family_ops(group).section
@@ -464,11 +455,14 @@ def coset_section(group: GroupSpec, n: int,
         return CosetSection(group, n, len(data), data.copy)
     bn = ball(group, n, budget=budget)
     g = bn._grower
-    rows = g.rows_of(0, len(bn))[:, g.rows.coset_firsts(len(bn))]
+    rows = g.rows_of(0, len(bn))
+    named = rows[:-1]
+    firsts = np.unique(_keys(named, _packing(named)), return_index=True)[1]
+    rows = rows[:, np.sort(firsts)]
     return CosetSection(group, n, rows.shape[1], partial(g.rows.decode, rows))
 
 
 def subgroup_ball(bn: Ball) -> list[Element]:
     """Members of the ball lying in the designated subgroup H."""
-    in_subgroup = family_ops(bn.group).in_subgroup
-    return [Element(bn.group, x) for x in bn.data() if in_subgroup(x)]
+    ops = family_ops(bn.group)
+    return [Element(bn.group, x) for x in bn.data() if in_subgroup(ops, x)]

@@ -25,24 +25,23 @@ Each family's arithmetic on the bare ``data`` tuples lives in one
 wrap and unwrap ``Element``s around it.  Ball growth runs on the record's
 ``Rows`` codec instead: each element as a fixed-width row of integers, and
 the right steps by the generators as array operations on whole spheres.
-Baumslag-Solitar has one Britton reduction, its right steps on flat words
-(c0, eps1, c1, ..., epsn, cn): its ``mul`` folds them over the right
-factor's word, its ``inv`` over the reversed, inverted word, and its codec
-interns their products and reads its coset sections off the words.
+Baumslag-Solitar has one Britton reduction, the right steps by a^+-1 and
+t^+-1: its ``mul`` and ``inv`` fold them over flat words (c0, eps1, c1,
+..., epsn, cn), and its codec runs them on whole arrays of rows (P, n, c),
+the word's first n exponent-letter pairs packed as the digits of P.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, count, islice
-from operator import add, index, itemgetter, neg
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from itertools import chain
+from operator import add, index, neg
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ..errors import BudgetExceededError, InputError
+from ..errors import InputError
 from . import intmat
 from .spec import (
     BAUMSLAG_SOLITAR,
@@ -159,16 +158,16 @@ def _lamps_mul(f: tuple, g: tuple, k: int, p: int) -> tuple:
 
 
 class Rows(NamedTuple):
-    """One growth state's integer rows: the elements of a family as rows of
-    exact integers, and the right steps by the generators on whole arrays
-    of rows, which is what ball growth runs on.
+    """A family's integer rows: its elements as rows of exact integers, and
+    the right steps by the generators on whole arrays of rows, which is
+    what ball growth runs on.
 
     A row is fixed-width: v for Z^d; (v, k) for the semidirect product;
     (m, e, k) for pq; (L, k) for the lamplighter, with the lamps packed as
     the base-p number L whose digit z(j) (z = 0, 1, 2, ... for j = 0, -1,
-    1, -2, ...) is the lamp at j; and for BS(p,q), whose normal forms vary
-    in length, the element's id in an interning table that the codec owns
-    (ids are handed out in discovery order, so an id is a ball index).
+    1, -2, ...) is the lamp at j; and (P, n, c) for BS(p,q), with n the
+    number of stable letters, c the last exponent and P the n digits of the
+    exponent-letter pairs before it (see ``_bs_step``).
     An array of n rows is stored field-major, with shape (width, n): each
     field is one contiguous array, and column i is the row of element i.
     Arrays of rows are int64 while every entry a step can produce provably
@@ -176,29 +175,17 @@ class Rows(NamedTuple):
     array code runs exactly: a row widens, it never wraps.
 
     ``encode(x)`` is the row of canonical data x as a tuple of Python ints,
-    or None when x is not canonical data of the family, or for BS not
-    interned yet (malformed tuples may raise TypeError or ValueError).
-    ``decode(rows)`` lists the canonical data tuples.  ``step(rows, radius,
-    limit)`` gives the rows of x*g_j for every row x and every symbol j of
-    ``GroupSpec.symbols``, x-major, for rows of word length at most
-    ``radius`` (None: unknown, computed in Python ints); an interning step
-    adds at most ``limit`` new elements (None: no bound) and raises
-    ``BudgetExceededError`` past it, keeping none of them.
-
-    Only the BS codec interns.  Its ``interned()`` counts the elements
-    interned so far, so the new elements of a step are the ids from the
-    ball's size on, in order, with no comparison of rows; and its
-    ``coset_firsts(n)`` lists, ascending, the index of the first element of
-    each left coset xH among the first n.  Both are None for the other
-    codecs, whose candidate rows ball growth deduplicates and whose coset
-    sections are in closed form (``FamilyOps.section``).
+    or None when x is not canonical data of the family (malformed tuples
+    may raise TypeError or ValueError).  ``decode(rows)`` lists the
+    canonical data tuples.  ``step(rows, radius)`` gives the rows of x*g_j
+    for every row x and every symbol j of ``GroupSpec.symbols``, x-major,
+    for rows of word length at most ``radius`` (None: unknown, computed in
+    Python ints).
     """
 
     encode: Callable[[tuple], tuple | None]
     decode: Callable[[np.ndarray], list]
-    step: Callable[[np.ndarray, int | None, int | None], np.ndarray]
-    interned: Callable[[], int] | None = None
-    coset_firsts: Callable[[int], list] | None = None
+    step: Callable[[np.ndarray, int | None], np.ndarray]
 
 
 class FamilyOps(NamedTuple):
@@ -207,33 +194,35 @@ class FamilyOps(NamedTuple):
     ``base_generators`` maps each base generator symbol to its data, in the
     fixed order that ``GroupSpec.base_symbols`` reports and that BFS order
     follows.  ``mul`` and ``inv`` take and return canonical forms.
-    ``in_subgroup`` tests membership of the designated subgroup H (see
-    ``subgroup_membership``), and ``section(n)`` is the data of the coset
-    section of B_n (see ``balls.coset_section``) in closed form, or None
-    for BS, whose codec reads the section off the ball.  ``rows()`` makes
-    the ``Rows`` codec of one growth state (a fresh interning table for BS;
-    one shared codec elsewhere), whose batch step is the right
-    multiplication by the generators."""
+    ``coset_key(x)`` names the left coset xH of the designated subgroup H
+    (see ``subgroup_membership``), so x lies in H when its key is the
+    identity's.  ``section(n)`` is the data of the coset section of B_n
+    (see ``balls.coset_section``) in closed form, or None for BS, whose
+    section is read off the ball's rows.  ``rows`` is the family's ``Rows``
+    codec, whose batch step is the right multiplication by the
+    generators."""
 
     identity: tuple
     base_generators: Mapping[str, tuple]
     mul: Callable[[tuple, tuple], tuple]
     inv: Callable[[tuple], tuple]
-    in_subgroup: Callable[[tuple], bool]
+    coset_key: Callable[[tuple], Any]
     section: Callable[[int], list] | None
-    rows: Callable[[], Rows]
+    rows: Rows
 
 
 _INT64 = 2 ** 63  # an int64 entry lies in [-_INT64, _INT64)
 _OBJECT = np.dtype(object)  # the dtype of widened rows
 
 
-def _always(x: tuple) -> bool:
-    return True
+def _no_key(x: tuple) -> None:
+    """H is the whole group: one coset."""
+    return None
 
 
-def _last_is_zero(x: tuple) -> bool:
-    return x[-1] == 0
+def _last(x: tuple) -> int:
+    """H is the kernel of the last coordinate, which names the coset."""
+    return x[-1]
 
 
 def _one_coset(identity: tuple, n: int) -> list:
@@ -287,18 +276,11 @@ def _int64_radius(bound: Callable[[int], int]) -> int:
     return lo
 
 
-def _shared(rows: Rows) -> Rows:
-    """The ``FamilyOps.rows`` of a family whose rows need no interning
-    table: every growth state uses the same codec."""
-    return rows
-
-
 def _fixed_ops(identity: tuple, gens: Mapping[str, tuple], mul, inv,
-               rows: Rows, in_subgroup, section) -> FamilyOps:
-    """The record of a family with a shared codec and a closed-form
-    section."""
-    return FamilyOps(identity, gens, mul, inv, in_subgroup,
-                     partial(section, identity), partial(_shared, rows))
+               rows: Rows, coset_key, section) -> FamilyOps:
+    """The record of a family with a closed-form section."""
+    return FamilyOps(identity, gens, mul, inv, coset_key,
+                     partial(section, identity), rows)
 
 
 def _fa_mul(x: tuple, y: tuple) -> tuple:
@@ -317,7 +299,7 @@ def _fa_encode(d: int, x: tuple) -> tuple | None:
     return tuple(map(index, x)) if len(x) == d else None
 
 
-def _fa_step(deltas: np.ndarray, rows: np.ndarray, radius, limit) -> np.ndarray:
+def _fa_step(deltas: np.ndarray, rows: np.ndarray, radius) -> np.ndarray:
     """x * e_i^s adds s to coordinate i.  Coordinates on B_radius are at
     most radius in absolute value, far inside int64."""
     return (rows[:, :, None] + deltas).reshape(len(rows), -1)
@@ -330,7 +312,7 @@ def _free_abelian_ops(group: GroupSpec) -> FamilyOps:
                        for i in range(d) for s in (1, -1)],
                       dtype=np.int64).T[:, None, :]
     rows = Rows(partial(_fa_encode, d), _tuples, partial(_fa_step, deltas))
-    return _fixed_ops((0,) * d, gens, _fa_mul, _fa_inv, rows, _always,
+    return _fixed_ops((0,) * d, gens, _fa_mul, _fa_inv, rows, _no_key,
                       _one_coset)
 
 
@@ -375,7 +357,7 @@ def _sd_decode(rows: np.ndarray) -> list:
     return list(zip(zip(*fields[:-1]), fields[-1]))
 
 
-def _sd_step(deltas: _ByK, rows: np.ndarray, radius, limit) -> np.ndarray:
+def _sd_step(deltas: _ByK, rows: np.ndarray, radius) -> np.ndarray:
     """(v, k) * g_j adds ``deltas[k][j]``.  The rows stay int64 while the
     largest entry plus the largest increment fits."""
     lows = np.minimum.reduce(rows, axis=1).tolist()
@@ -398,7 +380,7 @@ def _semidirect_ops(group: GroupSpec) -> FamilyOps:
     rows = Rows(partial(_sd_encode, d), _sd_decode,
                 partial(_sd_step, _ByK(partial(_sd_deltas, powers))))
     return _fixed_ops(((0,) * d, 0), gens, partial(_sd_mul, powers),
-                      partial(_sd_inv, powers), rows, _last_is_zero,
+                      partial(_sd_inv, powers), rows, _last,
                       _z_section)
 
 
@@ -434,13 +416,14 @@ def _pq_t_terms(p: int, q: int, e: int, k: int) -> tuple:
     return pq ** (top - e), mk * pq ** (top - ek), top, int(e == ek > 0)
 
 
-# the increments of (m, e, k) under s, s^-1, t, t^-1 that do not depend on x
-_PQ_SHIFTS = np.array([[[0, 0, 0, 0]], [[0, 0, 0, 0]], [[1, -1, 0, 0]]],
+# the increments of pq's (m, e, k) under s, s^-1, t, t^-1 and of BS's
+# (P, n, c) under a, a^-1, t, t^-1 that do not depend on x
+_SHIFT_LAST = np.array([[[0, 0, 0, 0]], [[0, 0, 0, 0]], [[1, -1, 0, 0]]],
                       dtype=np.int64)
 
 
-def _pq_step(p: int, q: int, top: int, rows: np.ndarray, radius,
-             limit) -> np.ndarray:
+def _pq_step(p: int, q: int, top: int, rows: np.ndarray,
+             radius) -> np.ndarray:
     """s^+-1 moves k; t^+-1 adds +-(p/q)^k to m/(pq)^e, through one table
     of ``_pq_t_terms`` per cell (e, k).
 
@@ -469,7 +452,7 @@ def _pq_step(p: int, q: int, top: int, rows: np.ndarray, radius,
         exp[todo] -= 1
         todo = todo[exp[todo] != 0]
     n = rows.shape[1]
-    out = rows[:, :, None] + _PQ_SHIFTS
+    out = rows[:, :, None] + _SHIFT_LAST
     out[0, :, 2], out[0, :, 3] = num[:n], num[n:]
     out[1, :, 2], out[1, :, 3] = exp[:n], exp[n:]
     return out.reshape(3, -1)
@@ -482,7 +465,7 @@ def _pq_ops(group: GroupSpec) -> FamilyOps:
                 partial(_pq_step, p, q, top))
     return _fixed_ops((0, 0, 0), {"s": (0, 0, 1), "t": (1, 0, 0)},
                       partial(_pq_mul, p, q), partial(_pq_inv, p, q), rows,
-                      _last_is_zero, _z_section)
+                      _last, _z_section)
 
 
 def _lamp_mul(p: int, x: tuple, y: tuple) -> tuple:
@@ -536,8 +519,7 @@ def _lamp_decode(p: int, rows: np.ndarray) -> list:
 _LAMP_SHIFTS = np.array([[[0, 0, 0, 0]], [[0, 0, 1, -1]]], dtype=np.int64)
 
 
-def _lamp_step(p: int, top: int, rows: np.ndarray, radius,
-               limit) -> np.ndarray:
+def _lamp_step(p: int, top: int, rows: np.ndarray, radius) -> np.ndarray:
     """a^+-1 changes the digit d of the lamp at the cursor k (of weight
     p^z(k)) to (d +- 1) mod p; t^+-1 moves k.  Lamps on B_(radius+1) lie at
     |j| <= radius, so every packed L formed here is below p^(2 radius + 2),
@@ -560,7 +542,7 @@ def _lamplighter_ops(group: GroupSpec) -> FamilyOps:
                 partial(_lamp_step, p, top))
     return _fixed_ops(((), 0), {"a": (((0, 1),), 0), "t": ((), 1)},
                       partial(_lamp_mul, p), partial(_lamp_inv, p), rows,
-                      _last_is_zero, _z_section)
+                      _last, _z_section)
 
 
 # BS(p,q) arithmetic runs on flat words w = (c0, eps1, c1, ..., epsn, cn),
@@ -617,78 +599,90 @@ def _bs_inv(p: int, q: int, x: tuple) -> tuple:
     return _bs_nested(w)
 
 
-def _bs_in_subgroup(x: tuple) -> bool:
-    return not x[1]
+def _bs_coset_key(x: tuple) -> tuple:
+    """The flat word without its last exponent, which right multiplication
+    by a^j leaves as it is: it names the coset, as (P, n) does a row's."""
+    return _bs_flat(x)[:-1]
 
 
-_all_but_last = itemgetter(slice(None, -1))
+def _bs_encode(p: int, q: int, x: tuple) -> tuple | None:
+    """The row (P, n, c) of x, or None unless x is Britton-reduced: each
+    exponent before a t-letter in its coset range, and no t^-eps a^0 t^eps
+    (digits of exponents out of range would alias: in BS(2,3) both t a^2
+    t^-1 and a t t would pack to (5, 2, 0))."""
+    c0, tail = x
+    packed, c, last = 0, index(c0), 0
+    for eps, ci in tail:
+        if eps == 1 and 0 <= c < q:
+            digit = c
+        elif eps == -1 and 0 <= c < p:
+            digit = q + c
+        else:
+            return None
+        if c == 0 and eps == -last:
+            return None
+        packed, c, last = packed * (p + q) + digit, index(ci), eps
+    return packed, len(tail), c
 
 
-def _bs_steps(p: int, q: int) -> tuple:
-    """The right steps on flat words, in symbol order a, a^-1, t, t^-1."""
-    return (partial(_bs_a_step, 1), partial(_bs_a_step, -1),
-            partial(_bs_t_step, 1, q, p), partial(_bs_t_step, -1, p, q))
+def _bs_decode(p: int, q: int, rows: np.ndarray) -> list:
+    out = []
+    for packed, n, c in zip(*rows.tolist()):
+        w = [c]  # the flat word, reversed
+        for _ in range(n):
+            packed, digit = divmod(packed, p + q)
+            w += (1, digit) if digit < q else (-1, digit - q)
+        out.append(_bs_nested(tuple(reversed(w))))
+    return out
 
 
-def _bs_rows(p: int, q: int) -> Rows:
-    """Rows of ids in a fresh interning table of flat words: ``words[id]``
-    is the word and ``ids[word]`` the id.  The step runs the Britton steps
-    on the words and interns each product, handing out new ids in
-    candidate order, which is discovery order."""
-    steps = _bs_steps(p, q)
-    words: list[tuple] = [(0,)]
-    ids: dict[tuple, int] = {(0,): 0}
-    claim, add = ids.setdefault, words.append
+def _bs_step(p: int, q: int, top: int, rows: np.ndarray,
+             radius) -> np.ndarray:
+    """The Britton steps on rows (P, n, c).  The word a^c0 t^eps1 ... t^epsn
+    a^c has the row whose P holds, in base b = p + q, one digit per pair
+    (c_(i-1), eps_i): c_(i-1) in [0, q) before t, q + c_(i-1) in [0, p)
+    shifted by q before t^-1; the identity is (0, 0, 0).
 
-    def encode(x: tuple) -> tuple | None:
-        i = ids.get(_bs_flat(x))
-        return None if i is None else (i,)
+    a^+-1 moves c.  t^eps, with (div, mul) = (q, p) for t and (p, q) for
+    t^-1, writes c = div m + r (a^(div m) t^eps = t^eps a^(mul m)): after a
+    t^-eps, whose last digit holds r_last, r = 0 pinches the row to
+    (P // b, n - 1, r_last + mul m), and otherwise it grows to
+    (P b + digit(r, eps), n + 1, mul m).
 
-    def decode(rows: np.ndarray) -> list:
-        return [_bs_nested(words[i]) for i in rows[0].tolist()]
-
-    def products(rows: np.ndarray, top: int) -> Iterator[int]:
-        n = len(words)
-        for w in map(words.__getitem__, rows[0].tolist()):
-            for s in steps:
-                y = s(w)
-                i = claim(y, n)
-                if i == n:  # y is new
-                    if n >= top:  # fail before memory does
-                        del ids[y]
-                        raise BudgetExceededError(f"more than {top} elements")
-                    add(y)
-                    n += 1
-                yield i
-
-    def step(rows: np.ndarray, radius, limit) -> np.ndarray:
-        start, size = len(words), rows.shape[1] * len(steps)
-        top = start + (size if limit is None else limit)
-        try:
-            return np.fromiter(products(rows, top), dtype=np.int64,
-                               count=size)[None]
-        except BudgetExceededError:
-            for y in words[start:]:
-                del ids[y]
-            del words[start:]
-            raise
-
-    def coset_firsts(n: int) -> list:
-        # a word without its last exponent names its coset xH: right
-        # multiplication by a^j changes only that exponent
-        first: dict = {}
-        deque(map(first.setdefault, map(_all_but_last, islice(words, n)),
-                  count()), maxlen=0)
-        return list(first.values())
-
-    return Rows(encode, decode, step, words.__len__, coset_firsts)
+    On B_radius, n <= radius, so every P b + digit is below
+    b^(radius + 1).  With h = max(p, q), a^+-1 takes |c| to |c| + 1 and
+    t^+-1 to at most h(|c| + 1), since |floor(c / div)| <= |c| and
+    r_last < h; so |c| <= h + h^2 + ... + h^radius <= radius h^radius on
+    B_radius, and mul m is at most radius h^(radius + 1).  Every entry
+    formed here is at most (radius + 2) b^(radius + 1) in absolute value,
+    and the rows stay int64 while that fits (radius <= ``top``)."""
+    wide = radius is None or radius > top or rows.dtype is _OBJECT
+    rows = rows.astype(object) if wide else rows
+    packed, n, c = rows
+    b = p + q
+    last = packed % b
+    after_t_inverse = last >= q  # and so n > 0
+    out = rows[:, :, None] + _SHIFT_LAST
+    for j, div, mul, pinches, shift, r_last in (
+            (2, q, p, after_t_inverse, 0, last - q),
+            (3, p, q, ~after_t_inverse & (n > 0), q, last)):
+        m = c // div
+        r = c - div * m
+        pinch = pinches & (r == 0)
+        out[0, :, j] = np.where(pinch, packed // b, packed * b + (r + shift))
+        out[1, :, j] = np.where(pinch, n - 1, n + 1)
+        out[2, :, j] = np.where(pinch, r_last, 0) + mul * m
+    return out.reshape(3, -1)
 
 
 def _baumslag_solitar_ops(group: GroupSpec) -> FamilyOps:
     p, q = group.p, group.q
+    top = _int64_radius(lambda r: (r + 2) * (p + q) ** (r + 1))
+    rows = Rows(partial(_bs_encode, p, q), partial(_bs_decode, p, q),
+                partial(_bs_step, p, q, top))
     return FamilyOps((0, ()), {"a": (1, ()), "t": (0, ((1, 0),))},
                      partial(_bs_mul, p, q), partial(_bs_inv, p, q),
-                     _bs_in_subgroup, None, partial(_bs_rows, p, q))
+                     _bs_coset_key, None, rows)
 
 
 _OPS_BUILDERS = {
@@ -766,7 +760,13 @@ def subgroup_membership(x: Element, group: GroupSpec | None = None) -> bool:
     """
     if group is not None and group != x.group:
         raise InputError("element does not belong to the given group")
-    return family_ops(x.group).in_subgroup(x.data)
+    return in_subgroup(family_ops(x.group), x.data)
+
+
+def in_subgroup(ops: FamilyOps, x: tuple) -> bool:
+    """``subgroup_membership`` on canonical data: H is the identity's
+    coset."""
+    return ops.coset_key(x) == ops.coset_key(ops.identity)
 
 
 @lru_cache(maxsize=16)

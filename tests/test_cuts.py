@@ -259,6 +259,49 @@ def test_extend_semidirect_section_size():
         assert report.covers_ball
 
 
+def _bs_power_cut(p, q, index, bound):
+    """The powers a^c, |c| <= bound, of BS(p,q)'s subgroup H = <a>."""
+    def contains(x):
+        return not x[1] and abs(x[0]) <= bound
+    return Cut(GroupSpec.baumslag_solitar(p, q), index,
+               PredicateSupport(contains, 2 * bound + 1), dirichlet_l1(bound),
+               subgroup_only=True)
+
+
+@pytest.mark.parametrize("sub, n", [
+    (cut_pq(2, 3, 4), 2),
+    (cut_lamplighter(3, 6), 3),
+    (cut_semidirect_zd(SHEAR, 4), 2),
+    (dataclasses.replace(interval_cut_family([1, 2, 3, 4])[3],
+                         subgroup_only=True), 2),
+    (_bs_power_cut(2, 3, 6, 10 ** 6), 3),  # |c| <= 6 * 3^6 on B_6
+], ids=lambda v: v.group.family if isinstance(v, Cut) else str(v))
+def test_extend_makes_one_product_per_query(sub, n):
+    """An extended cut multiplies at most once per membership query, and
+    answers as the union of the translates y * supp(sub) over the whole
+    section does."""
+    group = dataclasses.replace(sub.group)  # an equal spec, its own record
+    ops = elements_mod.family_ops(group)
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return ops.mul(x, y)
+
+    object.__setattr__(group, "_ops", ops._replace(mul=counted))
+    ext = extend_by_cogrowth(dataclasses.replace(sub, group=group), n)
+    inv_reps = [ops.inv(y.data) for y in balls_mod.coset_section(group, n)]
+    test = sub.support.test
+    window = list(ball(group, n + 2).data())
+    for x in window:
+        before = calls[0]
+        inside = Element(group, x) in ext
+        assert calls[0] - before <= 1
+        assert inside == any(test(ops.mul(yi, x)) for yi in inv_reps), x
+    assert all(Element(group, x) in ext
+               for x in window[:len(ball(group, n))])
+
+
 # ---------------------------------------------------------------------------
 # Baumslag-Solitar
 

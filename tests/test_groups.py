@@ -565,22 +565,14 @@ def _row_step(rows, j, x):
     """x * g_j by the codec's batch step on the one row of x, in Python
     ints."""
     one = np.array(rows.encode(x), dtype=object).reshape(-1, 1)
-    return rows.decode(rows.step(one, None, None)[:, j:j + 1])[0]
-
-
-def _bs_step(step, x):
-    """x * g_j by the Britton step ``step`` on the flat word of x."""
-    return elements_mod._bs_nested(step(elements_mod._bs_flat(x)))
+    return rows.decode(rows.step(one, None)[:, j:j + 1])[0]
 
 
 def _right_steps(spec):
     """One function per symbol of ``spec.symbols()``, taking canonical
-    data x to that of x * g_j: the BS Britton steps on flat words, and
-    elsewhere the batch step of the family's codec on one row."""
-    if spec.family == "baumslag_solitar":
-        return [partial(_bs_step, step)
-                for step in elements_mod._bs_steps(spec.p, spec.q)]
-    rows = family_ops(spec).rows()
+    data x to that of x * g_j: the batch step of the family's codec on one
+    row."""
+    rows = family_ops(spec).rows
     return [partial(_row_step, rows, j) for j in range(len(spec.symbols()))]
 
 
@@ -682,21 +674,17 @@ def test_growth_state_matches_plain_bfs(spec):
     assert [grower.find(x) for x in rolled[0]] == list(range(len(rolled[0])))
 
 
-def _row_groups():
-    return [spec for spec in STEP_GROUPS if spec.family != "baumslag_solitar"]
-
-
-@pytest.mark.parametrize("spec", _row_groups(), ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
 def test_batch_steps_agree_in_int64_and_python_ints(spec):
     """The int64 batch step on B_4 and the same step on the rows widened
     to Python ints give the same products."""
-    rows = family_ops(spec).rows()
+    rows = family_ops(spec).rows
     grower = balls_mod._get_grower(spec)
     ball(spec, 4)
     level = grower.rows_of(0, len(ball(spec, 4)))
     assert level.dtype == np.int64
-    narrow = rows.step(level, 4, None)
-    wide = rows.step(level.astype(object), None, None)
+    narrow = rows.step(level, 4)
+    wide = rows.step(level.astype(object), None)
     assert narrow.dtype == np.int64 and wide.dtype == object
     assert narrow.tolist() == wide.tolist()
 
@@ -704,6 +692,7 @@ def test_batch_steps_agree_in_int64_and_python_ints(spec):
 WIDE_GROUPS = [
     GroupSpec.lamplighter(2 ** 20),  # lamps pass 2^63 from radius 2 on
     GroupSpec.semidirect_zd([[2 ** 40 + 1, 2 ** 40], [1, 1]]),
+    GroupSpec.baumslag_solitar(2, 2 ** 32),  # a t t t packs to (p + q)^2
 ]
 
 
@@ -763,6 +752,10 @@ def test_pq_rows_widen_past_int64():
     (Z2, (0, 0, 0)),
     (SD, ((0,), 0)),
     (BS23, (5, ((1, 0),))),  # exponent before t not reduced mod q
+    (BS23, (0, ((1, 2), (-1, 0)))),  # t a^2 t^-1 = a^3 would pack as a t t
+    (BS23, (0, ((1, 0), (-1, 0)))),  # t t^-1 pinches
+    (BS23, (2, ((-1, 0),))),  # exponent before t^-1 not reduced mod p
+    (BS23, (0, ((2, 0),))),  # not a stable letter
     (BS23, "not data"),
 ], ids=repr)
 def test_data_that_cannot_be_encoded_is_not_a_member(spec, data):
@@ -1007,7 +1000,7 @@ def test_ball_budget_error():
     assert_table_matches_multiply(spec, 5)
 
 
-@pytest.mark.parametrize("spec", _row_groups(), ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
 def test_ball_memory_at_budget(spec):
     """Growth that stops at its budget holds at most 229 bytes an element
     at its peak (the bytes per element of the data tuples and dict that
