@@ -16,10 +16,10 @@ packed into one integer key (mixed radix over each field's range), one
 argsort groups equal keys, the least position in a group is its first
 occurrence, and the new elements are the groups first met among the
 candidates, kept in candidate order, which is the discovery order of a
-plain BFS.  The budget is checked before a level is kept.  Rows are int64 while the step
-can prove every entry fits and widen to dtype=object (Python ints) when
-not, so nothing wraps; a key whose mixed radix would leave int64 is a
-Python int as well.
+plain BFS.  The budget is checked before a level is kept.  Rows are int64
+while the step can prove every entry fits and widen to dtype=object
+(Python ints) when not, so nothing wraps; a key whose mixed radix would
+leave int64 is a Python int as well.
 
 Growth keeps the rows of each level and the level boundaries, off which
 lengths are read: 8 bytes a field (16-32 an element), where a data tuple
@@ -456,9 +456,8 @@ def coset_section(group: GroupSpec, n: int,
     bn = ball(group, n, budget=budget)
     g = bn._grower
     rows = g.rows_of(0, len(bn))
-    named = rows[:-1]
-    firsts = np.unique(_keys(named, _packing(named)), return_index=True)[1]
-    rows = rows[:, np.sort(firsts)]
+    keys = _keys(rows[:-1], _packing(rows[:-1]))
+    rows = rows[:, np.sort(np.unique(keys, return_index=True)[1])]
     return CosetSection(group, n, rows.shape[1], partial(g.rows.decode, rows))
 
 

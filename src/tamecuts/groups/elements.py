@@ -560,12 +560,7 @@ def _bs_nested(w: tuple) -> tuple:
     return w[0], tuple(zip(w[1::2], w[2::2]))
 
 
-def _bs_a_step(s: int, w: tuple) -> tuple:
-    """w * a^s for any integer s: the rightmost exponent is unconstrained."""
-    return w[:-1] + (w[-1] + s,)
-
-
-def _bs_t_step(eps: int, div: int, mul: int, w: tuple, c: int = 0) -> tuple:
+def _bs_t_step(eps: int, div: int, mul: int, w: tuple, c: int) -> tuple:
     """w * t^eps a^c for eps = +-1, with (div, mul) = (q, p) for eps = 1
     and (p, q) for eps = -1.  The last exponent b = div m + r of w leaves r
     before t^eps and a^{mul m} after it (a^{div m} t^eps = t^eps a^{mul m}),
@@ -580,7 +575,8 @@ def _bs_t_step(eps: int, div: int, mul: int, w: tuple, c: int = 0) -> tuple:
 def _bs_mul(p: int, q: int, x: tuple, y: tuple) -> tuple:
     """x * y: the right steps folded over y's word a^c0 t^eps1 a^c1 ..."""
     c0, tail = y
-    w = _bs_a_step(c0, _bs_flat(x))
+    w = _bs_flat(x)
+    w = w[:-1] + (w[-1] + c0,)  # the rightmost exponent is unconstrained
     for eps, c in tail:
         w = (_bs_t_step(1, q, p, w, c) if eps == 1
              else _bs_t_step(-1, p, q, w, c))
@@ -628,11 +624,14 @@ def _bs_encode(p: int, q: int, x: tuple) -> tuple | None:
 def _bs_decode(p: int, q: int, rows: np.ndarray) -> list:
     out = []
     for packed, n, c in zip(*rows.tolist()):
-        w = [c]  # the flat word, reversed
-        for _ in range(n):
+        tail = []
+        for _ in range(n):  # the digits from the last, each (eps_i, c_(i-1))
             packed, digit = divmod(packed, p + q)
-            w += (1, digit) if digit < q else (-1, digit - q)
-        out.append(_bs_nested(tuple(reversed(w))))
+            eps, before = (1, digit) if digit < q else (-1, digit - q)
+            tail.append((eps, c))
+            c = before
+        tail.reverse()
+        out.append((c, tuple(tail)))
     return out
 
 
