@@ -25,10 +25,10 @@ Each family's arithmetic on the bare ``data`` tuples lives in one
 wrap and unwrap ``Element``s around it.  Ball growth runs on the record's
 ``Rows`` codec instead: each element as a fixed-width row of integers, and
 the right steps by the generators as array operations on whole spheres.
-Baumslag-Solitar has one Britton reduction, the right steps by a^+-1 and
-t^+-1: its ``mul`` and ``inv`` fold them over flat words (c0, eps1, c1,
-..., epsn, cn), and its codec runs them on whole arrays of rows (P, n, c),
-the word's first n exponent-letter pairs packed as the digits of P.
+Baumslag-Solitar ``mul`` and ``inv`` fold the Britton right steps by
+a^+-1 and t^+-1 over flat words (c0, eps1, c1, ..., epsn, cn); its codec
+runs the same steps, written apart, on whole arrays of rows (P, n, c), the
+word's first n exponent-letter pairs packed as the digits of P.
 """
 
 from __future__ import annotations

@@ -770,6 +770,16 @@ def test_data_that_cannot_be_encoded_is_not_a_member(spec, data):
     assert Element(PQ23, (1, 0, 0)) in ball(PQ23, 4)
 
 
+def test_bs_encode_rejects_words_that_are_not_reduced():
+    """The BS codec encodes only Britton-reduced data, also where the
+    digits could not alias a member (t t^-1 packs to no reduced row)."""
+    encode = family_ops(BS23).rows.encode
+    assert encode((1, ((1, 0), (1, 0)))) == (5, 2, 0)  # a t t
+    for data in [(0, ((1, 2), (-1, 0))), (0, ((1, 0), (-1, 0))),
+                 (2, ((-1, 0),)), (0, ((2, 0),)), (5, ((1, 0),))]:
+        assert encode(data) is None, data
+
+
 def test_lookup_keys_out_of_range_never_alias():
     """A row with a field outside the grown rows' ranges is not a member,
     although its mixed-radix key equals a member's: in pq(2,3)'s B_4, with
