@@ -293,8 +293,15 @@ def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6) -> Cut:
     Z^2 and Z^3 it brackets the Fourier-algebra norm of the indicator by
     torus quadrature to relative ``tol``; the quadrature raises
     BudgetExceededError when its grid budget runs out first (Z^3 does at
-    the default tol from n = 1 on, and converges at tol 1e-4).  Elsewhere
-    the upper bound is the l1 bound |B_n| and the lower bound is
+    the default tol from n = 1 on, and converges at tol 1e-4).
+
+    Elsewhere the upper bound is the l2 bound sqrt|B_n|.  For discrete G,
+    A(G) = l2(G) * l2(G)^ with ||xi * eta^||_A <= ||xi||_2 ||eta||_2
+    (Eymard 1964), and f = f * delta_e^, so ||f||_A <= ||f||_2, which is
+    sqrt|B_n| for the indicator.  The inclusions A(G) in B(G) in M_cbA(G)
+    in MA(G) are contractive (De Canniere-Haagerup 1985), so the cb and
+    multiplier norms are at most sqrt|B_n| as well.  The square root is
+    rounded up to the least float at or above it.  The lower bound is
     phi(e) = 1 <= ||phi||_inf <= ||phi||_MA."""
     if n < 0:
         raise InputError("index must be nonnegative")
@@ -308,7 +315,11 @@ def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6) -> Cut:
             poly = TrigPoly.indicator(bn.data(), dim=group.d)
             cert = a_norm_torus(poly, tol=tol)
     else:
-        cert = NormCertificate(1.0, float(len(bn)), "l1-bound", tol)
+        upper = math.sqrt(len(bn))  # correctly rounded: at most 1 ulp low
+        num, den = upper.as_integer_ratio()
+        if num * num < len(bn) * den * den:
+            upper = math.nextafter(upper, math.inf)
+        cert = NormCertificate(1.0, upper, "l2-bound", tol)
     support = PredicateSupport(frozenset(bn.data()).__contains__, len(bn),
                                f"the ball B_{n}")
     return Cut(group, n, support, cert,
@@ -316,7 +327,7 @@ def cut_ball(group: GroupSpec, n: int, tol: float = 1e-6) -> Cut:
                            "ball_size": len(bn),
                            "norm_chain": (["abelian-transform"]
                                           if group.family == "free_abelian"
-                                          else ["l1-bound"])},
+                                          else ["l2-bound"])},
                subgroup_only=False)
 
 

@@ -43,7 +43,7 @@ from .errors import BudgetExceededError, InputError
 METHODS = frozenset({
     "exact-dft",
     "quadrature",
-    "l1-bound",
+    "l2-bound",
     "product-rule",
     "translation-invariance",
     "extension-isometry",

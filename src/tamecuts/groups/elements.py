@@ -168,8 +168,12 @@ class Rows(NamedTuple):
     1, -2, ...) is the lamp at j; and (P, n, c) for BS(p,q), with n the
     number of stable letters, c the last exponent and P the n digits of the
     exponent-letter pairs before it (see ``_bs_step``).
-    An array of n rows is stored field-major, with shape (width, n): each
-    field is one contiguous array, and column i is the row of element i.
+    An array of n rows is stored field-major, as a C-contiguous array of
+    shape (width, n): each field is one contiguous array, and column i is
+    the row of element i.  Every ``step`` output keeps that layout, int64 or
+    widened, so columns are gathered with ``take`` or ``compress`` on axis
+    1: an index array on axis 1 gives a column-strided copy, over which
+    per-field reductions run many times slower.
     Arrays of rows are int64 while every entry a step can produce provably
     fits, and otherwise dtype=object holding Python ints, on which the same
     array code runs exactly: a row widens, it never wraps.
@@ -308,9 +312,9 @@ def _fa_step(deltas: np.ndarray, rows: np.ndarray, radius) -> np.ndarray:
 def _free_abelian_ops(group: GroupSpec) -> FamilyOps:
     d = group.d
     gens = {f"e{i + 1}": _unit(d, i) for i in range(d)}
-    deltas = np.array([[s * u for u in _unit(d, i)]  # (field, 1, symbol)
-                       for i in range(d) for s in (1, -1)],
-                      dtype=np.int64).T[:, None, :]
+    deltas = np.array([[[s * (i == f) for i in range(d) for s in (1, -1)]]
+                       for f in range(d)],  # (field, 1, symbol)
+                      dtype=np.int64)
     rows = Rows(partial(_fa_encode, d), _tuples, partial(_fa_step, deltas))
     return _fixed_ops((0,) * d, gens, _fa_mul, _fa_inv, rows, _no_key,
                       _one_coset)
@@ -367,7 +371,8 @@ def _sd_step(deltas: _ByK, rows: np.ndarray, radius) -> np.ndarray:
     wide = (rows.dtype is _OBJECT
             or max(map(abs, lows + highs)) + top >= _INT64)
     at = _index(rows[-1] - lows[-1])
-    out = _table(table, wide).transpose(2, 0, 1)[:, at]  # (field, x, symbol)
+    # (field, x, symbol)
+    out = _table(table, wide).transpose(2, 0, 1).take(at, axis=1)
     out += rows[:, :, None]
     return out.reshape(len(rows), -1)
 

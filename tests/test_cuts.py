@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -364,13 +365,49 @@ def test_cut_ball_z2_certificate_brackets():
     assert verify_cut(cut).covers_ball
 
 
-def test_cut_ball_nonabelian_uses_l1_bound():
+def test_cut_ball_nonabelian_uses_l2_bound():
+    """Off Z^d the ball cut certifies [1, sqrt|B_2|] (||f||_A <= ||f||_2),
+    with |B_2| counted here from products of the generators, and the upper
+    end is the least float whose square is at least |B_2|."""
     for group in (GroupSpec.lamplighter(2), GroupSpec.pq(2, 3),
-                  GroupSpec.baumslag_solitar(2, 3)):
-        cut = cut_ball(group, 2)
-        assert cut.certificate.method == "l1-bound"
-        assert cut.certificate.upper == float(len(ball(group, 2)))
-        assert cut.certificate.lower == 1.0
+                  GroupSpec.baumslag_solitar(2, 3),
+                  GroupSpec.semidirect_zd(SHEAR)):
+        gens = [g for _, g in generators(group)]
+        sphere = seen = {identity(group)}
+        for _ in range(2):
+            sphere = {multiply(x, g) for x in sphere for g in gens} - seen
+            seen = seen | sphere
+        cert = cut_ball(group, 2).certificate
+        assert cert.method == "l2-bound" and cert.lower == 1.0
+        assert Fraction(cert.upper) ** 2 >= len(seen)
+        assert Fraction(math.nextafter(cert.upper, 0.0)) ** 2 < len(seen)
+        assert cert.upper == pytest.approx(math.sqrt(len(seen)), rel=1e-15)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (1, 5), (1, 40),
+                                  (2, 1), (2, 2), (2, 5)])
+def test_l2_bound_holds_where_the_norm_is_known(d, n):
+    """On Z and Z^2 the A-norm of the ball indicator is known, and it lies
+    below sqrt|B_n|: on Z it is the Lebesgue constant, by Fejer's sum
+    1/(2n+1) + (2/pi) sum_k tan(pi k/(2n+1))/k; on Z^2 it is the mean of
+    |p| over a 512 x 512 torus grid (the FFT of the indicator).  Both lie
+    in the bracket that ``cut_ball`` certifies."""
+    if d == 1:
+        size = 2 * n + 1
+        norm = 1 / size + (2 / math.pi) * sum(
+            math.tan(math.pi * k / size) / k for k in range(1, n + 1))
+        slack = 1e-9
+    else:
+        grid = np.zeros((512, 512))
+        ball_2 = [(a, b) for a in range(-n, n + 1) for b in range(-n, n + 1)
+                  if abs(a) + abs(b) <= n]
+        for a, b in ball_2:
+            grid[a, b] = 1.0
+        size, norm = len(ball_2), float(np.abs(np.fft.fft2(grid)).mean())
+        slack = 1e-3
+    cert = cut_ball(GroupSpec.free_abelian(d), n).certificate
+    assert cert.lower * (1 - slack) <= norm <= cert.upper * (1 + slack)
+    assert norm < math.sqrt(size)
 
 
 def test_interval_family_linear_growth():

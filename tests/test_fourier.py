@@ -287,7 +287,9 @@ def test_certificate_validation():
     NormCertificate(1.0 + 0.5 * _BRACKET_SLACK, 1.0, "quadrature")
     with pytest.raises(InputError):
         NormCertificate(0.0, 1.0, "made-up")
-    c = NormCertificate(1.0, 2.0, "l1-bound", 0.1)
+    with pytest.raises(InputError):  # the l2 bound replaced it
+        NormCertificate(1.0, 2.0, "l1-bound", 0.1)
+    c = NormCertificate(1.0, 2.0, "l2-bound", 0.1)
     assert c.value == 1.5 and c.width == 1.0
 
 

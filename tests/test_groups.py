@@ -708,6 +708,32 @@ def test_widened_rows_match_plain_bfs(spec):
     assert max(abs(v) for v in levels[-1].ravel().tolist()) >= 2 ** 63
 
 
+@pytest.mark.parametrize("spec", STEP_GROUPS + WIDE_GROUPS,
+                         ids=lambda s: s.label())
+def test_rows_stay_field_major(spec):
+    """Every grown level, every batch step output (on int64 rows and on
+    rows widened to Python ints) and every ``rows_of`` slice is one
+    C-contiguous (width, n) array, each field contiguous."""
+    _reset_growers()
+    ball(spec, 4)
+    grower = balls_mod._get_grower(spec)
+    rows, end = grower.rows, grower.level_end
+    width = len(rows.encode(family_ops(spec).identity))
+    k = len(spec.symbols())
+
+    def field_major(a, n):
+        return a.flags.c_contiguous and a.shape == (width, n)
+
+    for r, level in enumerate(grower.levels):
+        n = end[r] - (end[r - 1] if r else 0)
+        assert field_major(level, n)
+        assert field_major(rows.step(level, r), k * n)
+        assert field_major(rows.step(level.astype(object), None), k * n)
+    for start, stop in [(0, end[-1]), (0, 1), (end[2] - 1, end[2]),
+                        (1, end[2] + 1), (end[1], end[3]), (end[3], end[4])]:
+        assert field_major(grower.rows_of(start, stop), stop - start)
+
+
 def test_pq_rows_widen_past_int64():
     """pq(97, 101) numerators pass 2^63 from radius 6 on.  The grown state
     of B_8 still equals a plain BFS with ``multiply``, its widened levels
