@@ -399,11 +399,11 @@ def test_l2_bound_holds_where_the_norm_is_known(d, n):
         slack = 1e-9
     else:
         grid = np.zeros((512, 512))
-        ball_2 = [(a, b) for a in range(-n, n + 1) for b in range(-n, n + 1)
+        points = [(a, b) for a in range(-n, n + 1) for b in range(-n, n + 1)
                   if abs(a) + abs(b) <= n]
-        for a, b in ball_2:
+        for a, b in points:
             grid[a, b] = 1.0
-        size, norm = len(ball_2), float(np.abs(np.fft.fft2(grid)).mean())
+        size, norm = len(points), float(np.abs(np.fft.fft2(grid)).mean())
         slack = 1e-3
     cert = cut_ball(GroupSpec.free_abelian(d), n).certificate
     assert cert.lower * (1 - slack) <= norm <= cert.upper * (1 + slack)
