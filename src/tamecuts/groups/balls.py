@@ -21,11 +21,11 @@ three arrays is packed into one integer key (mixed radix over each field's
 range), one argsort groups equal keys, the least position in a group is
 its first occurrence (``_first_occurrences``, which also gives the BS coset
 sections), and the new elements are the groups first met among the
-candidates, kept in candidate order, which is the discovery order of a
-plain BFS.  The budget is checked before a level is kept.  Rows are int64
-while the step can prove every entry fits and widen to dtype=object
-(Python ints) when not, so nothing wraps; a key whose mixed radix would
-leave int64 is a Python int as well.
+candidates (``_new_mask``), kept in candidate order, which is the
+discovery order of a plain BFS.  The budget is checked before a level is
+kept.  Rows are int64 while the step can prove every entry fits and widen
+to dtype=object (Python ints) when not, so nothing wraps; a key whose
+mixed radix would leave int64 is a Python int as well.
 
 Growth keeps the rows of each level and the level boundaries, off which
 lengths are read: 8 bytes a field (16-32 an element), where a data tuple
@@ -35,16 +35,13 @@ only when a caller asks for members; the ``ball`` command decodes none
 representatives only on access).
 Lookups encode the data and ``searchsorted`` a sorted key array over the
 grown ball, built on demand; data that cannot be encoded, or lies outside
-the grown rows' ranges, is not a member.  The right Cayley table is built
-on demand, for ``Ball.translate_indices`` alone, from one batch step over
-the levels it lacks plus those lookups, and the BFS parent pointers are
-read off it.
+the grown rows' ranges, is not a member.  Left translates of a ball
+(``Ball.translate_indices``) are grown as it was and found by lookups.
 """
 
 from __future__ import annotations
 
 import threading
-from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -111,17 +108,13 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _first_new(cand: np.ndarray, seen: list[np.ndarray]) -> np.ndarray:
-    """The rows of ``cand`` found in no array of ``seen``, each at its
-    first occurrence, in candidate order, as a C-contiguous (width, n)
-    array.  The keys of all the arrays are joined, not their rows.  The
-    rows are gathered by ``compress`` (a ``take``): an index array on axis
-    1 would give a column-strided result, over which every later reduction
-    and key packing runs many times slower."""
+def _new_mask(cand: np.ndarray, seen: list[np.ndarray]) -> np.ndarray:
+    """The mask of the rows of ``cand`` found in no array of ``seen``, each
+    at its first occurrence; the keys of all the arrays are joined, not
+    their rows.  Gather with ``compress``, which keeps rows field-major."""
     packing = _packing(*seen, cand)
     keys = np.concatenate([_keys(rows, packing) for rows in (*seen, cand)])
-    base = sum(rows.shape[1] for rows in seen)
-    return cand.compress(_first_occurrences(keys)[base:], axis=1)
+    return _first_occurrences(keys)[sum(rows.shape[1] for rows in seen):]
 
 
 class _Lookup(NamedTuple):
@@ -142,20 +135,16 @@ class _BallGrower:
     ``level_end[r-1] <= i < level_end[r]``.  Growth keeps only these two.
     ``rows`` is the family's codec (``elements.Rows``), whose step
     multiplies by the k generators of ``generators(group)`` on the right.
-    The right Cayley table ``right[k*i + j]`` = index of x_i * g_j is built
-    only when ``table`` asks for it, and then only over the levels not yet
-    covered.  ``elements`` decodes and ``find`` looks up on demand.
+    ``elements`` decodes and ``find`` looks up on demand.
     """
 
     def __init__(self, group: GroupSpec):
         self.group = group
         ops = family_ops(group)
-        self.k = len(group.symbols())
         self.rows = ops.rows
         self.levels = [np.array([[v] for v in self.rows.encode(ops.identity)],
                                 dtype=np.int64)]
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
-        self.right = array("i")
         self.lock = threading.RLock()
         self._lookup: _Lookup | None = None
 
@@ -193,16 +182,14 @@ class _BallGrower:
     def _grow_level(self, budget: int) -> None:
         r, stop = self.radius, self.level_end[-1]
         # S_{r+1} is new against S_{r-1} and S_r, the last two levels
-        new = _first_new(self.rows.step(self.levels[r], r), self.levels[-2:])
+        cand = self.rows.step(self.levels[r], r)
+        new = cand.compress(_new_mask(cand, self.levels[-2:]), axis=1)
         if stop + new.shape[1] > budget:  # fail before memory does
-            raise self._over(budget)
+            raise BudgetExceededError(
+                f"ball budget {budget} exceeded at radius {r + 1} of "
+                f"{self.group.label()}", radius_reached=r)
         self.levels.append(new)
         self.level_end.append(stop + new.shape[1])
-
-    def _over(self, budget: int) -> BudgetExceededError:
-        return BudgetExceededError(
-            f"ball budget {budget} exceeded at radius {self.radius + 1} of "
-            f"{self.group.label()}", radius_reached=self.radius)
 
     def _lookup_over(self, count: int) -> _Lookup:
         """The sorted keys over at least the first ``count`` elements."""
@@ -237,28 +224,6 @@ class _BallGrower:
         if i < lookup.count and lookup.keys[i] == key:
             return int(lookup.order[i])
         return None
-
-    def table(self, radius: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """A copy of the right Cayley table over B_radius: entry ``k*i + j``
-        is the index of x_i * g_j.  Grows to ``radius + 1`` first, and
-        extends the cached table over the levels it lacks: one batch step
-        over their rows, and a ``searchsorted`` of the products in
-        B_{radius+1}."""
-        k = self.k
-        with self.lock:
-            while self.radius <= radius:
-                self._grow_level(budget)
-            covered = self.level_end[radius] if radius >= 0 else 0
-            have = len(self.right) // k
-            if covered > have:
-                products = self.rows.step(self.rows_of(have, covered),
-                                          radius)
-                lookup = self._lookup_over(self.level_end[radius + 1])
-                keys = _keys(products, lookup.packing)
-                at = np.searchsorted(lookup.keys, keys)
-                self.right.frombytes(lookup.order[at].astype(np.intc).tobytes())
-            return np.frombuffer(self.right, dtype=np.intc,
-                                 count=k * covered).copy()
 
 
 class _Members(Sequence):
@@ -351,44 +316,31 @@ class Ball:
         """Ball indices of y*x: row s, column i holds the index of
         ``support[s] * x_i`` for the i-th element x_i of this ball.
 
-        No product is formed.  Writing x = parent(x) * gen(x) along its BFS
-        word, y*x = (y*parent(x)) * gen(x) is one lookup in the right
-        multiplication table, and the parent lies one level lower, so each
-        level is one gather over the level below.  The table must cover
-        B_{radius + max|y| - 1}, so it is extended that far (growing the
-        shared state to ``radius + max|y|``), and the parents are read off
-        its part over B_{radius - 1}.
+        Left multiplication by y is a Cayley graph automorphism keeping
+        every generator label, so a BFS from y meets y*x_i in the order the
+        BFS from e meets x_i, keeping the same candidates.  So the rows of
+        all the translates of a level are stepped together, centre-major,
+        and keep the candidates growth kept there (``_new_mask`` over the
+        stored levels); each lies in B_{radius + max|y|}, grown here, and
+        is looked up there by its packed key.
         """
-        g = self._grower
-        deg = max((word_length(y, self.group, budget=budget) for y in support),
-                  default=0)
-        right = g.table(self.radius + deg - 1, budget)
-        k, n = g.k, len(self)
-        below = g.level_end[self.radius - 1] if self.radius else 0
-        parent, gen = _bfs_predecessors(right[:k * below], k)
-        out = np.empty((len(support), n), dtype=np.int64)
+        g, n, m = self._grower, len(self), len(support)
+        if not m:
+            return np.empty((0, n), dtype=np.int64)
+        deg = max(word_length(y, self.group, budget=budget) for y in support)
+        g.grow_to(self.radius + deg, budget)
+        out = np.empty((m, n), dtype=np.int64)
         out[:, 0] = [g.find(y.data) for y in support]
-        for r in range(1, self.radius + 1):
-            lo, hi = g.level_end[r - 1], g.level_end[r]
-            out[:, lo:hi] = right[k * out[:, parent[lo:hi]] + gen[lo:hi]]
+        rows = g.rows_of(0, g.level_end[deg]).take(out[:, 0], axis=1)
+        lookup = g._lookup_over(g.level_end[self.radius + deg])
+        for r in range(self.radius):
+            cand = g.rows.step(g.levels[r], r)
+            keep = np.tile(_new_mask(cand, g.levels[max(r - 1, 0):r + 1]), m)
+            rows = g.rows.step(rows, deg + r).compress(keep, axis=1)
+            at = np.searchsorted(lookup.keys, _keys(rows, lookup.packing))
+            out[:, g.level_end[r]:g.level_end[r + 1]] = lookup.order[
+                at.reshape(m, -1)]
         return out
-
-
-def _bfs_predecessors(right: np.ndarray,
-                      k: int) -> tuple[np.ndarray, np.ndarray]:
-    """BFS parent pointers of the elements of B_r, read off the right
-    Cayley table over B_{r-1}: x_i = x_parent[i] * g_gen[i] spells out a
-    geodesic word, and entry 0, the identity, is -1.
-
-    Growth expands the elements in index order, each by the generators in
-    order, and numbers each new element one past the last, so the element
-    that first reached i sits at the first occurrence of i in the table,
-    and that is where the running maximum of the table first reaches i.
-    """
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(right), prepend=0))
-    parent, gen = np.full((2, len(first) + 1), -1, dtype=np.int64)
-    parent[1:], gen[1:] = np.divmod(first, k)
-    return parent, gen
 
 
 def ball(group: GroupSpec, n: int, budget: int = DEFAULT_BUDGET) -> Ball:

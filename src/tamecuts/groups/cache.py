@@ -17,7 +17,9 @@ canonical data tuple as JSON writes it, tuples as arrays, and ``load``
 turns the arrays back into tuples; JSON integers are unbounded and
 byte-order free, so files are portable across platforms.  A file that is
 not such an object, or holds any leaf but an integer, is not an entry:
-``load`` returns None for it and ``entries`` skips it.
+``load`` returns None for it and ``entries`` skips it; ``load`` also does
+for lengths that decrease or leave [0, radius], and for data that is not
+canonical (the family's row codec does not encode it).
 
 Entries are written by ``tamecut ball --write-cache`` and read back only
 through ``load``: ``ball()`` always grows its balls and never consults a
@@ -37,6 +39,7 @@ import tempfile
 from operator import index
 from pathlib import Path
 
+from .elements import family_ops
 from .spec import GroupSpec
 
 FORMAT_VERSION = 1
@@ -79,9 +82,14 @@ class BallCache:
         try:
             members = _data(blob["members"])
             lengths = [index(ln) for ln, _ in members]
+            data = [x for _, x in members]
+            canonical = None not in map(family_ops(group).rows.encode, data)
         except (KeyError, TypeError, ValueError, RecursionError):
             return None
-        return lengths, [x for _, x in members]
+        bounded = [0, *lengths, radius]
+        if not canonical or bounded != sorted(bounded):
+            return None
+        return lengths, data
 
     def store(self, group: GroupSpec, radius: int, ball) -> Path:
         path = self.path_for(group, radius)

@@ -400,91 +400,6 @@ def test_ball_oracle_independent_bfs():
         assert dict(bn.items()) == seen
 
 
-def _table(spec, n):
-    """Ball of radius n with the Cayley table of the shared state built
-    over B_{n-1} on demand, and the BFS parent pointers read off it."""
-    bn = ball(spec, n)
-    g = balls_mod._get_grower(spec)
-    right = g.table(n - 1)
-    parent, gen = balls_mod._bfs_predecessors(right, g.k)
-    return bn, right, parent, gen
-
-
-def assert_table_matches_multiply(spec, n):
-    """Every right product and every parent pointer of the shared state,
-    grown to radius n, agrees with ``multiply`` on the elements."""
-    bn, right, parent, gen = _table(spec, n)
-    gens = [elem for _, elem in generators(spec)]
-    elems, k = list(bn), len(gens)
-    expanded = bn.level_sizes()[-2]
-    assert len(right) >= k * expanded
-    for i in range(expanded):
-        for j in range(k):
-            assert elems[right[k * i + j]] == multiply(elems[i], gens[j])
-    for i in range(1, len(bn)):
-        assert elems[i] == multiply(elems[parent[i]], gens[gen[i]])
-        assert bn.length(elems[i]) == bn.length(elems[parent[i]]) + 1
-
-
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
-def test_cayley_table_matches_multiply(spec):
-    assert_table_matches_multiply(spec, 4)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(family=st.integers(0, len(ALL_FAMILIES) - 1),
-       word=st.lists(st.integers(0, 63), max_size=4))
-def test_cayley_table_walk_matches_multiply(family, word):
-    """Walking a random word of length <= 4 through the table of B_4 lands on
-    the index of the word's product."""
-    spec = ALL_FAMILIES[family]
-    bn, right, _, _ = _table(spec, 4)
-    gens = [elem for _, elem in generators(spec)]
-    k = len(gens)
-    i, x = 0, identity(spec)
-    for letter in word:
-        i = right[k * i + letter % k]
-        x = multiply(x, gens[letter % k])
-    assert list(bn)[i] == x
-
-
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
-def test_cayley_table_is_built_on_demand(spec):
-    """Growth builds no table; ``translate_indices`` at radii 2, 4, 6
-    extends it over the new levels only (one stepped row per new entry,
-    earlier entries kept), and every row is the index of a ``multiply``
-    product."""
-    _reset_growers()
-    ball(spec, 6)
-    g = balls_mod._get_grower(spec)
-    assert len(g.right) == 0
-    support = list(ball(spec, 1))
-    k, calls = g.k, [0]
-
-    def counted(step):
-        def call(rows, *args):
-            out = step(rows, *args)
-            calls[0] += out.shape[1]  # rows are stored field-major
-            return out
-        return call
-
-    for radius in (2, 4, 6):
-        ball(spec, radius + 1)  # the growth the table needs is not counted
-        plain = g.rows
-        g.rows = plain._replace(step=counted(plain.step))
-        before, calls[0] = list(g.right), 0
-        bn = ball(spec, radius)
-        rows = bn.translate_indices(support)
-        g.rows = plain
-        assert calls[0] == len(g.right) - len(before)
-        assert len(g.right) == k * bn.level_sizes()[-1]
-        assert list(g.right[:len(before)]) == before
-        elems = list(bn)
-        index = {x: i for i, x in enumerate(ball(spec, radius + 1))}
-        assert rows.tolist() == [[index[multiply(y, x)] for x in elems]
-                                 for y in support]
-
-
 # ---------------------------------------------------------------------------
 # closed-form right steps against the general product
 
@@ -616,39 +531,49 @@ def test_right_steps_reach_the_cases():
 
 def _plain_bfs(spec, radius, budget=None):
     """Growth state of a BFS written with public ``multiply``: (elements,
-    right, parent, gen, level_end) at ``radius``, or at the last radius
-    whose ball has at most ``budget`` elements."""
+    right, level_end) at ``radius``, or at the last radius whose ball has
+    at most ``budget`` elements.  ``right[k*i + j]`` is the index of
+    x_i * g_j, over the elements of length below that radius."""
     gens = [elem for _, elem in generators(spec)]
     elems, index_of = [identity(spec)], {identity(spec): 0}
-    right, parent, gen, level_end = [], [-1], [-1], [1]
+    right, level_end = [], [1]
     for _ in range(radius):
         start = level_end[-2] if len(level_end) >= 2 else 0
-        grown = (list(elems), list(right), list(parent), list(gen))
+        grown = (list(elems), list(right))
         for i in range(start, level_end[-1]):
-            for j, g in enumerate(gens):
+            for g in gens:
                 y = multiply(elems[i], g)
                 if y not in index_of:
                     index_of[y] = len(elems)
                     elems.append(y)
-                    parent.append(i)
-                    gen.append(j)
                 right.append(index_of[y])
         if budget is not None and len(elems) > budget:
-            elems, right, parent, gen = grown
+            elems, right = grown
             break
         level_end.append(len(elems))
-    return [x.data for x in elems], right, parent, gen, level_end
+    return [x.data for x in elems], right, level_end
 
 
 def _growth_state(spec):
-    """(elements, right, parent, gen, level_end) of the shared state, the
-    table and parent pointers built on demand over the grown levels."""
+    """(elements, level_end) of the shared state."""
     g = balls_mod._get_grower(spec)
-    radius, grown = g.radius, list(g.elements)
-    right = g.table(radius - 1)
-    assert g.radius == radius  # the table needs no growth
-    parent, gen = balls_mod._bfs_predecessors(right, g.k)
-    return (grown, list(right), list(parent), list(gen), list(g.level_end))
+    return list(g.elements), list(g.level_end)
+
+
+def assert_matches_plain_bfs(spec, radius, budget=None):
+    """The shared state, grown or rolled back by a budget stop, holds the
+    elements and levels of a plain BFS with ``multiply``, and its lookup
+    finds every product x_i * g_j at the plain BFS's index."""
+    elements, right, level_end = plain = _plain_bfs(spec, radius, budget)
+    assert _growth_state(spec) == (elements, level_end)
+    grower = balls_mod._get_grower(spec)
+    assert [grower.find(x) for x in elements] == list(range(len(elements)))
+    gens = [elem for _, elem in generators(spec)]
+    k = len(gens)
+    for n, i in enumerate(right):
+        x = multiply(Element(spec, elements[n // k]), gens[n % k])
+        assert grower.find(x.data) == i
+    return plain
 
 
 @pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
@@ -657,21 +582,14 @@ def test_growth_state_matches_plain_bfs(spec):
     the middle of a level, are those of a plain BFS with ``multiply``."""
     _reset_growers()
     ball(spec, 4)
-    plain = _plain_bfs(spec, 4)
-    assert _growth_state(spec) == plain
-    grower = balls_mod._get_grower(spec)
-    assert [grower.find(x) for x in plain[0]] == list(range(len(plain[0])))
+    level_end = assert_matches_plain_bfs(spec, 4)[2]
 
-    level_end = plain[4]
     budget = (level_end[2] + level_end[3]) // 2
     _reset_growers()
     with pytest.raises(BudgetExceededError) as exc:
         ball(spec, 4, budget=budget)
-    rolled = _plain_bfs(spec, 4, budget=budget)
-    assert exc.value.radius_reached == len(rolled[4]) - 1
-    assert _growth_state(spec) == rolled
-    grower = balls_mod._get_grower(spec)
-    assert [grower.find(x) for x in rolled[0]] == list(range(len(rolled[0])))
+    rolled = assert_matches_plain_bfs(spec, 4, budget=budget)
+    assert exc.value.radius_reached == len(rolled[2]) - 1
 
 
 @pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
@@ -702,10 +620,90 @@ def test_widened_rows_match_plain_bfs(spec):
     state still equals a plain BFS with ``multiply``."""
     _reset_growers()
     ball(spec, 4)
-    assert _growth_state(spec) == _plain_bfs(spec, 4)
+    assert_matches_plain_bfs(spec, 4)
     levels = balls_mod._get_grower(spec).levels
     assert levels[-1].dtype == object
     assert max(abs(v) for v in levels[-1].ravel().tolist()) >= 2 ** 63
+
+
+def assert_translates_match_multiply(bn, support):
+    """Row s, column i of ``translate_indices`` is the index of
+    ``multiply(support[s], x_i)`` in the ball that holds every product."""
+    spec = bn.group
+    deg = max((word_length(y) for y in support), default=0)
+    index = {x: i for i, x in enumerate(ball(spec, bn.radius + deg))}
+    assert bn.translate_indices(support).tolist() == [
+        [index[multiply(y, x)] for x in bn] for y in support]
+
+
+@pytest.mark.parametrize("spec", STEP_GROUPS + WIDE_GROUPS,
+                         ids=lambda s: s.label())
+def test_translate_indices_match_multiply(spec):
+    """Translating B_0 .. B_3 by every element of B_2 (so the support can
+    reach past the ball) gives the indices of the ``multiply`` products,
+    and grows the shared state to radius + 2 and no further."""
+    _reset_growers()
+    support = list(ball(spec, 2))
+    grower = balls_mod._get_grower(spec)
+    for radius in range(4):
+        bn = ball(spec, radius)
+        rows = bn.translate_indices(support)
+        assert grower.radius == radius + 2
+        assert rows.shape == (len(support), len(bn))
+        assert_translates_match_multiply(bn, support)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family=st.integers(0, len(ALL_FAMILIES) - 1),
+       radius=st.integers(0, 3),
+       words=st.lists(st.lists(st.integers(0, 63), max_size=5),
+                      min_size=1, max_size=3))
+def test_translate_indices_random_supports(family, radius, words):
+    """Supports of random words of length <= 5, repeats and the identity
+    included, translate B_radius onto the ``multiply`` products."""
+    spec = ALL_FAMILIES[family]
+    support = [canonicalize(word_of(spec, w), spec) for w in words]
+    assert_translates_match_multiply(ball(spec, radius), support)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_translate_indices_step_count(spec):
+    """At radius R = 2, 4, 6 with support B_1, ``translate_indices`` steps
+    k|B_(R-1)| ball rows (to recompute growth's masks) and k|B_1||B_(R-1)|
+    translate rows, and grows nothing on a state grown to R + 1."""
+    support = list(ball(spec, 1))
+    k, calls = len(spec.symbols()), [0]
+
+    def counted(step):
+        def call(rows, *args):
+            out = step(rows, *args)
+            calls[0] += out.shape[1]  # rows are stored field-major
+            return out
+        return call
+
+    for radius in (2, 4, 6):
+        _reset_growers()
+        ball(spec, radius + 1)
+        bn = ball(spec, radius)
+        g = balls_mod._get_grower(spec)
+        plain, calls[0] = g.rows, 0
+        g.rows = plain._replace(step=counted(plain.step))
+        try:
+            bn.translate_indices(support)
+        finally:
+            g.rows = plain
+        below = bn.level_sizes()[-2]
+        assert calls[0] == k * below + k * len(support) * below
+        assert g.radius == radius + 1
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_translate_indices_empty_support(spec):
+    """An empty support translates to an empty (0, |B_R|) array."""
+    for radius in (0, 2):
+        bn = ball(spec, radius)
+        rows = bn.translate_indices([])
+        assert rows.shape == (0, len(bn)) and rows.dtype == np.int64
 
 
 @pytest.mark.parametrize("spec", STEP_GROUPS + WIDE_GROUPS,
@@ -744,8 +742,7 @@ def test_pq_rows_widen_past_int64():
     spec = GroupSpec.pq(p, q)
     _reset_growers()
     ball(spec, 8)
-    elements, right, parent, gen, level_end = _growth_state(spec)
-    assert (elements, right, parent, gen, level_end) == _plain_bfs(spec, 8)
+    elements, right, _ = assert_matches_plain_bfs(spec, 8)
     assert max(abs(m) for m, _, _ in elements) >= 2 ** 63
     levels = balls_mod._get_grower(spec).levels
     assert levels[5].dtype == np.int64 and levels[6].dtype == object
@@ -754,8 +751,9 @@ def test_pq_rows_widen_past_int64():
             [[Fraction(q, p), zero], [zero, one]],
             [[one, one], [zero, one]], [[one, -one], [zero, one]]]
     mats = [[[one, zero], [zero, one]]]
-    for i in range(1, len(elements)):
-        mats.append(mat_product(mats[parent[i]], gens[gen[i]]))
+    for n, i in enumerate(right):  # x_i is first met as x_(n // 4) g_(n % 4)
+        if i == len(mats):
+            mats.append(mat_product(mats[n // 4], gens[n % 4]))
     for (m, e, k), mat in zip(elements, mats):
         assert e >= 0 and (e == 0 or m % (p * q) != 0)  # minimal exponent
         assert mat == [[Fraction(p, q) ** k, Fraction(m, (p * q) ** e)],
@@ -1031,9 +1029,10 @@ def test_ball_budget_error():
     assert exc.value.radius_reached is not None
     assert exc.value.radius_reached < 20
     # the shared state still answers smaller queries afterwards, and the
-    # level abandoned mid-way leaves nothing in the table
+    # level abandoned mid-way leaves nothing behind
     assert len(ball(spec, 1)) == 7
-    assert_table_matches_multiply(spec, 5)
+    ball(spec, 5)
+    assert_matches_plain_bfs(spec, 5)
 
 
 @pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
@@ -1116,6 +1115,27 @@ def test_cache_ignores_corrupt_and_mismatched(tmp_path):
     assert cache.load(Z1, 2) is None
 
 
+def test_cache_ignores_noncanonical_members(tmp_path):
+    """A file whose members are well-formed JSON but not a ball's is not an
+    entry: ``load`` returns None for lamps ((0, 7), (0, 7)) in
+    lamplighter(2) (value out of range, position repeated), for a bare
+    integer as data, and for lengths that leave [0, radius] or decrease."""
+    cache = BallCache(tmp_path)
+    path = cache.store(LAMP2, 1, ball(LAMP2, 1))
+    good = json.loads(path.read_text())
+
+    def load_with(members):
+        path.write_text(json.dumps({**good, "members": members}))
+        return cache.load(LAMP2, 1)
+
+    assert load_with([[0, [[[0, 7], [0, 7]], 0]], [0, 5], [9, [[], 0]]]) is None
+    for bad in ([0, [[[0, 7], [0, 7]], 0]], [0, 5], [9, [[], 1]],
+                [-1, [[], 1]], [0, [[], 1, 2]], [0, [[[0, 1, 1]], 0]]):
+        assert load_with(good["members"][:1] + [bad]) is None
+    assert load_with(good["members"][::-1]) is None  # lengths decrease
+    assert load_with(good["members"]) is not None
+
+
 def test_cache_ignores_malformed_files(tmp_path, capsys):
     """A file whose data holds a string or a float, that lacks
     ``members``, that is a JSON list, or that nests past the recursion
@@ -1161,9 +1181,9 @@ def test_cache_entries_and_clear(tmp_path):
 
 
 def test_concurrent_ball_queries():
-    """Growth state and the Cayley table are shared; concurrent queries and
+    """Growth state and its key lookup are shared; concurrent queries and
     translations at mixed radii, on an empty state and on a grown one
-    (where only the table is extended), agree with a single-threaded run."""
+    (where translations grow nothing), agree with a single-threaded run."""
     import sys
     import threading
 

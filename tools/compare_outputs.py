@@ -37,6 +37,12 @@ EXTRA = [
      "--radius", "6"],
     ["lambda", "--group", "bs", "--p", "2", "--q", "3", "--ball", "1",
      "--radius", "3"],
+    ["lambda", "--group", "pq", "--p", "2", "--q", "3", "--ball", "1",
+     "--radius", "6"],
+    ["lambda", "--group", "semidirect", "--matrix", "2,1;1,1", "--ball", "1",
+     "--radius", "5"],
+    ["lambda", "--group", "lamplighter", "--p", "3", "--ball", "2",
+     "--radius", "5"],
     ["verify", "--family", "pq", "--n", "2", "--format", "csv"],
     ["cut", "--family", "bs", "--n", "2", "--format", "csv"],
     ["fit-growth", "--family", "semidirect", "--matrix", "1,1;0,1",
