@@ -18,10 +18,13 @@ candidate rows x*g_j, x-major.  In a Cayley graph with a symmetric
 generating set every neighbour of S_r lies in S_{r-1}, S_r or S_{r+1}, so
 the candidates are compared with those two spheres only: each row of the
 three arrays is packed into one integer key (mixed radix over each field's
-range), one argsort groups equal keys, the least position in a group is
-its first occurrence (``_first_occurrences``, which also gives the BS coset
-sections), and the new elements are the groups first met among the
-candidates (``_new_mask``), kept in candidate order, which is the
+range), written into one buffer.  One in-place sort of the int64 words
+key << b | position (b the bit length of the last position) groups equal
+keys, each group starting at its least position, its first occurrence
+(``_first_occurrences``, which also gives the BS coset sections); when a
+word could leave int64, an argsort groups them and ``minimum.reduceat``
+finds that position.  The new elements are the groups first met among
+the candidates (``_new_mask``), kept in candidate order, which is the
 discovery order of a plain BFS.  The budget is checked before a level is
 kept.  Rows are int64 while the step can prove every entry fits and widen
 to dtype=object (Python ints) when not, so nothing wraps; a key whose
@@ -34,8 +37,8 @@ only when a caller asks for members; the ``ball`` command decodes none
 (coset sections outside BS are in closed form, and BS decodes its
 representatives only on access).
 Lookups encode the data and ``searchsorted`` a sorted key array over the
-grown ball, built on demand; data that cannot be encoded, or lies outside
-the grown rows' ranges, is not a member.  Left translates of a ball
+grown ball, built on demand by the same sort of words; data that cannot
+be encoded, or lies outside the grown rows' ranges, is not a member.  Left translates of a ball
 (``Ball.translate_indices``) are grown as it was and found by lookups.
 """
 
@@ -60,12 +63,17 @@ DEFAULT_BUDGET = 5_000_000
 
 class _Packing(NamedTuple):
     """A mixed-radix key over rows whose column i lies in [lo[i], hi[i]]:
-    the row's offsets from ``lo`` read as the digits of one integer, an
-    int64 unless ``wide``."""
+    the row's offsets from ``lo`` read as the digits of one integer below
+    ``size``, the product of the ranges."""
 
     lo: list
     hi: list
-    wide: bool
+    size: int
+
+    @property
+    def dtype(self) -> np.dtype:
+        """int64 while every key fits, else object (Python ints)."""
+        return _OBJECT if self.size > _INT64 else np.dtype(np.int64)
 
 
 def _packing(*parts: np.ndarray) -> _Packing:
@@ -74,35 +82,68 @@ def _packing(*parts: np.ndarray) -> _Packing:
         np.minimum.reduce(rows, axis=1).tolist() for rows in parts))]
     hi = [max(field) for field in zip(*(
         np.maximum.reduce(rows, axis=1).tolist() for rows in parts))]
-    total = 1
+    size = 1
     for a, b in zip(lo, hi):
-        total *= b - a + 1
-    return _Packing(lo, hi, total > _INT64)
+        size *= b - a + 1
+    return _Packing(lo, hi, size)
 
 
-def _keys(rows: np.ndarray, packing: _Packing) -> np.ndarray:
+def _keys(rows: np.ndarray, packing: _Packing,
+          out: np.ndarray | None = None) -> np.ndarray:
     """The packed key of each row, whose fields lie in the packing's
-    ranges: Horner's rule over the fields, in place, every partial key
-    below the product of the ranges."""
-    lo, hi, wide = packing
-    fields = rows.astype(object) if wide else rows
-    key = fields[0] - lo[0]
-    for field, a, b in zip(fields[1:], lo[1:], hi[1:]):
+    ranges, written into ``out`` when given: Horner's rule over the
+    fields, in place, every partial key below the product of the ranges."""
+    lo, hi, _ = packing
+    if packing.dtype is _OBJECT:
+        rows = rows.astype(object)
+    if out is None:
+        out = np.empty(rows.shape[1], dtype=packing.dtype)
+    key = out if rows.dtype == out.dtype else np.empty_like(rows[0])
+    np.subtract(rows[0], lo[0], out=key)
+    for field, a, b in zip(rows[1:], lo[1:], hi[1:]):
         key *= b - a + 1
         key += field
         key -= a
-    return key.astype(np.int64) if key.dtype is _OBJECT and not wide else key
+    if key is not out:
+        out[...] = key
+    return out
 
 
-def _first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """The mask of the first occurrence of each distinct key: one argsort
-    (not stable) groups equal keys, and the least position in a group is
-    its first occurrence."""
-    order = keys.argsort()
-    keys = keys[order]
+def _sort_keys(keys: np.ndarray,
+               size: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``keys`` (each below ``size``) sorted, their positions in that
+    order, and whether equal keys are in ascending position.  One in-place
+    sort of the int64 words key << b | position, b the bit length of the
+    last position, gives both, ties ascending.  When a word could leave
+    int64 (object keys, or ``size`` above 2^(63 - b)), ``keys`` is left as
+    it is and an argsort (not stable) gives both."""
+    n = len(keys)
+    b = max(n - 1, 0).bit_length()
+    if keys.dtype is _OBJECT or size > 1 << (63 - b):
+        order = keys.argsort()
+        return keys[order], order, False
+    keys <<= b
+    keys |= np.arange(n)
+    keys.sort()
+    order = keys & ((1 << b) - 1)
+    keys >>= b
+    return keys, order, True
+
+
+def _first_occurrences(keys: np.ndarray, size: int) -> np.ndarray:
+    """The mask of the first occurrence of each distinct key (each below
+    ``size``); ``keys`` may be sorted in place (``_sort_keys``).  Sorted as
+    packed words, each group of equal keys starts at its least position,
+    its first occurrence; after an argsort, ``minimum.reduceat`` takes each
+    group's least position."""
+    keys, order, packed = _sort_keys(keys, size)
     starts = np.empty(len(keys), dtype=bool)
     starts[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    if packed:  # a permutation: order[i] is first exactly when starts[i]
+        first = np.empty_like(starts)
+        first[order] = starts
+        return first
     first = np.zeros_like(starts)
     first[np.minimum.reduceat(order, starts.nonzero()[0])] = True
     return first
@@ -110,11 +151,17 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
 
 def _new_mask(cand: np.ndarray, seen: list[np.ndarray]) -> np.ndarray:
     """The mask of the rows of ``cand`` found in no array of ``seen``, each
-    at its first occurrence; the keys of all the arrays are joined, not
-    their rows.  Gather with ``compress``, which keeps rows field-major."""
-    packing = _packing(*seen, cand)
-    keys = np.concatenate([_keys(rows, packing) for rows in (*seen, cand)])
-    return _first_occurrences(keys)[sum(rows.shape[1] for rows in seen):]
+    at its first occurrence.  The keys of all the arrays, not their rows,
+    are written into one buffer.  Gather with ``compress``, which keeps
+    rows field-major."""
+    parts = (*seen, cand)
+    packing = _packing(*parts)
+    keys = np.empty(sum(rows.shape[1] for rows in parts), dtype=packing.dtype)
+    at = 0
+    for rows in parts:
+        _keys(rows, packing, keys[at:at + rows.shape[1]])
+        at += rows.shape[1]
+    return _first_occurrences(keys, packing.size)[at - cand.shape[1]:]
 
 
 class _Lookup(NamedTuple):
@@ -147,6 +194,7 @@ class _BallGrower:
         self.level_end: list[int] = [1]  # level_end[r] = #elements of length <= r
         self.lock = threading.RLock()
         self._lookup: _Lookup | None = None
+        self._kept: list[np.ndarray] = []  # kept(r), for r < len(_kept)
 
     @property
     def radius(self) -> int:
@@ -191,17 +239,31 @@ class _BallGrower:
         self.levels.append(new)
         self.level_end.append(stop + new.shape[1])
 
+    def kept(self, r: int) -> np.ndarray:
+        """The mask of the candidates of S_r (``r < radius``) that growth
+        kept as S_{r+1}: recomputed from the stored levels when first
+        asked for, not stored at growth, which would cost every ball k
+        bytes an element."""
+        with self.lock:
+            while len(self._kept) <= r:
+                s = len(self._kept)
+                cand = self.rows.step(self.levels[s], s)
+                self._kept.append(
+                    _new_mask(cand, self.levels[max(s - 1, 0):s + 1]))
+            return self._kept[r]
+
     def _lookup_over(self, count: int) -> _Lookup:
-        """The sorted keys over at least the first ``count`` elements."""
+        """The sorted keys over at least the first ``count`` elements, and
+        their indices, both from one sort of packed (key, index) words, or
+        from an argsort when those leave int64 (``_sort_keys``)."""
         lookup = self._lookup
         if lookup is None or lookup.count < count:
             with self.lock:
                 rows = self.rows_of(0, self.level_end[-1])
                 packing = _packing(rows)
-                keys = _keys(rows, packing)
-                order = keys.argsort()
+                keys, order, _ = _sort_keys(_keys(rows, packing), packing.size)
                 lookup = self._lookup = _Lookup(rows.shape[1], packing,
-                                                keys[order], order)
+                                                keys, order)
         return lookup
 
     def find(self, x: tuple) -> int | None:
@@ -320,9 +382,9 @@ class Ball:
         every generator label, so a BFS from y meets y*x_i in the order the
         BFS from e meets x_i, keeping the same candidates.  So the rows of
         all the translates of a level are stepped together, centre-major,
-        and keep the candidates growth kept there (``_new_mask`` over the
-        stored levels); each lies in B_{radius + max|y|}, grown here, and
-        is looked up there by its packed key.
+        and keep the candidates growth kept there (``_BallGrower.kept``);
+        each lies in B_{radius + max|y|}, grown here, and is looked up
+        there by its packed key.
         """
         g, n, m = self._grower, len(self), len(support)
         if not m:
@@ -334,8 +396,7 @@ class Ball:
         rows = g.rows_of(0, g.level_end[deg]).take(out[:, 0], axis=1)
         lookup = g._lookup_over(g.level_end[self.radius + deg])
         for r in range(self.radius):
-            cand = g.rows.step(g.levels[r], r)
-            keep = np.tile(_new_mask(cand, g.levels[max(r - 1, 0):r + 1]), m)
+            keep = np.tile(g.kept(r), m)
             rows = g.rows.step(rows, deg + r).compress(keep, axis=1)
             at = np.searchsorted(lookup.keys, _keys(rows, lookup.packing))
             out[:, g.level_end[r]:g.level_end[r + 1]] = lookup.order[
@@ -414,8 +475,9 @@ def coset_section(group: GroupSpec, n: int,
     bn = ball(group, n, budget=budget)
     g = bn._grower
     rows = g.rows_of(0, len(bn))
-    keys = _keys(rows[:-1], _packing(rows[:-1]))
-    rows = rows.compress(_first_occurrences(keys), axis=1)
+    packing = _packing(rows[:-1])
+    keys = _keys(rows[:-1], packing)
+    rows = rows.compress(_first_occurrences(keys, packing.size), axis=1)
     return CosetSection(group, n, rows.shape[1], partial(g.rows.decode, rows))
 
 

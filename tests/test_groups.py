@@ -668,9 +668,10 @@ def test_translate_indices_random_supports(family, radius, words):
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
 def test_translate_indices_step_count(spec):
-    """At radius R = 2, 4, 6 with support B_1, ``translate_indices`` steps
-    k|B_(R-1)| ball rows (to recompute growth's masks) and k|B_1||B_(R-1)|
-    translate rows, and grows nothing on a state grown to R + 1."""
+    """At radius R = 2, 4, 6 with support B_1, a first ``translate_indices``
+    steps k|B_(R-1)| ball rows (to recompute growth's masks) and
+    k|B_1||B_(R-1)| translate rows, a second one only the translate rows
+    (the masks are kept), and neither grows a state grown to R + 1."""
     support = list(ball(spec, 1))
     k, calls = len(spec.symbols()), [0]
 
@@ -686,14 +687,17 @@ def test_translate_indices_step_count(spec):
         ball(spec, radius + 1)
         bn = ball(spec, radius)
         g = balls_mod._get_grower(spec)
-        plain, calls[0] = g.rows, 0
+        below = bn.level_sizes()[-2]
+        plain = g.rows
         g.rows = plain._replace(step=counted(plain.step))
         try:
-            bn.translate_indices(support)
+            for ball_rows in (k * below, 0):
+                calls[0] = 0
+                first = bn.translate_indices(support)
+                assert calls[0] == ball_rows + k * len(support) * below
         finally:
             g.rows = plain
-        below = bn.level_sizes()[-2]
-        assert calls[0] == k * below + k * len(support) * below
+        assert np.array_equal(bn.translate_indices(support), first)
         assert g.radius == radius + 1
 
 
@@ -815,6 +819,75 @@ def test_lookup_keys_out_of_range_never_alias():
     assert min(k for _, _, k in bn.data()) == -4 and e_max > 0
     assert Element(PQ23, (0, 0, -4)) in bn
     assert Element(PQ23, (-1, e_max, 5)) not in bn
+    _reset_growers()
+
+
+def _first_positions(keys):
+    """The oracle: the position of the first occurrence of each key, from
+    a dict over Python ints."""
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(int(key), i)
+    return sorted(first.values())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(length=st.one_of(st.sampled_from([0, 1]), st.integers(2, 400)),
+       pool=st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=4),
+       rng=st.randoms(use_true_random=False),
+       path=st.sampled_from(["packed", "argsort", "object"]))
+def test_first_occurrences_match_a_dict_of_first_positions(length, pool, rng,
+                                                           path):
+    """Few distinct keys over many positions, the largest key at
+    2^(63-b) - 1 (b the bit length of the last position), where the words
+    key << b | position fit in int64 and one sort groups the keys, or at
+    2^(63-b) or with object keys, where an argsort does: the marked
+    positions are the first ones, and the packed sort orders the positions
+    by (key, position)."""
+    b = max(length - 1, 0).bit_length()
+    top = {"packed": 2 ** (63 - b) - 1, "argsort": 2 ** (63 - b),
+           "object": 2 ** 64}[path]
+    keys = [rng.choice([v % top for v in pool] + [top])
+            for _ in range(length)]
+    if keys:
+        keys[rng.randrange(length)] = top
+    # the packing of keys whose largest is top has size top + 1
+    dtype = object if top >= 2 ** 63 else np.int64
+    words, order, packed = balls_mod._sort_keys(np.array(keys, dtype=dtype),
+                                                top + 1)
+    assert packed == (path == "packed")
+    assert words.tolist() == sorted(keys)
+    assert [keys[i] for i in order] == sorted(keys)
+    if packed:
+        assert order.tolist() == sorted(range(length),
+                                        key=lambda i: (keys[i], i))
+    first = balls_mod._first_occurrences(np.array(keys, dtype=dtype), top + 1)
+    assert first.dtype == bool and len(first) == length
+    assert first.nonzero()[0].tolist() == _first_positions(keys)
+
+
+@pytest.mark.parametrize("radius, path", [
+    (4, "packed"), (5, "argsort"), (6, "object")])
+def test_find_on_each_lookup_path(radius, path):
+    """pq(97,101) sorts its lookup keys as packed words at radius 4, with
+    an argsort at 5 (int64 keys of up to 61 bits over 421 positions) and
+    on object keys from 6 on: each member is found at its index, and the
+    products of the last sphere by the generators that leave the ball are
+    not found."""
+    spec = GroupSpec.pq(97, 101)
+    _reset_growers()
+    bn = ball(spec, radius)
+    g = balls_mod._get_grower(spec)
+    lookup = g._lookup_over(len(bn))
+    b = (len(bn) - 1).bit_length()
+    assert (lookup.keys.dtype == object) == (path == "object")
+    assert (lookup.packing.size <= 2 ** (63 - b)) == (path == "packed")
+    members = list(bn.data())
+    assert [g.find(x) for x in members] == list(range(len(bn)))
+    last = members[bn.level_sizes()[-2]:]
+    outside = {multiply(Element(spec, x), s).data
+               for x in last for _, s in generators(spec)} - set(members)
+    assert outside and all(g.find(x) is None for x in outside)
     _reset_growers()
 
 
@@ -1037,10 +1110,9 @@ def test_ball_budget_error():
 
 @pytest.mark.parametrize("spec", STEP_GROUPS, ids=lambda s: s.label())
 def test_ball_memory_at_budget(spec):
-    """Growth that stops at its budget holds at most 229 bytes an element
-    at its peak (the bytes per element of the data tuples and dict that
-    growth kept before it kept integer rows), and keeps nothing of the
-    abandoned level."""
+    """Growth that stops at its budget holds at most 190 bytes an element
+    at its peak (the data tuples and dict that growth kept before it kept
+    integer rows took 229), and keeps nothing of the abandoned level."""
     import tracemalloc
     _reset_growers()
     budget = 30000
@@ -1051,7 +1123,7 @@ def test_ball_memory_at_budget(spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 229 * budget
+    assert peak < 190 * budget
     grower = balls_mod._get_grower(spec)
     assert grower.radius == exc.value.radius_reached
     assert len(grower.elements) == grower.level_end[-1] <= budget
@@ -1181,9 +1253,10 @@ def test_cache_entries_and_clear(tmp_path):
 
 
 def test_concurrent_ball_queries():
-    """Growth state and its key lookup are shared; concurrent queries and
-    translations at mixed radii, on an empty state and on a grown one
-    (where translations grow nothing), agree with a single-threaded run."""
+    """Growth state, its key lookup and the candidate masks kept for
+    translates are shared; concurrent queries and translations at mixed
+    radii, on an empty state and on a grown one (where translations grow
+    nothing), agree with a single-threaded run."""
     import sys
     import threading
 

@@ -48,6 +48,10 @@ EXTRA = [
     ["fit-growth", "--family", "semidirect", "--matrix", "1,1;0,1",
      "--nmax", "4", "--format", "csv"],
     ["fit-growth", "--family", "lamplighter", "--p", "2", "--nmax", "5"],
+    # the first radii whose packed (key, position) words leave int64, so
+    # growth groups keys with an argsort
+    ["ball", "--group", "pq", "--p", "2", "--q", "3", "--n", "13"],
+    ["ball", "--group", "pq", "--p", "2", "--q", "5", "--n", "10"],
     # --tol reaches the ball cut's quadrature on Z^3
     ["cut", "--family", "ball", "--group", "free_abelian", "--d", "3",
      "--n", "1", "--tol", "1e-4"],
