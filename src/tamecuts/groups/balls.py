@@ -38,7 +38,9 @@ only when a caller asks for members; the ``ball`` command decodes none
 representatives only on access).
 Lookups encode the data and ``searchsorted`` a sorted key array over the
 grown ball, built on demand by the same sort of words; data that cannot
-be encoded, or lies outside the grown rows' ranges, is not a member.  Left translates of a ball
+be encoded, or lies outside the grown rows' ranges, is not a member.
+``word_length`` looks once in the grown ball and then compares the row
+with each newly grown sphere alone.  Left translates of a ball
 (``Ball.translate_indices``) are grown as it was and found by lookups.
 """
 
@@ -266,12 +268,19 @@ class _BallGrower:
                                                 keys, order)
         return lookup
 
-    def find(self, x: tuple) -> int | None:
-        """Index of the grown element with canonical data ``x``, or None."""
+    def row(self, x: tuple) -> tuple | None:
+        """The row of canonical data ``x``, or None when x does not encode."""
         try:
-            row = self.rows.encode(x)
+            return self.rows.encode(x)
         except (TypeError, ValueError):
             return None
+
+    def find(self, x: tuple) -> int | None:
+        """Index of the grown element with canonical data ``x``, or None."""
+        return self.find_row(self.row(x))
+
+    def find_row(self, row: tuple | None) -> int | None:
+        """Index of the grown element whose row is ``row``, or None."""
         if row is None:
             return None
         lookup = self._lookup_over(self.level_end[-1])
@@ -286,6 +295,17 @@ class _BallGrower:
         if i < lookup.count and lookup.keys[i] == key:
             return int(lookup.order[i])
         return None
+
+    def in_level(self, row: tuple, r: int) -> bool:
+        """Whether ``row`` is the row of an element of S_r, compared field
+        by field with that level's rows alone, with no lookup built."""
+        level = self.levels[r]
+        if len(row) != len(level):
+            return False
+        at = np.flatnonzero(level[0] == row[0])
+        for field, v in zip(level[1:], row[1:]):
+            at = at[field.take(at) == v]
+        return len(at) > 0
 
 
 class _Members(Sequence):
@@ -416,22 +436,29 @@ def ball(group: GroupSpec, n: int, budget: int = DEFAULT_BUDGET) -> Ball:
 
 def word_length(x: Element, group: GroupSpec | None = None,
                 budget: int = DEFAULT_BUDGET) -> int:
-    """Exact word length of ``x``, searching outward as needed."""
+    """Exact word length of ``x``, searching outward as needed: looked up
+    once in the grown ball, then compared with each newly grown sphere
+    only, so no lookup is sorted for a ball about to grow again."""
     group = group or x.group
     if group is not x.group and group != x.group:
         raise InputError("element does not belong to the given group")
     grower = _get_grower(group)
+    row = grower.row(x.data)
+    r = grower.radius
+    i = grower.find_row(row)
+    if i is not None:
+        return grower.length(i)
     while True:
-        i = grower.find(x.data)
-        if i is not None:
-            return grower.length(i)
+        r += 1
         try:
-            grower.grow_to(grower.radius + 1, budget)
+            grower.grow_to(r, budget)
         except BudgetExceededError as exc:
             raise ElementNotFoundError(
                 f"element not found within ball budget {budget} "
                 f"(radius searched {exc.radius_reached})",
                 radius_searched=exc.radius_reached) from exc
+        if row is not None and grower.in_level(row, r):
+            return r
 
 
 class CosetSection:

@@ -18,8 +18,10 @@ turns the arrays back into tuples; JSON integers are unbounded and
 byte-order free, so files are portable across platforms.  A file that is
 not such an object, or holds any leaf but an integer, is not an entry:
 ``load`` returns None for it and ``entries`` skips it; ``load`` also does
-for lengths that decrease or leave [0, radius], and for data that is not
-canonical (the family's row codec does not encode it).
+for lengths that decrease or leave [0, radius], for data that is not
+canonical (the family's row codec does not encode it), for a
+``member_count`` other than the number of members, and unless the first
+member is the identity at length 0.
 
 Entries are written by ``tamecut ball --write-cache`` and read back only
 through ``load``: ``ball()`` always grows its balls and never consults a
@@ -83,11 +85,14 @@ class BallCache:
             members = _data(blob["members"])
             lengths = [index(ln) for ln, _ in members]
             data = [x for _, x in members]
-            canonical = None not in map(family_ops(group).rows.encode, data)
+            ops = family_ops(group)
+            canonical = None not in map(ops.rows.encode, data)
         except (KeyError, TypeError, ValueError, RecursionError):
             return None
         bounded = [0, *lengths, radius]
-        if not canonical or bounded != sorted(bounded):
+        if (not canonical or bounded != sorted(bounded)
+                or blob.get("member_count") != len(members)
+                or members[:1] != ((0, ops.identity),)):
             return None
         return lengths, data
 

@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import BudgetExceededError, InputError
 from .groups import DEFAULT_BUDGET, Element, GroupSpec, ball, identity, word_length
@@ -160,32 +161,37 @@ def _power_iteration(L: sp.spmatrix, tol: float, max_iter: int,
     where some block can first meet it (21 minus the largest current run of
     small residuals), from the rho values recorded since the last check, so
     a block never runs past its stop.  A stopped block's data are
-    overwritten by the last active block's, and L and its adjoint shrink
-    to a prefix of their arrays.  This works on L itself, which ends up
-    resized and with its blocks in no useful order: pass a matrix built
-    for the call.  Every reduction is one dot per block, so each result is
-    bit-identical to the k = 1 call on that block alone.  Rayleigh
-    quotients of the PSD operator increase, so the last value is the best
-    certified one."""
+    overwritten by the last active block's, in L's own data array (whose
+    blocks end in no useful order: pass a matrix built for the call), and
+    the products run on the prefix of the active blocks.
+
+    The products are the compiled kernels behind scipy's ``@``, called
+    directly: the adjoint reads L's index arrays in the other layout (CSC
+    as CSR, or CSR as CSC), on data conjugated once per call, and each
+    product adds into its own zero-filled buffer, allocated once per call.
+    Every reduction is one dot per block, so each result is bit-identical
+    to the k = 1 call on that block alone.  Rayleigh quotients of the PSD
+    operator increase, so the last value is the best certified one."""
     k = len(seeds)
     dout, din = L.shape[0] // k, L.shape[1] // k
+    if L.shape != (k * dout, k * din):  # the kernels check no bounds
+        raise ValueError(f"{L.shape} is not {k} blocks of one shape")
     if din == 0:
         return [(0.0, 0, 0.0, True)] * k
-    major = din if L.format == "csc" else dout
-    nnz = int(L.indptr[major])
+    fwd, adj = ((csc_matvec, csr_matvec) if L.format == "csc"
+                else (csr_matvec, csc_matvec))
     complex_data = np.iscomplexobj(L.data)
-    adj = sp.csr_matrix if L.format == "csc" else sp.csc_matrix
-    L_h = adj((L.data.conj() if complex_data else L.data, L.indices,
-               L.indptr), shape=(L.shape[1], L.shape[0]))
-    fwd_data, adj_data = L.data.reshape(k, nnz), L_h.data.reshape(k, nnz)
-
     v = np.empty((k, din), dtype=complex if complex_data else float)
+    # the kernels compute in the data's type, which must be the iterates'
+    fwd_data = L.data.astype(v.dtype, copy=False).reshape(k, -1)
+    adj_data = fwd_data.conj() if complex_data else fwd_data
     for b, s in enumerate(seeds):
         rng = np.random.default_rng(s)
         x = rng.standard_normal(din)
         if complex_data:
             x = x + 1j * rng.standard_normal(din)
         v[b] = x / np.linalg.norm(x)
+    w = np.empty((k, dout), dtype=v.dtype)
     results = [None] * k
     active = k
     ids = np.arange(k)
@@ -203,26 +209,25 @@ def _power_iteration(L: sp.spmatrix, tol: float, max_iter: int,
             first = it + 1
             check = min(max_iter, it + 21 - int(confirmations.max()))
             record[0, :active] = rho_prev
+            rows, cols = active * dout, active * din
+            va, wa = v[:active], w[:active]
             for j, it in enumerate(range(first, check + 1), 1):
-                w = (L @ v.ravel()).reshape(active, dout)
-                np.vecdot(w, w, out=record[j, :active])
-                v = (L_h @ w.ravel()).reshape(active, din)
-                v /= np.sqrt(np.vecdot(v, v).real)[:, None]
+                wa.fill(0)
+                fwd(rows, cols, L.indptr, L.indices, fwd_data, va, wa)
+                np.vecdot(wa, wa, out=record[j, :active])
+                va.fill(0)
+                adj(cols, rows, L.indptr, L.indices, adj_data, wa, va)
+                va /= np.sqrt(np.vecdot(va, va).real)[:, None]
             rho = record[:j + 1, :active].real
             resid = np.abs(rho[1:] - rho[:-1]) / rho[1:]
             rho_prev, residual = rho[-1].copy(), resid[-1]
             small = resid < tol
+            # the run of small residuals ending at this check, extending
+            # the previous run when every residual since is small
+            confirmations = np.where(small.all(axis=0), confirmations + j,
+                                     np.argmin(small[::-1], axis=0))
             stopped = ~(rho_prev > 0.0)
-            if small[-1].any():
-                # the run of small residuals ending at this check, extending
-                # the previous run when every residual since is small
-                confirmations = np.where(small.all(axis=0),
-                                         confirmations + len(small),
-                                         np.argmax(~small[::-1], axis=0))
-                done = stopped | (confirmations > 20)
-            else:
-                confirmations[:] = 0
-                done = stopped
+            done = stopped | (confirmations > 20)
             if not done.any():
                 continue
             for p in np.flatnonzero(done)[::-1]:
@@ -236,15 +241,9 @@ def _power_iteration(L: sp.spmatrix, tol: float, max_iter: int,
                 for arr in (ids, rho_prev, residual, confirmations, v,
                             fwd_data, adj_data):
                     arr[p] = arr[active]
-            ids, rho_prev, residual, confirmations, v = (
+            ids, rho_prev, residual, confirmations = (
                 ids[:active], rho_prev[:active], residual[:active],
-                confirmations[:active], v[:active])
-            if active:
-                # prefix views of the same arrays: resize slices them in
-                # place, where a new matrix on a view under half its base
-                # array would copy it
-                L.resize(active * dout, active * din)
-                L_h.resize(active * din, active * dout)
+                confirmations[:active])
     for p in range(active):
         results[ids[p]] = (float(rho_prev[p]), it, float(residual[p]), False)
     return results

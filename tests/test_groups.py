@@ -3,6 +3,7 @@
 import json
 import pickle
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -1138,6 +1139,51 @@ def test_word_length_not_found():
     assert exc.value.radius_searched is not None
 
 
+def _split_length(spec, x, half):
+    """Word length of ``x`` if it is at most 2 * half, from a plain BFS of
+    B_half: the least |a| + |a^-1 x| over a in B_half with a^-1 x in
+    B_half, since every geodesic splits into two words of length <= half."""
+    elements, _, level_end = _plain_bfs(spec, half)
+    lengths = {y: bisect_right(level_end, i) for i, y in enumerate(elements)}
+    return min(n + lengths[z] for a, n in lengths.items()
+               if (z := multiply(invert(Element(spec, a)), x).data) in lengths)
+
+
+def test_cold_word_length_sorts_one_lookup(monkeypatch):
+    """A cold ``word_length`` looks in the grown ball once and then in each
+    new sphere alone, so it builds the sorted lookup at most once, where it
+    built one a radius before: for a pq(2,3) element of length 12, and for
+    an element of length 4 of lamplighter(2^20) whose row leaves int64, on
+    levels widened to Python ints.  Both lengths equal the plain BFS's;
+    data that does not encode is still never found."""
+    builds, lookup = [], balls_mod._Lookup
+
+    def counting(*args):
+        builds.append(args[0])
+        return lookup(*args)
+
+    x = Element(PQ23, (-1528, 3, 3))
+    assert _split_length(PQ23, x, 6) == 12
+    _reset_growers()
+    monkeypatch.setattr(balls_mod, "_Lookup", counting)
+    assert word_length(x) == 12 and len(builds) <= 1
+
+    wide = GroupSpec.lamplighter(2 ** 20)
+    elements, _, level_end = _plain_bfs(wide, 4)
+    encode = family_ops(wide).rows.encode
+    far = max(elements[level_end[3]:], key=lambda y: max(encode(y)))
+    assert max(encode(far)) >= 2 ** 63
+    _reset_growers()
+    builds.clear()
+    assert word_length(Element(wide, far)) == 4 and len(builds) <= 1
+    assert balls_mod._get_grower(wide).levels[4].dtype == object
+
+    with pytest.raises(ElementNotFoundError) as exc:
+        word_length(Element(PQ23, (6, 1, 0)), budget=200)  # 6/6 reduces
+    assert exc.value.radius_searched == balls_mod._get_grower(PQ23).radius
+    _reset_growers()
+
+
 # ---------------------------------------------------------------------------
 # cache
 
@@ -1191,13 +1237,17 @@ def test_cache_ignores_noncanonical_members(tmp_path):
     """A file whose members are well-formed JSON but not a ball's is not an
     entry: ``load`` returns None for lamps ((0, 7), (0, 7)) in
     lamplighter(2) (value out of range, position repeated), for a bare
-    integer as data, and for lengths that leave [0, radius] or decrease."""
+    integer as data, for lengths that leave [0, radius] or decrease, for a
+    ``member_count`` other than the number of members, and for members
+    that do not start with the identity at length 0 (none at all, too)."""
     cache = BallCache(tmp_path)
     path = cache.store(LAMP2, 1, ball(LAMP2, 1))
     good = json.loads(path.read_text())
 
-    def load_with(members):
-        path.write_text(json.dumps({**good, "members": members}))
+    def load_with(members, count=None):
+        count = len(members) if count is None else count
+        path.write_text(json.dumps({**good, "members": members,
+                                    "member_count": count}))
         return cache.load(LAMP2, 1)
 
     assert load_with([[0, [[[0, 7], [0, 7]], 0]], [0, 5], [9, [[], 0]]]) is None
@@ -1206,6 +1256,13 @@ def test_cache_ignores_noncanonical_members(tmp_path):
         assert load_with(good["members"][:1] + [bad]) is None
     assert load_with(good["members"][::-1]) is None  # lengths decrease
     assert load_with(good["members"]) is not None
+    members, count = good["members"], good["member_count"]
+    assert load_with(members, count + 1) is None
+    assert load_with(members[:-1], count) is None
+    assert load_with([], count) is None
+    assert load_with([]) is None  # no identity
+    assert load_with(members[1:]) is None
+    assert load_with([[1, members[0][1]]] + members[1:]) is None
 
 
 def test_cache_ignores_malformed_files(tmp_path, capsys):

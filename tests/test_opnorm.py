@@ -319,6 +319,47 @@ def test_power_iteration_bit_identical_to_reference_csr(family):
                     == opnorm._power_iteration(ref, 1e-6, 2000, [0, 1, 2]))
 
 
+@pytest.mark.parametrize("layout", ["csc", "csr"])
+def test_kernel_products_match_public_products(layout):
+    """The compiled kernels, called as ``_power_iteration`` calls them, give
+    scipy's public ``L @ v`` and ``L.conjugate().T @ w`` byte for byte, so
+    a change to those private kernels fails here.  Cases: the three-block
+    compression of Z^2's B_1 at radius 4, in CSC or CSR, with real and
+    complex coefficients, on all blocks and on the prefix of the first two
+    (the products after a block stops), against the public products of
+    that leading submatrix.  A matrix that does not split into as many
+    blocks as seeds is refused before any kernel runs."""
+    fwd, adj = ((opnorm.csc_matvec, opnorm.csr_matvec) if layout == "csc"
+                else (opnorm.csr_matvec, opnorm.csc_matvec))
+    conv = CompressedConvolution(Z2, list(ball(Z2, 1)), 4)
+    rng = np.random.default_rng(23)
+    k, dout, din = 3, conv.dim_out, conv.dim_in
+    real = rng.uniform(0.0, 1.0, (k, len(conv.support)))
+    for block in (real, real + 1j * rng.uniform(-1.0, 1.0, real.shape)):
+        L = conv.matrix(block).asformat(layout)
+        dtype = L.data.dtype
+        v = rng.standard_normal((k, din)).astype(dtype)
+        w = rng.standard_normal((k, dout)).astype(dtype)
+        if dtype == complex:
+            v += 1j * rng.standard_normal((k, din))
+            w += 1j * rng.standard_normal((k, dout))
+        for active in (k, 2):
+            rows, cols = active * dout, active * din
+            sub = L if active == k else L[:rows, :cols]
+            got_w = np.empty((k, dout), dtype=dtype)[:active]
+            got_w.fill(0)
+            fwd(rows, cols, L.indptr, L.indices, L.data, v[:active], got_w)
+            assert got_w.tobytes() == (sub @ v[:active].ravel()).tobytes()
+            got_v = np.empty((k, din), dtype=dtype)[:active]
+            got_v.fill(0)
+            adj(cols, rows, L.indptr, L.indices, L.data.conj(), w[:active],
+                got_v)
+            assert got_v.tobytes() == (
+                sub.conjugate().T @ w[:active].ravel()).tobytes()
+    with pytest.raises(ValueError):  # 3 blocks of B_4, 41 columns each
+        opnorm._power_iteration(conv.matrix(real), 1e-6, 10, [0, 1])
+
+
 def sequential_power_iteration(L, tol, max_iter, seed):
     """One power iteration at a time, written out independently of the
     library: (rho, iterations, residual, converged)."""

@@ -52,6 +52,9 @@ EXTRA = [
     # growth groups keys with an argsort
     ["ball", "--group", "pq", "--p", "2", "--q", "3", "--n", "13"],
     ["ball", "--group", "pq", "--p", "2", "--q", "5", "--n", "10"],
+    # BS(2,3), the rd family whose samples all run the power iteration
+    ["rd-fit", "--group", "bs", "--p", "2", "--q", "3", "--nmax", "3",
+     "--samples", "10"],
     # --tol reaches the ball cut's quadrature on Z^3
     ["cut", "--family", "ball", "--group", "free_abelian", "--d", "3",
      "--n", "1", "--tol", "1e-4"],
