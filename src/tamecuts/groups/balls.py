@@ -36,12 +36,16 @@ and a dict entry took about 229.  Canonical ``data`` tuples are decoded
 only when a caller asks for members; the ``ball`` command decodes none
 (coset sections outside BS are in closed form, and BS decodes its
 representatives only on access).
+Below the public API an element is its index in this growth order.
 Lookups encode the data and ``searchsorted`` a sorted key array over the
 grown ball, built on demand by the same sort of words; data that cannot
 be encoded, or lies outside the grown rows' ranges, is not a member.
-``word_length`` looks once in the grown ball and then compares the row
-with each newly grown sphere alone.  Left translates of a ball
-(``Ball.translate_indices``) are grown as it was and found by lookups.
+``_BallGrower.index`` maps data to its index, growing outward: it looks
+once in the grown ball and then compares the row with each newly grown
+sphere alone, and data that cannot be encoded raises at once, with
+nothing grown; ``word_length`` is the length of that index.  Left
+translates of a ball by ball indices (``Ball.translate_indices``) are
+grown as it was and found by lookups.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -184,7 +188,8 @@ class _BallGrower:
     ``level_end[r-1] <= i < level_end[r]``.  Growth keeps only these two.
     ``rows`` is the family's codec (``elements.Rows``), whose step
     multiplies by the k generators of ``generators(group)`` on the right.
-    ``elements`` decodes and ``find`` looks up on demand.
+    ``decoded`` decodes and ``find`` looks up on demand; ``index`` also
+    grows until it finds.
     """
 
     def __init__(self, group: GroupSpec):
@@ -201,11 +206,6 @@ class _BallGrower:
     @property
     def radius(self) -> int:
         return len(self.level_end) - 1
-
-    @property
-    def elements(self) -> "_Members":
-        """Canonical data of the grown elements, in index order."""
-        return _Members(self, self.level_end[-1])
 
     def length(self, i: int) -> int:
         """Word length of the element with index ``i``."""
@@ -296,36 +296,42 @@ class _BallGrower:
             return int(lookup.order[i])
         return None
 
-    def in_level(self, row: tuple, r: int) -> bool:
-        """Whether ``row`` is the row of an element of S_r, compared field
-        by field with that level's rows alone, with no lookup built."""
+    def index(self, x: tuple, budget: int = DEFAULT_BUDGET) -> int:
+        """Index of the element with canonical data ``x``, growing outward
+        as needed: looked up once in the grown ball, then compared with
+        each newly grown sphere only, so no lookup is sorted for a ball
+        about to grow again.  Data the row codec cannot encode is no
+        element, and raises at once with nothing grown."""
+        row = self.row(x)
+        r = self.radius
+        if row is None:
+            raise ElementNotFoundError(
+                f"{x!r} is not the data of an element of "
+                f"{self.group.label()}", radius_searched=r)
+        i = self.find_row(row)
+        while i is None:
+            r += 1
+            try:
+                self.grow_to(r, budget)
+            except BudgetExceededError as exc:
+                raise ElementNotFoundError(
+                    f"element not found within ball budget {budget} "
+                    f"(radius searched {exc.radius_reached})",
+                    radius_searched=exc.radius_reached) from exc
+            i = self.find_in_level(row, r)
+        return i
+
+    def find_in_level(self, row: tuple, r: int) -> int | None:
+        """Index of the element of S_r (r >= 1) whose row is ``row``, or
+        None: compared field by field with that level's rows alone, with
+        no lookup built."""
         level = self.levels[r]
         if len(row) != len(level):
-            return False
+            return None
         at = np.flatnonzero(level[0] == row[0])
         for field, v in zip(level[1:], row[1:]):
             at = at[field.take(at) == v]
-        return len(at) > 0
-
-
-class _Members(Sequence):
-    """The first ``count`` elements' canonical data, decoded on access."""
-
-    def __init__(self, grower: _BallGrower, count: int):
-        self._grower, self._count = grower, count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i: int) -> tuple:
-        if not -self._count <= i < self._count:
-            raise IndexError(i)
-        i %= self._count
-        return self._grower.rows.decode(self._grower.rows_of(i, i + 1))[0]
-
-    def __iter__(self) -> Iterator[tuple]:
-        g = self._grower
-        return islice(g.decoded(g.length(self._count - 1)), self._count)
+        return self.level_end[r - 1] + int(at[0]) if len(at) else None
 
 
 _growers: dict[GroupSpec, _BallGrower] = {}
@@ -393,26 +399,28 @@ class Ball:
         for x, r in self.data_items():
             yield Element(group, x), r
 
-    def translate_indices(self, support: Sequence[Element],
+    def translate_indices(self, support: Sequence[int],
                           budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Ball indices of y*x: row s, column i holds the index of
-        ``support[s] * x_i`` for the i-th element x_i of this ball.
+        y_s * x_i, where y_s is the element with index ``support[s]`` and
+        x_i the i-th element of this ball.
 
         Left multiplication by y is a Cayley graph automorphism keeping
         every generator label, so a BFS from y meets y*x_i in the order the
         BFS from e meets x_i, keeping the same candidates.  So the rows of
         all the translates of a level are stepped together, centre-major,
         and keep the candidates growth kept there (``_BallGrower.kept``);
-        each lies in B_{radius + max|y|}, grown here, and is looked up
-        there by its packed key.
+        each lies in B_{radius + deg}, deg the length of the largest index
+        in ``support``, grown here, and is looked up there by its packed
+        key.
         """
         g, n, m = self._grower, len(self), len(support)
         if not m:
             return np.empty((0, n), dtype=np.int64)
-        deg = max(word_length(y, self.group, budget=budget) for y in support)
-        g.grow_to(self.radius + deg, budget)
         out = np.empty((m, n), dtype=np.int64)
-        out[:, 0] = [g.find(y.data) for y in support]
+        out[:, 0] = support
+        deg = g.length(int(out[:, 0].max()))
+        g.grow_to(self.radius + deg, budget)
         rows = g.rows_of(0, g.level_end[deg]).take(out[:, 0], axis=1)
         lookup = g._lookup_over(g.level_end[self.radius + deg])
         for r in range(self.radius):
@@ -436,29 +444,13 @@ def ball(group: GroupSpec, n: int, budget: int = DEFAULT_BUDGET) -> Ball:
 
 def word_length(x: Element, group: GroupSpec | None = None,
                 budget: int = DEFAULT_BUDGET) -> int:
-    """Exact word length of ``x``, searching outward as needed: looked up
-    once in the grown ball, then compared with each newly grown sphere
-    only, so no lookup is sorted for a ball about to grow again."""
+    """Exact word length of ``x``: the length of its index, searched
+    outward as needed (``_BallGrower.index``)."""
     group = group or x.group
     if group is not x.group and group != x.group:
         raise InputError("element does not belong to the given group")
     grower = _get_grower(group)
-    row = grower.row(x.data)
-    r = grower.radius
-    i = grower.find_row(row)
-    if i is not None:
-        return grower.length(i)
-    while True:
-        r += 1
-        try:
-            grower.grow_to(r, budget)
-        except BudgetExceededError as exc:
-            raise ElementNotFoundError(
-                f"element not found within ball budget {budget} "
-                f"(radius searched {exc.radius_reached})",
-                radius_searched=exc.radius_reached) from exc
-        if row is not None and grower.in_level(row, r):
-            return r
+    return grower.length(grower.index(x.data, budget))
 
 
 class CosetSection:

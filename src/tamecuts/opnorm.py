@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import BudgetExceededError, InputError
-from .groups import DEFAULT_BUDGET, Element, GroupSpec, ball, identity, word_length
+from .groups import DEFAULT_BUDGET, Element, GroupSpec, ball, identity
+from .groups.balls import _get_grower
 
 
 class FinSuppFun:
@@ -61,9 +62,6 @@ class FinSuppFun:
     def is_real(self) -> bool:
         return all(v.imag == 0 for v in self.values.values())
 
-    def support(self) -> list[Element]:
-        return list(self.values.keys())
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -87,16 +85,18 @@ class SpectralEstimate:
 class CompressedConvolution:
     """lambda(f) restricted to l2(B_R), mapping into l2(B_{R+deg f}).
 
-    The index structure depends only on (group, support, R) and is reused
-    across coefficient vectors, which makes repeated sampling cheap.
+    The support is given by the elements' indices in the group's ball
+    growth order, and deg f is the length of the largest.  The index
+    structure depends only on (group, support, R) and is reused across
+    coefficient vectors, which makes repeated sampling cheap.
     """
 
-    def __init__(self, group: GroupSpec, support: list[Element], radius: int,
+    def __init__(self, group: GroupSpec, support: Sequence[int], radius: int,
                  budget: int = DEFAULT_BUDGET):
         self.group = group
         self.support = support
         self.radius = radius
-        deg = max((word_length(y, group, budget=budget) for y in support), default=0)
+        deg = _get_grower(group).length(max(support, default=0))
         self.degree = deg
         bin_ = ball(group, radius, budget=budget)
         self.dim_in = len(bin_)
@@ -268,9 +268,10 @@ def lambda_norm_lower(f: FinSuppFun, radius: int, tol: float = 1e-9,
     l2 = f.l2
     if not f.values:
         return SpectralEstimate(0.0, 0.0, 0.0, radius, 0, 0.0, True)
+    grower = _get_grower(f.group)
+    support = [grower.index(x.data, budget) for x in f.values]
     try:
-        conv = CompressedConvolution(f.group, f.support(), radius,
-                                     budget=budget)
+        conv = CompressedConvolution(f.group, support, radius, budget=budget)
     except BudgetExceededError as exc:
         partial = SpectralEstimate(l2, l1, l2, radius, 0, 1.0, False)
         raise BudgetExceededError(str(exc), radius_reached=exc.radius_reached,
@@ -324,14 +325,14 @@ def rd_test(group: GroupSpec, n: int, samples: int, seed: int = 0,
         raise BudgetExceededError(
             f"rd sample budget {budget} exceeded: {samples} samples x "
             f"{len(bn)} ball elements")
-    support = list(bn)
-    conv = CompressedConvolution(group, support, radius, budget=budget)
+    # growth order lists B_n first, so its indices are 0 .. |B_n| - 1
+    conv = CompressedConvolution(group, range(len(bn)), radius, budget=budget)
     width = max(1, _BLOCK_ENTRIES // conv.nnz)
     rng = np.random.default_rng(seed)
     out: list[RdSample] = []
     for first in range(0, samples, width):
         block = rng.uniform(0.0, 1.0,
-                            size=(min(width, samples - first), len(support)))
+                            size=(min(width, samples - first), len(bn)))
         seeds = range(seed + 1 + first, seed + 1 + first + len(block))
         solves = _power_iteration(conv.matrix(block), tol, max_iter, seeds)
         for coeffs, (rho, iters, _, converged) in zip(block, solves):

@@ -558,7 +558,7 @@ def _plain_bfs(spec, radius, budget=None):
 def _growth_state(spec):
     """(elements, level_end) of the shared state."""
     g = balls_mod._get_grower(spec)
-    return list(g.elements), list(g.level_end)
+    return list(g.decoded(g.radius)), list(g.level_end)
 
 
 def assert_matches_plain_bfs(spec, radius, budget=None):
@@ -627,13 +627,19 @@ def test_widened_rows_match_plain_bfs(spec):
     assert max(abs(v) for v in levels[-1].ravel().tolist()) >= 2 ** 63
 
 
+def indices(elements):
+    """The ball indices of ``elements``, the support ``translate_indices``
+    takes."""
+    return [balls_mod._get_grower(y.group).index(y.data) for y in elements]
+
+
 def assert_translates_match_multiply(bn, support):
     """Row s, column i of ``translate_indices`` is the index of
     ``multiply(support[s], x_i)`` in the ball that holds every product."""
     spec = bn.group
     deg = max((word_length(y) for y in support), default=0)
     index = {x: i for i, x in enumerate(ball(spec, bn.radius + deg))}
-    assert bn.translate_indices(support).tolist() == [
+    assert bn.translate_indices(indices(support)).tolist() == [
         [index[multiply(y, x)] for x in bn] for y in support]
 
 
@@ -648,7 +654,7 @@ def test_translate_indices_match_multiply(spec):
     grower = balls_mod._get_grower(spec)
     for radius in range(4):
         bn = ball(spec, radius)
-        rows = bn.translate_indices(support)
+        rows = bn.translate_indices(indices(support))
         assert grower.radius == radius + 2
         assert rows.shape == (len(support), len(bn))
         assert_translates_match_multiply(bn, support)
@@ -673,7 +679,7 @@ def test_translate_indices_step_count(spec):
     steps k|B_(R-1)| ball rows (to recompute growth's masks) and
     k|B_1||B_(R-1)| translate rows, a second one only the translate rows
     (the masks are kept), and neither grows a state grown to R + 1."""
-    support = list(ball(spec, 1))
+    support = indices(ball(spec, 1))
     k, calls = len(spec.symbols()), [0]
 
     def counted(step):
@@ -1127,7 +1133,8 @@ def test_ball_memory_at_budget(spec):
     assert peak < 190 * budget
     grower = balls_mod._get_grower(spec)
     assert grower.radius == exc.value.radius_reached
-    assert len(grower.elements) == grower.level_end[-1] <= budget
+    assert (len(list(grower.decoded(grower.radius)))
+            == grower.level_end[-1] <= budget)
     _reset_growers()
 
 
@@ -1137,6 +1144,18 @@ def test_word_length_not_found():
     with pytest.raises(ElementNotFoundError) as exc:
         word_length(far, budget=200)
     assert exc.value.radius_searched is not None
+
+
+def test_word_length_of_data_that_cannot_be_encoded_grows_nothing():
+    """Data the row codec cannot encode (pq(2,3)'s (6, 1, 0), whose 6/6
+    reduces) is never found, so ``word_length`` raises at once, even at
+    the default budget: a cold grower stays at radius 0, the radius it
+    reports as searched."""
+    _reset_growers()
+    with pytest.raises(ElementNotFoundError) as exc:
+        word_length(Element(PQ23, (6, 1, 0)))
+    assert balls_mod._get_grower(PQ23).radius == 0
+    assert exc.value.radius_searched == 0
 
 
 def _split_length(spec, x, half):
@@ -1319,7 +1338,7 @@ def test_concurrent_ball_queries():
 
     spec = GroupSpec.lamplighter(3)
     radii = [3, 6, 2, 5, 6, 4, 3, 5]
-    support = list(ball(spec, 1))
+    support = indices(ball(spec, 1))
 
     def query(n):
         bn = ball(spec, n)

@@ -31,8 +31,8 @@ from tamecuts.groups import (
     word_length,
 )
 from tamecuts import opnorm
+from tamecuts.groups import balls as balls_mod
 from tamecuts.opnorm import (
-    CompressedConvolution,
     FinSuppFun,
     SpectralEstimate,
     lambda_norm_lower,
@@ -43,6 +43,16 @@ from tamecuts.opnorm import (
 
 Z1 = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
+
+
+class CompressedConvolution(opnorm.CompressedConvolution):
+    """The library's compression over a support given as ``Element``s,
+    converted here to the ball indices the library takes."""
+
+    def __init__(self, group, support, radius, **kwargs):
+        grower = balls_mod._get_grower(group)
+        super().__init__(group, [grower.index(y.data) for y in support],
+                         radius, **kwargs)
 
 
 def eigsh_oracle(group, values: dict, radius: int) -> float:
@@ -487,7 +497,7 @@ def count_builds(monkeypatch) -> list:
     the returned list on every build."""
     builds = []
 
-    class CountingConvolution(CompressedConvolution):
+    class CountingConvolution(opnorm.CompressedConvolution):
         def __init__(self, *args, **kwargs):
             builds.append(1)
             super().__init__(*args, **kwargs)
@@ -533,6 +543,39 @@ def test_compression_matches_reference_on_random_words(family, radius, words):
             x = multiply(x, gens[letter % len(gens)])
         support[x] = None
     assert_matches_reference(spec, list(support), radius)
+
+
+def count_lookups(monkeypatch) -> dict:
+    """Count the calls of ``word_length`` and of the grower's sorted
+    lookup ``find_row`` from here on."""
+    counts = {"word_length": 0, "find_row": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(balls_mod, "word_length",
+                        counted("word_length", balls_mod.word_length))
+    monkeypatch.setattr(balls_mod._BallGrower, "find_row",
+                        counted("find_row", balls_mod._BallGrower.find_row))
+    return counts
+
+
+def test_compressions_look_up_each_support_element_at_most_once(monkeypatch):
+    """rd_test's support is the first |B_n| indices of the growth order, so
+    it builds its compression with no word length and no lookup (44
+    support elements on lamplighter(2) at n = 4); lambda_norm_lower
+    converts each support element of f to its index with one lookup."""
+    group = GroupSpec.lamplighter(2)
+    counts = count_lookups(monkeypatch)
+    assert len(rd_test(group, 4, samples=1)) == 1
+    assert len(ball(group, 4)) == 44
+    assert counts == {"word_length": 0, "find_row": 0}
+    f = FinSuppFun.indicator(group, ball(group, 2))
+    lambda_norm_lower(f, 4)
+    assert counts == {"word_length": 0, "find_row": len(f)} and len(f) == 10
 
 
 def test_compression_entry_budget():

@@ -55,6 +55,16 @@ EXTRA = [
     # BS(2,3), the rd family whose samples all run the power iteration
     ["rd-fit", "--group", "bs", "--p", "2", "--q", "3", "--nmax", "3",
      "--samples", "10"],
+    # compressions over multi-level supports on families the rd-fit
+    # references do not reach
+    ["rd-fit", "--group", "pq", "--p", "2", "--q", "3", "--nmax", "3",
+     "--samples", "5"],
+    ["rd-fit", "--group", "semidirect", "--matrix", "2,1;1,1", "--nmax", "3",
+     "--samples", "5"],
+    ["lambda", "--group", "bs", "--p", "2", "--q", "3", "--ball", "2",
+     "--radius", "4"],
+    ["lambda", "--group", "pq", "--p", "2", "--q", "3", "--ball", "2",
+     "--radius", "5"],
     # --tol reaches the ball cut's quadrature on Z^3
     ["cut", "--family", "ball", "--group", "free_abelian", "--d", "3",
      "--n", "1", "--tol", "1e-4"],
