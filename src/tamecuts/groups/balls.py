@@ -419,6 +419,8 @@ class Ball:
             return np.empty((0, n), dtype=np.int64)
         out = np.empty((m, n), dtype=np.int64)
         out[:, 0] = support
+        if out[:, 0].min() < 0 or out[:, 0].max() >= g.level_end[-1]:
+            raise InputError("support holds an index of no grown element")
         deg = g.length(int(out[:, 0].max()))
         g.grow_to(self.radius + deg, budget)
         rows = g.rows_of(0, g.level_end[deg]).take(out[:, 0], axis=1)

@@ -717,6 +717,18 @@ def test_translate_indices_empty_support(spec):
         assert rows.shape == (0, len(bn)) and rows.dtype == np.int64
 
 
+def test_translate_indices_reject_indices_of_no_grown_element():
+    """A support index below 0 or past the grown elements is refused
+    before anything grows."""
+    bn = ball(Z2, 2)
+    grower = balls_mod._get_grower(Z2)
+    radius, count = grower.radius, grower.level_end[-1]
+    for support in ([0, -1], [count], [1, count + 5]):
+        with pytest.raises(InputError):
+            bn.translate_indices(support)
+    assert grower.radius == radius
+
+
 @pytest.mark.parametrize("spec", STEP_GROUPS + WIDE_GROUPS,
                          ids=lambda s: s.label())
 def test_rows_stay_field_major(spec):

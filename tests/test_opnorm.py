@@ -545,9 +545,12 @@ def test_compression_matches_reference_on_random_words(family, radius, words):
     assert_matches_reference(spec, list(support), radius)
 
 
-def count_lookups(monkeypatch) -> dict:
-    """Count the calls of ``word_length`` and of the grower's sorted
-    lookup ``find_row`` from here on."""
+def test_compressions_look_up_each_support_element_at_most_once(monkeypatch):
+    """rd_test's support is the first |B_n| indices of the growth order, so
+    it builds its compression with no ``word_length`` call and no sorted
+    lookup (``find_row``; 44 support elements on lamplighter(2) at n = 4);
+    lambda_norm_lower converts each support element of f to its index with
+    one lookup."""
     counts = {"word_length": 0, "find_row": 0}
 
     def counted(name, fn):
@@ -560,16 +563,7 @@ def count_lookups(monkeypatch) -> dict:
                         counted("word_length", balls_mod.word_length))
     monkeypatch.setattr(balls_mod._BallGrower, "find_row",
                         counted("find_row", balls_mod._BallGrower.find_row))
-    return counts
-
-
-def test_compressions_look_up_each_support_element_at_most_once(monkeypatch):
-    """rd_test's support is the first |B_n| indices of the growth order, so
-    it builds its compression with no word length and no lookup (44
-    support elements on lamplighter(2) at n = 4); lambda_norm_lower
-    converts each support element of f to its index with one lookup."""
     group = GroupSpec.lamplighter(2)
-    counts = count_lookups(monkeypatch)
     assert len(rd_test(group, 4, samples=1)) == 1
     assert len(ball(group, 4)) == 44
     assert counts == {"word_length": 0, "find_row": 0}
