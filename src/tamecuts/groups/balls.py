@@ -417,13 +417,14 @@ class Ball:
         g, n, m = self._grower, len(self), len(support)
         if not m:
             return np.empty((0, n), dtype=np.int64)
-        out = np.empty((m, n), dtype=np.int64)
-        out[:, 0] = support
-        if out[:, 0].min() < 0 or out[:, 0].max() >= g.level_end[-1]:
+        first = np.asarray(support, dtype=np.int64)
+        if first.min() < 0 or first.max() >= g.level_end[-1]:
             raise InputError("support holds an index of no grown element")
-        deg = g.length(int(out[:, 0].max()))
+        deg = g.length(int(first.max()))
         g.grow_to(self.radius + deg, budget)
-        rows = g.rows_of(0, g.level_end[deg]).take(out[:, 0], axis=1)
+        out = np.empty((m, n), dtype=np.int64)
+        out[:, 0] = first
+        rows = g.rows_of(0, g.level_end[deg]).take(first, axis=1)
         lookup = g._lookup_over(g.level_end[self.radius + deg])
         for r in range(self.radius):
             keep = np.tile(g.kept(r), m)

@@ -96,8 +96,6 @@ class CompressedConvolution:
         self.group = group
         self.support = support
         self.radius = radius
-        deg = _get_grower(group).length(max(support, default=0))
-        self.degree = deg
         bin_ = ball(group, radius, budget=budget)
         self.dim_in = len(bin_)
         entries = len(support) * self.dim_in
@@ -105,12 +103,14 @@ class CompressedConvolution:
             raise BudgetExceededError(
                 f"compression entry budget {budget} exceeded: {len(support)} "
                 f"support elements x {self.dim_in} ball elements")
-        bout = ball(group, radius + deg, budget=budget)
-        self.dim_out = len(bout)
+        # checks the indices and grows B_{R+deg}, so the degree is exact
+        rows = bin_.translate_indices(support, budget=budget)
+        deg = _get_grower(group).length(max(support, default=0))
+        self.degree = deg
+        self.dim_out = len(ball(group, radius + deg, budget=budget))
         # csc layout: column i holds the rows of y*x_i, ascending, so that
         # L @ v and the transpose view's L^H @ w add every output entry's
         # terms in ascending index order
-        rows = bin_.translate_indices(support, budget=budget)
         order = np.argsort(rows, axis=0)
         self.nnz = entries
         self._yidx = order.T.ravel()

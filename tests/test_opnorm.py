@@ -572,6 +572,19 @@ def test_compressions_look_up_each_support_element_at_most_once(monkeypatch):
     assert counts == {"word_length": 0, "find_row": len(f)} and len(f) == 10
 
 
+def test_compression_refuses_indices_of_no_grown_element():
+    """A support index past the grown elements is refused before the
+    output ball grows; the same index, once grown, builds."""
+    balls_mod._growers.clear()
+    count = len(ball(Z2, 4))
+    grower = balls_mod._get_grower(Z2)
+    with pytest.raises(InputError):
+        opnorm.CompressedConvolution(Z2, [0, 10 ** 6], 2)
+    assert grower.radius == 4
+    conv = opnorm.CompressedConvolution(Z2, [count - 1], 2)
+    assert conv.degree == 4 and conv.dim_out == len(ball(Z2, 6))
+
+
 def test_compression_entry_budget():
     """25 support elements x |B_40| = 3281 entries exceed a budget that
     every ball involved fits; the error carries the l2/l1 bracket."""
