@@ -412,7 +412,8 @@ class Ball:
         and keep the candidates growth kept there (``_BallGrower.kept``);
         each lies in B_{radius + deg}, deg the length of the largest index
         in ``support``, grown here, and is looked up there by its packed
-        key.
+        key.  An index below 0 or past the grown elements raises
+        ``InputError`` before anything grows.
         """
         g, n, m = self._grower, len(self), len(support)
         if not m:
